@@ -16,8 +16,7 @@ from .signals import (Signal, Spectrogram, StftConfig, default_stft_config,
                       istft, read_wav, stft, write_wav)
 from .solver import (DivergenceError, SolverConfig, SolveTrace,
                      dereverb_pipeline, trainingless_dereverb)
-from .tfconv import (ConvKernel, apply, apply_adjoint, build_kernel,
-                     kernel_from_file, kernel_to_file)
+from .tfconv import ConvKernel, apply, apply_adjoint, build_kernel
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "analyze_rir", "apply", "apply_adjoint", "blind_drr", "build_kernel",
     "calibrate_rt60", "default_stft_config", "dereverb_pipeline", "edc",
     "evaluate", "fit_rt60_polynomial", "gradnorm_alpha", "istft",
-    "kernel_from_file", "kernel_to_file", "loss_complex", "loss_mag",
+    "loss_complex", "loss_mag",
     "min_rir_length", "param_errors", "raw_decay_estimate", "read_rir",
     "read_wav", "rm_loss", "sample_rir", "sigma_from_drr", "sisdr",
     "speech_like_noise", "speech_shaped_noise", "stft", "tau_from_rt60",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import LossConfig, rm_loss
+from .records import format_records, read_records
 from .rir import AcousticParams, PolackSampler
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 
@@ -40,21 +41,13 @@ class Rt60Calibration:
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f"c0={self.c0:.17g}\n")
-            f.write(f"c1={self.c1:.17g}\n")
-            f.write(f"c2={self.c2:.17g}\n")
-            f.write(f"residual={self.residual:.17g}\n")
-            f.write(f"n_pairs={self.n_pairs}\n")
+            f.write(format_records([
+                ("c0", self.c0), ("c1", self.c1), ("c2", self.c2),
+                ("residual", self.residual), ("n_pairs", self.n_pairs)]))
 
     @classmethod
     def from_file(cls, path):
-        kv = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line and "=" in line and not line.startswith("#"):
-                    key, val = line.split("=", 1)
-                    kv[key] = val
+        kv = read_records(path)
         return cls(c0=float(kv["c0"]), c1=float(kv["c1"]), c2=float(kv["c2"]),
                    residual=float(kv.get("residual", 0.0)),
                    n_pairs=int(kv.get("n_pairs", 0)))

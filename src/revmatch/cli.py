@@ -7,8 +7,9 @@ and counters (see seeding), so parallel and serial runs produce identical
 bytes. Commands validate inputs before computing and write outputs through a
 temporary file plus atomic rename, so failed runs leave no partial files.
 
-Config files are flat ``key=value`` text (keys match the long option names
-with ``-`` replaced by ``_``); explicit command-line flags override them.
+Config files, reports and calibration files are ``key=value`` records (see
+records); config keys match the long option names with ``-`` replaced by
+``_``, and explicit command-line flags override them.
 """
 
 import argparse
@@ -18,6 +19,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -27,11 +29,14 @@ from .blind import (BlindConfig, Rt60Calibration, analyze_blind,
                     calibrate_rt60, speech_like_noise)
 from .loss import LossConfig
 from .metrics import evaluate
+from .records import format_records, read_records
 from .rir import (AcousticParams, Rir, analyze_rir, params_from_file,
                   read_rir, sample_rir, write_rir)
 from .seeding import STREAM_CLI_TASKS, STREAM_SYNTH, derive_rng
 from .signals import Signal, default_stft_config, istft, read_wav, stft, write_wav
-from .solver import SolverConfig, trainingless_dereverb
+from .solver import SolverConfig, dereverb_pipeline
+# not called here; perfbench/spans.py wraps cli.trainingless_dereverb by name
+from .solver import trainingless_dereverb  # noqa: F401
 
 CLI_SAMPLE_RATE = 16000
 
@@ -50,18 +55,6 @@ def _atomic_write(path, writer):
         raise
 
 
-def _load_config(path):
-    kv = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            kv[key.strip()] = val.strip()
-    return kv
-
-
 class _Options:
     """Resolution order: explicit CLI flag > config file > default."""
 
@@ -69,7 +62,7 @@ class _Options:
         self.args = vars(args)
         self.config = {}
         if self.args.get("config"):
-            self.config = _load_config(self.args["config"])
+            self.config = read_records(self.args["config"])
 
     def get(self, key, default=None, cast=str):
         val = self.args.get(key)
@@ -93,10 +86,10 @@ def _read_input_wav(path):
     return read_wav(path, expect_rate=CLI_SAMPLE_RATE)
 
 
-def _write_report(path, lines):
+def _write_text(path, text):
     def writer(tmp):
         with open(tmp, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write(text)
     _atomic_write(path, writer)
 
 
@@ -128,15 +121,9 @@ def cmd_sample_rir(opts):
 def cmd_analyze_rir(opts):
     rir = read_rir(opts.get("input"))
     analysis = analyze_rir(rir, n_d=opts.get("nd", 40, cast=int))
-    lines = [
-        f"rt60_est={analysis.rt60_est:.17g}",
-        f"sigma_est={analysis.sigma_est:.17g}",
-        f"drr_est_db={analysis.drr_est_db:.17g}",
-        f"t5={analysis.t5}",
-        f"t25={analysis.t25}",
-        f"e_5_25={analysis.e_5_25:.17g}",
-    ]
-    _write_report(opts.get("output"), lines)
+    keys = ("rt60_est", "sigma_est", "drr_est_db", "t5", "t25", "e_5_25")
+    _write_text(opts.get("output"),
+                format_records((k, getattr(analysis, k)) for k in keys))
     return 0
 
 
@@ -220,14 +207,7 @@ def cmd_analyze_blind(opts):
     spec = stft(sig, cfg)
     est = analyze_blind(spec, cal, _blind_config(opts),
                         sample_rate=sig.sample_rate)
-    lines = [
-        f"rt60={est.rt60:.17g}",
-        f"drr_db={est.drr_db:.17g}",
-        f"raw_median_decay={est.raw_median_decay:.17g}",
-        f"rm_loss_at_estimate={est.rm_loss_at_estimate:.17g}",
-        f"anechoic={int(est.anechoic)}",
-    ]
-    _write_report(opts.get("output"), lines)
+    _write_text(opts.get("output"), format_records(asdict(est).items()))
     return 0
 
 
@@ -248,30 +228,24 @@ def _solver_config(opts, seed):
 
 def _dereverb_one(path, out_path, trace_path, opts, task_seed):
     sig = _read_input_wav(path)
-    cfg = default_stft_config()
-    spec = stft(sig, cfg)
     rt60 = opts.get("rt60", cast=float)
-    solver_cfg = _solver_config(opts, task_seed)
     if rt60 is not None:
-        params = AcousticParams(
+        acoustics = AcousticParams(
             rt60=rt60, drr_db=opts.get("drr", 0.0, cast=float),
             n_d=opts.get("nd", 40, cast=int), sample_rate=sig.sample_rate,
             noise_mode=opts.get("noise_mode", "centered-gaussian"))
-        shat, trace = trainingless_dereverb(spec, params, solver_cfg)
-        out = istft(shat, length=len(sig))
-        result = Signal(out, sig.sample_rate)
     else:
         cal_path = opts.get("calibration")
         if not cal_path:
             raise ValueError("dereverb requires --calibration or --rt60/--drr")
-        cal = Rt60Calibration.from_file(cal_path)
-        from .solver import dereverb_pipeline
-        trace = None
-        result = dereverb_pipeline(sig, cal, solver_cfg, _blind_config(opts))
+        acoustics = Rt60Calibration.from_file(cal_path)
+    result, trace = dereverb_pipeline(sig, acoustics,
+                                      _solver_config(opts, task_seed),
+                                      _blind_config(opts))
     _atomic_write(out_path, lambda tmp: write_wav(
         tmp, result, fmt="float32"))
     if trace_path and trace is not None:
-        _write_report(trace_path, trace.to_lines().splitlines())
+        _write_text(trace_path, trace.to_lines())
     return 0
 
 
@@ -307,20 +281,16 @@ def cmd_eval(opts):
     est = _read_input_wav(opts.get("est"))
     ref = _read_input_wav(opts.get("ref"))
     report = evaluate(est, ref)
-    lines = [
-        f"sisdr_db={report.sisdr_db:.17g}",
-        f"sisdr_perfect={int(report.sisdr_perfect)}",
-    ]
     truth_path = opts.get("true_params")
     est_report = opts.get("est_report")
     if truth_path and est_report:
         truth = params_from_file(truth_path)
-        kv = _load_config(est_report)
+        kv = read_records(est_report)
         rt60_est = float(kv.get("rt60", kv.get("rt60_est")))
         drr_est = float(kv.get("drr_db", kv.get("drr_est_db")))
-        lines.append(f"rt60_abs_err_s={abs(rt60_est - truth.rt60):.17g}")
-        lines.append(f"drr_abs_err_db={abs(drr_est - truth.drr_db):.17g}")
-    _write_report(opts.get("output"), lines)
+        report.rt60_abs_err_s = abs(rt60_est - truth.rt60)
+        report.drr_abs_err_db = abs(drr_est - truth.drr_db)
+    _write_text(opts.get("output"), report.to_lines())
     return 0
 
 
@@ -358,7 +328,7 @@ def cmd_bench(opts):
         if with_timings:
             row += f"\t{elapsed:.6f}"
         lines.append(row)
-    _write_report(opts.get("output"), lines)
+    _write_text(opts.get("output"), "\n".join(lines) + "\n")
     return 0
 
 

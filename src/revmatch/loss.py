@@ -35,7 +35,6 @@ class LossConfig:
 
     variant: str = "single"
     num_draws: int | None = None
-    noise_floor: float = 0.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -45,8 +44,6 @@ class LossConfig:
                 raise ValueError("num_draws must be >= 1")
             if self.variant == "single" and self.num_draws != 1:
                 raise ValueError("single variant implies num_draws == 1")
-        if self.noise_floor < 0:
-            raise ValueError("noise_floor must be nonnegative")
 
     @property
     def resolved_draws(self):
@@ -66,33 +63,6 @@ class LossReport:
     selected_draw: int | None = None
     per_draw: list = field(default_factory=list, repr=False)
 
-    def to_lines(self):
-        lines = [
-            f"l_complex={self.l_complex:.17g}",
-            f"l_mag={self.l_mag:.17g}",
-            f"alpha={self.alpha:.17g}",
-            f"total={self.total:.17g}",
-            f"selected_draw={'none' if self.selected_draw is None else self.selected_draw}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_lines(cls, text):
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                kv[key] = val
-        sel = kv.get("selected_draw", "none")
-        return cls(
-            l_complex=float(kv["l_complex"]),
-            l_mag=float(kv["l_mag"]),
-            alpha=float(kv["alpha"]),
-            total=float(kv["total"]),
-            selected_draw=None if sel == "none" else int(sel),
-        )
-
 
 def _as_grid(y):
     return y.data if isinstance(y, Spectrogram) else np.asarray(y)
@@ -111,7 +81,7 @@ def loss_complex(y, yhat):
     return float(np.sum(diff.real ** 2 + diff.imag ** 2))
 
 
-def loss_mag(y, yhat, noise_floor=0.0):
+def loss_mag(y, yhat):
     """Squared Frobenius distance between log(1 + |.|) magnitudes."""
     ya, yb = _as_grid(y), _as_grid(yhat)
     _check_shapes(ya, yb)
@@ -124,25 +94,24 @@ def grad_complex(y, yhat):
     return 2.0 * (yhat - y)
 
 
-def grad_mag(y, yhat, noise_floor=0.0):
+def grad_mag(y, yhat):
     """Gradient of loss_mag with respect to yhat; zero where |yhat| vanishes."""
     mag_y = np.abs(y)
     mag = np.abs(yhat)
     err = np.log1p(mag_y) - np.log1p(mag)
-    floor = max(noise_floor, _TINY)
-    denom = np.maximum(mag, floor) * (1.0 + mag)
+    denom = np.maximum(mag, _TINY) * (1.0 + mag)
     grad = (-2.0 * err / denom) * yhat
     grad[mag <= 0.0] = 0.0
     return grad
 
 
-def gradnorm_alpha(y, yhat, noise_floor=0.0):
+def gradnorm_alpha(y, yhat):
     """Weight equalizing the gradient norms of the two loss terms at yhat:
     alpha = ||d l_complex / d yhat|| / ||d l_mag / d yhat||."""
     ya, yb = _as_grid(y), _as_grid(yhat)
     _check_shapes(ya, yb)
     norm_c = np.linalg.norm(grad_complex(ya, yb))
-    norm_m = np.linalg.norm(grad_mag(ya, yb, noise_floor))
+    norm_m = np.linalg.norm(grad_mag(ya, yb))
     if norm_m == 0.0:
         raise DegenerateGradNorm("magnitude-loss gradient is zero")
     return float(norm_c / norm_m)
@@ -158,14 +127,14 @@ def _align_frames(arr, num_frames):
     return out
 
 
-def _draw_terms(y_data, shat, kernel, noise_floor, alpha_fallback, want_grad):
+def _draw_terms(y_data, shat, kernel, alpha_fallback, want_grad):
     t_y = y_data.shape[1]
     yhat_spec = tfconv.apply(kernel, shat)
     yhat = _align_frames(yhat_spec.data, t_y)
     l_c = loss_complex(y_data, yhat)
-    l_m = loss_mag(y_data, yhat, noise_floor)
+    l_m = loss_mag(y_data, yhat)
     g_c = grad_complex(y_data, yhat)
-    g_m = grad_mag(y_data, yhat, noise_floor)
+    g_m = grad_mag(y_data, yhat)
     norm_m = np.linalg.norm(g_m)
     if norm_m == 0.0:
         alpha = float(alpha_fallback)
@@ -232,7 +201,7 @@ def rm_loss(y, shat, sampler, cfg, seed=0, band_radius=8, want_grad=False,
             rir = sampler.draw(derive_rng(seed, STREAM_LOSS_DRAWS, i))
             kernel = tfconv.build_kernel(rir, y.config, band_radius)
         l_c, l_m, alpha, total, grad = _draw_terms(
-            y_data, shat, kernel, cfg.noise_floor, alpha_fallback, want_grad)
+            y_data, shat, kernel, alpha_fallback, want_grad)
         per_draw.append((l_c, l_m, alpha, total))
         grads.append(grad)
 

@@ -1,9 +1,11 @@
 """Evaluation metrics: scale-invariant SDR for signals and absolute parameter
 errors for the analyzers."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .records import format_records
 
 SISDR_CAP_DB = 100.0
 
@@ -16,15 +18,12 @@ class MetricReport:
     drr_abs_err_db: float | None = None
 
     def to_lines(self):
-        lines = []
-        if self.sisdr_db is not None:
-            lines.append(f"sisdr_db={self.sisdr_db:.17g}")
-            lines.append(f"sisdr_perfect={int(self.sisdr_perfect)}")
-        if self.rt60_abs_err_s is not None:
-            lines.append(f"rt60_abs_err_s={self.rt60_abs_err_s:.17g}")
-        if self.drr_abs_err_db is not None:
-            lines.append(f"drr_abs_err_db={self.drr_abs_err_db:.17g}")
-        return "\n".join(lines) + "\n"
+        """``key=value`` records of the fields that are set."""
+        fields = asdict(self)
+        if self.sisdr_db is None:
+            del fields["sisdr_perfect"]
+        return format_records((k, v) for k, v in fields.items()
+                              if v is not None)
 
 
 def sisdr(est, ref):

@@ -3,10 +3,11 @@ synthesis with an exponentially decaying noise tail, energy decay curves, and
 non-blind parameter recovery by decay-curve regression."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .records import format_records, read_records
 from .signals import Signal, read_wav, write_wav
 
 LN10 = math.log(10.0)
@@ -57,19 +58,6 @@ class Rir:
 
     def __len__(self):
         return len(self.taps)
-
-
-@dataclass(frozen=True)
-class PolackDraw:
-    """Parameters of one stochastic tail draw."""
-
-    sigma: float
-    tau: float
-    seed: int
-
-    def __post_init__(self):
-        if self.sigma <= 0 or self.tau <= 0:
-            raise ValueError("sigma and tau must be positive")
 
 
 @dataclass
@@ -221,23 +209,13 @@ def analyze_rir(rir, n_d=DEFAULT_DIRECT_DELAY):
 
 
 class PolackSampler:
-    """Stochastic RIR sampler for fixed acoustic parameters.
+    """Stochastic RIR sampler for fixed acoustic parameters: ``draw(rng)``
+    is pure given the supplied generator and returns RIRs of the minimum
+    admissible length."""
 
-    One instance per worker: ``sample()`` advances internal RNG state, while
-    ``draw(rng)`` is pure given the supplied generator. ``draw_info`` carries
-    the tail noise std and decay constant implied by the parameters.
-    """
-
-    def __init__(self, params, length=None, seed=0):
+    def __init__(self, params):
         self.params = params
-        self.rir_length = length if length is not None else min_rir_length(params)
-        if self.rir_length < min_rir_length(params):
-            raise ValueError("sampler length violates the tail truncation rule")
-        tau = tau_from_rt60(params.rt60, params.sample_rate)
-        self.draw_info = PolackDraw(
-            sigma=sigma_from_drr(params.drr_db, tau, params.n_d),
-            tau=tau, seed=seed)
-        self._rng = np.random.default_rng(seed)
+        self.rir_length = min_rir_length(params)
 
     @property
     def sample_rate(self):
@@ -245,9 +223,6 @@ class PolackSampler:
 
     def draw(self, rng):
         return sample_rir(self.params, self.rir_length, rng)
-
-    def sample(self):
-        return self.draw(self._rng)
 
 
 class DiracSampler:
@@ -264,9 +239,6 @@ class DiracSampler:
         return self.rir.sample_rate
 
     def draw(self, rng=None):
-        return self.rir
-
-    def sample(self):
         return self.rir
 
 
@@ -307,24 +279,13 @@ def read_rir(path, sample_rate=None):
 
 
 def params_to_file(path, params):
-    """Serialize AcousticParams as flat key=value lines."""
+    """Serialize AcousticParams as ``key=value`` records."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"rt60={params.rt60:.17g}\n")
-        f.write(f"drr_db={params.drr_db:.17g}\n")
-        f.write(f"n_d={params.n_d}\n")
-        f.write(f"sample_rate={params.sample_rate}\n")
-        f.write(f"noise_mode={params.noise_mode}\n")
+        f.write(format_records(asdict(params).items()))
 
 
 def params_from_file(path):
-    kv = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            kv[key.strip()] = val.strip()
+    kv = read_records(path)
     return AcousticParams(
         rt60=float(kv["rt60"]),
         drr_db=float(kv["drr_db"]),

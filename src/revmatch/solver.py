@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tfconv
+from . import blind, tfconv
 from .loss import LossConfig, rm_loss
 from .rir import AcousticParams, DiracSampler, PolackSampler, Rir
 from .seeding import STREAM_SOLVER_ITERS, as_path
-from .signals import Signal, Spectrogram, istft, stft
+from .signals import Signal, Spectrogram, default_stft_config, istft, stft
 
 STEP_RULES = ("adam", "fixed")
 
@@ -109,14 +109,18 @@ def trainingless_dereverb(y, params, cfg=None):
 
     Raises
     ------
+    ValueError
+        If the observation holds a non-finite value.
     DivergenceError
-        If the loss exceeds 10x its initial value.
+        If the loss turns non-finite or exceeds 10x its initial value.
     """
     if cfg is None:
         cfg = SolverConfig()
     sampler = _as_sampler(params)
     if sampler.sample_rate <= 0:
         raise ValueError("sampler sample rate invalid")
+    if not np.all(np.isfinite(y.data)):
+        raise ValueError("observation contains non-finite values")
     f_bins, t_y = y.data.shape
     t_s = dry_frames(t_y, sampler.rir_length, y.config)
 
@@ -150,6 +154,8 @@ def trainingless_dereverb(y, params, cfg=None):
         alpha_prev = report.alpha
         reports.append(report)
         total = report.total
+        if not np.isfinite(total):
+            raise DivergenceError(f"non-finite loss at iteration {it}")
         if total < best_total:
             best_total = total
             best_shat = shat.copy()
@@ -195,30 +201,36 @@ def trainingless_dereverb(y, params, cfg=None):
     return out, trace
 
 
-def dereverb_pipeline(sig, cal, solver_cfg=None, blind_cfg=None):
-    """Blind dereverberation of a time-domain signal.
+def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):
+    """Dereverberate a time-domain signal: STFT -> solve -> iSTFT, with the
+    output at the input's length.
 
-    Runs STFT -> blind acoustic analysis -> training-less solve -> iSTFT; the
-    output has the input's length. Falls back to pass-through when the
-    analyzer finds no usable decay or maps to a near-anechoic RT60.
+    ``acoustics`` is either known ``AcousticParams``, solved for directly, or
+    an ``Rt60Calibration``: blind analysis then supplies the parameters, and
+    the input passes through unchanged when the analyzer finds no usable decay
+    or maps to a near-anechoic RT60.
+
+    Returns
+    -------
+    (Signal, SolveTrace or None)
+        The trace is None when the input passed through without a solve.
     """
-    from .blind import BlindConfig, InsufficientDecay, analyze_blind
-
     if solver_cfg is None:
         solver_cfg = SolverConfig()
-    if blind_cfg is None:
-        blind_cfg = BlindConfig()
-    from .signals import default_stft_config
-    cfg = default_stft_config()
-    spec = stft(sig, cfg)
-    try:
-        est = analyze_blind(spec, cal, blind_cfg, sample_rate=sig.sample_rate)
-    except InsufficientDecay:
-        return Signal(sig.samples.copy(), sig.sample_rate)
-    if est.rt60 < blind_cfg.min_rt60:
-        return Signal(sig.samples.copy(), sig.sample_rate)
-    params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
-                            sample_rate=sig.sample_rate)
-    shat, _ = trainingless_dereverb(spec, params, solver_cfg)
-    out = istft(shat, length=len(sig))
-    return Signal(out, sig.sample_rate)
+    spec = stft(sig, default_stft_config())
+    params = acoustics
+    if isinstance(acoustics, blind.Rt60Calibration):
+        if blind_cfg is None:
+            blind_cfg = blind.BlindConfig()
+        try:
+            est = blind.analyze_blind(spec, acoustics, blind_cfg,
+                                      sample_rate=sig.sample_rate)
+        except blind.InsufficientDecay:
+            est = None
+        if est is None or est.rt60 < blind_cfg.min_rt60:
+            return Signal(sig.samples.copy(), sig.sample_rate), None
+        params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
+                                sample_rate=sig.sample_rate,
+                                noise_mode=blind_cfg.noise_mode)
+    shat, trace = trainingless_dereverb(spec, params, solver_cfg)
+    return Signal(istft(shat, length=len(sig)), sig.sample_rate), trace

@@ -16,7 +16,6 @@ kernel therefore stores ``acausal`` extra leading frames; dropping them breaks
 the equivalence with time-domain convolution at O(1) relative error.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,43 +243,3 @@ def apply_adjoint(kernel, spec):
             if a < b:
                 x[:, a:b] += w[j, :, a + tpp:b + tpp]
     return Spectrogram(np.ascontiguousarray(x), spec.config)
-
-
-_KERNEL_MAGIC = b"RMTK"
-
-
-def kernel_to_file(path, kernel):
-    """Dump a kernel for debugging.
-
-    Layout: magic "RMTK", u32 version, u32 F, i32 band (-1 = full), u32 t_h,
-    u32 acausal, u32 rir_length, u32 n_offsets, then the offsets as i32 and the
-    kernel entries as row-major complex64 (real, imag) pairs.
-    """
-    band = -1 if kernel.band_radius == "full" else int(kernel.band_radius)
-    with open(path, "wb") as f:
-        f.write(_KERNEL_MAGIC)
-        f.write(struct.pack("<IIiIIII", 1, kernel.num_bins, band, kernel.t_h,
-                            kernel.acausal, kernel.rir_length,
-                            kernel.num_offsets))
-        f.write(kernel.offsets.astype("<i4").tobytes())
-        f.write(kernel.data.astype("<c8").tobytes())
-
-
-def kernel_from_file(path, cfg):
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _KERNEL_MAGIC:
-            raise ValueError("not a kernel dump file")
-        version, f_bins, band, t_h, acausal, rir_length, n_off = struct.unpack(
-            "<IIiIIII", f.read(28))
-        if version != 1:
-            raise ValueError(f"unsupported kernel dump version {version}")
-        if f_bins != cfg.num_bins:
-            raise ValueError("kernel dump bin count does not match config")
-        offsets = np.frombuffer(f.read(4 * n_off), dtype="<i4").astype(np.int64)
-        count = f_bins * n_off * (t_h + acausal)
-        data = np.frombuffer(f.read(8 * count), dtype="<c8").astype(
-            np.complex128).reshape(f_bins, n_off, t_h + acausal)
-    band_radius = "full" if band < 0 else band
-    return ConvKernel(data=data, offsets=offsets, band_radius=band_radius,
-                      cfg=cfg, t_h=t_h, acausal=acausal, rir_length=rir_length)

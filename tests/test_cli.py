@@ -6,7 +6,7 @@ from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from revmatch.cli import main
-from revmatch.blind import speech_like_noise
+from revmatch.blind import Rt60Calibration, speech_like_noise
 from revmatch.rir import AcousticParams, params_to_file, sample_rir
 from revmatch.signals import Signal, read_wav, stft, write_wav
 
@@ -166,6 +166,23 @@ def test_dereverb_oracle_params(tmp_path):
     assert len(dried) == len(wet)
     lines = trace.read_text().splitlines()
     assert len(lines) >= 1
+    assert lines[0].startswith("iter=0")
+
+
+def test_dereverb_blind_writes_trace(tmp_path):
+    wet_path = tmp_path / "wet.wav"
+    params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
+    h = sample_rir(params, rng=12)
+    s = speech_like_noise(2 * FS, FS, rng=13)
+    write_wav(wet_path, Signal(fftconvolve(s, h.taps)[:2 * FS], FS))
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    trace = tmp_path / "t.txt"
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--max-iters", 4, "--k-inner", 2, "--trace", trace,
+               "-o", tmp_path / "dry.wav") == 0
+    lines = trace.read_text().splitlines()
+    assert 1 <= len(lines) <= 4
     assert lines[0].startswith("iter=0")
 
 

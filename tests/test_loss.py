@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import revmatch.tfconv as tfconv
-from revmatch.loss import (DegenerateGradNorm, LossConfig, LossReport,
-                           _align_frames, grad_complex, grad_mag,
-                           gradnorm_alpha, loss_complex, loss_mag, rm_loss)
+from revmatch.loss import (DegenerateGradNorm, LossConfig, _align_frames,
+                           grad_complex, grad_mag, gradnorm_alpha,
+                           loss_complex, loss_mag, rm_loss)
 from revmatch.rir import AcousticParams, DiracSampler, PolackSampler, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, stft)
@@ -199,15 +199,6 @@ def test_loss_config_validation():
         LossConfig(variant="single", num_draws=3)
     assert LossConfig(variant="average").resolved_draws == 10
     assert LossConfig(variant="single").resolved_draws == 1
-
-
-def test_loss_report_line_roundtrip():
-    report = LossReport(l_complex=1.5, l_mag=0.25, alpha=2.0, total=2.0,
-                        selected_draw=3)
-    back = LossReport.from_lines(report.to_lines())
-    assert back == LossReport(1.5, 0.25, 2.0, 2.0, 3)
-    report2 = LossReport(1.0, 0.0, 1.0, 1.0, None)
-    assert LossReport.from_lines(report2.to_lines()).selected_draw is None
 
 
 def test_rm_loss_gradnorm_fallback_on_zero_estimate(cfg):

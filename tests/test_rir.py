@@ -166,16 +166,6 @@ def test_polack_sampler_draw_is_pure():
     np.testing.assert_array_equal(a.taps, b.taps)
 
 
-def test_polack_sampler_draw_info():
-    params = AcousticParams(rt60=0.5, drr_db=10.0, sample_rate=FS)
-    sampler = PolackSampler(params, seed=9)
-    tau = tau_from_rt60(0.5, FS)
-    assert sampler.draw_info.tau == pytest.approx(tau)
-    assert sampler.draw_info.sigma == pytest.approx(
-        sigma_from_drr(10.0, tau, params.n_d))
-    assert sampler.draw_info.seed == 9
-
-
 def test_rir_file_roundtrip(tmp_path):
     params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
     rir = sample_rir(params, rng=1)

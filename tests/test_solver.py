@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from revmatch.blind import Rt60Calibration, speech_like_noise
+import revmatch.blind as blind
+import revmatch.solver as solver
+from revmatch.blind import (BlindConfig, BlindEstimate, Rt60Calibration,
+                            speech_like_noise)
 from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.signals import Signal, istft, stft
 from revmatch.solver import (DivergenceError, SolverConfig,
@@ -79,6 +84,33 @@ def test_returned_iterate_not_worse_than_initial(cfg):
     assert trace.final_report.total <= trace.totals[0]
 
 
+def test_non_finite_observation_rejected(cfg):
+    y = stft(speech_like_noise(FS // 2, FS, rng=4), cfg)
+    y.data[3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        trainingless_dereverb(y, AcousticParams(rt60=0.2, drr_db=0.0),
+                              SolverConfig(max_iters=3))
+
+
+def test_non_finite_loss_is_divergence(cfg, monkeypatch):
+    params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
+    h = sample_rir(params, rng=5)
+    y = stft(fftconvolve(speech_like_noise(FS // 2, FS, rng=6), h.taps), cfg)
+    real_rm_loss = solver.rm_loss
+    calls = []
+
+    def nan_at_third_iteration(*args, **kwargs):
+        report, grad = real_rm_loss(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            report = dataclasses.replace(report, total=np.nan)
+        return report, grad
+
+    monkeypatch.setattr(solver, "rm_loss", nan_at_third_iteration)
+    with pytest.raises(DivergenceError, match="iteration 2"):
+        trainingless_dereverb(y, h, SolverConfig(max_iters=6, band_radius=8))
+
+
 def test_determinism(cfg):
     params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
     h = sample_rir(params, rng=5)
@@ -129,7 +161,7 @@ def test_trace_lines_format(cfg):
 
 
 def test_pipeline_matches_manual_composition(cfg):
-    from revmatch.blind import BlindConfig, analyze_blind
+    from revmatch.blind import analyze_blind
 
     params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
     h = sample_rir(params, rng=12)
@@ -139,7 +171,8 @@ def test_pipeline_matches_manual_composition(cfg):
     cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)  # identity map on raw
     solver_cfg = SolverConfig(max_iters=8, band_radius=8, seed=3)
     blind_cfg = BlindConfig(k_inner=4, draws_per_point=1, seed=3)
-    out = dereverb_pipeline(sig, cal, solver_cfg, blind_cfg)
+    out, trace = dereverb_pipeline(sig, cal, solver_cfg, blind_cfg)
+    assert trace is not None
     assert len(out) == len(sig)
     assert np.all(np.isfinite(out.samples))
 
@@ -157,5 +190,40 @@ def test_pipeline_passthrough_on_anechoic(cfg):
     sig = Signal(rng.standard_normal(2 * FS) * 0.1, FS)
     # calibration mapping everything to a near-zero RT60
     cal = Rt60Calibration(c0=0.0, c1=0.0, c2=0.0)
-    out = dereverb_pipeline(sig, cal, SolverConfig(max_iters=4))
+    out, trace = dereverb_pipeline(sig, cal, SolverConfig(max_iters=4))
+    assert trace is None
     np.testing.assert_array_equal(out.samples, sig.samples)
+
+
+def test_pipeline_known_params_matches_manual_composition(cfg):
+    params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
+    h = sample_rir(params, rng=15)
+    sig = Signal(fftconvolve(speech_like_noise(FS // 2, FS, rng=16),
+                             h.taps)[:FS // 2], FS)
+    solver_cfg = SolverConfig(max_iters=4, seed=2)
+    out, trace = dereverb_pipeline(sig, params, solver_cfg)
+    shat, manual_trace = trainingless_dereverb(stft(sig, cfg), params,
+                                               solver_cfg)
+    np.testing.assert_array_equal(out.samples, istft(shat, length=len(sig)))
+    np.testing.assert_array_equal(trace.totals, manual_trace.totals)
+
+
+def test_blind_pipeline_solves_with_the_blind_noise_mode(monkeypatch):
+    # the main solve uses the noise model the DRR grid was scored under
+    est = BlindEstimate(rt60=0.2, drr_db=3.0, raw_median_decay=0.2,
+                        rm_loss_at_estimate=0.0)
+    monkeypatch.setattr(blind, "analyze_blind", lambda *a, **k: est)
+    received = []
+    real_solve = solver.trainingless_dereverb
+
+    def recording_solve(y, params, cfg=None):
+        received.append(params)
+        return real_solve(y, params, cfg)
+
+    monkeypatch.setattr(solver, "trainingless_dereverb", recording_solve)
+    sig = Signal(speech_like_noise(FS, FS, rng=17), FS)
+    dereverb_pipeline(sig, Rt60Calibration(c0=0.0, c1=1.0, c2=0.0),
+                      SolverConfig(max_iters=2),
+                      BlindConfig(noise_mode="half-normal"))
+    assert received == [AcousticParams(rt60=0.2, drr_db=3.0, sample_rate=FS,
+                                       noise_mode="half-normal")]

@@ -7,8 +7,7 @@ from conftest import rel_frame_error
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, stft)
-from revmatch.tfconv import (apply, apply_adjoint, build_kernel,
-                             kernel_frames, kernel_from_file, kernel_to_file)
+from revmatch.tfconv import apply, apply_adjoint, build_kernel, kernel_frames
 
 FS = 16000
 
@@ -186,22 +185,6 @@ def test_acausal_frames_are_required(cfg):
     assert np.linalg.norm(kernel.data[:, :, 0]) > 1e-3 * np.linalg.norm(
         kernel.data)
     assert full <= 1e-10
-
-
-def test_kernel_dump_roundtrip(tmp_path, cfg):
-    params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
-    rir = sample_rir(params, rng=2)
-    kernel = build_kernel(rir, cfg, 4)
-    path = tmp_path / "kernel.bin"
-    kernel_to_file(path, kernel)
-    back = kernel_from_file(path, cfg)
-    assert back.t_h == kernel.t_h
-    assert back.acausal == kernel.acausal
-    assert back.band_radius == 4
-    assert back.rir_length == kernel.rir_length
-    np.testing.assert_array_equal(back.offsets, kernel.offsets)
-    # entries stored as complex64
-    np.testing.assert_allclose(back.data, kernel.data, atol=1e-6)
 
 
 def test_sampled_rir_oracle(cfg):

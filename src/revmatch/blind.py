@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import LossConfig, rm_loss
+from . import tfconv
+from .loss import LossConfig
 from .records import format_records, read_records
 from .rir import AcousticParams, PolackSampler
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
@@ -71,7 +72,6 @@ class BlindConfig:
     drr_grid: tuple = DEFAULT_DRR_GRID
     draws_per_point: int = 3
     k_inner: int = 18
-    band_radius: object = 8
     seed: int = 0
     min_rt60: float = 0.05
     min_run: int = 3
@@ -182,7 +182,7 @@ def calibrate_rt60(pairs, sample_rate=16000, min_run=3, band_floor_db=60.0):
 
 
 def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
-              band_radius=8, seed=0, sample_rate=16000,
+              seed=0, sample_rate=16000,
               noise_mode="centered-gaussian"):
     """Pick a DRR grid point by reverberation matching at a fixed RT60.
 
@@ -192,7 +192,8 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     ``draws_per_point`` Monte-Carlo draws, matches the observed energy. The
     draws share one seed stream across points (common random numbers), so the
     comparison is deterministic for a fixed seed; exact ties resolve to the
-    lowest dB.
+    lowest dB. The reference is synthesized once and shared by every draw of
+    every point.
 
     The residual value of the matching loss itself is NOT a usable selection
     statistic here: for sign-symmetric tail draws its expectation is
@@ -208,8 +209,6 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     parameters.
     """
     from .solver import SolverConfig, trainingless_dereverb
-    from . import tfconv
-    from .loss import _align_frames
 
     if grid is None:
         grid = DEFAULT_DRR_GRID
@@ -222,9 +221,10 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     ref_params = AcousticParams(rt60=rt60, drr_db=grid[0],
                                 sample_rate=sample_rate, noise_mode=noise_mode)
     ref_seed = int(derive_rng(seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
-    solver_cfg = SolverConfig(max_iters=k_inner, band_radius=band_radius,
-                              seed=ref_seed, loss_cfg=LossConfig())
+    solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
+                              loss_cfg=LossConfig())
     shat, _ = trainingless_dereverb(spec, ref_params, solver_cfg)
+    dry = tfconv.synthesize(shat)
 
     y_energy = float(np.sum(np.abs(spec.data) ** 2))
     t_y = spec.num_frames
@@ -238,8 +238,7 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
         l_c = []
         for i in range(draws_per_point):
             rir = sampler.draw(derive_rng(seed, STREAM_DRR_GRID, 1, i))
-            kernel = tfconv.build_kernel(rir, spec.config, band_radius)
-            yhat = _align_frames(tfconv.apply(kernel, shat).data, t_y)
+            yhat = tfconv.ExactConv(rir, spec.config).forward(dry, t_y).data
             energies.append(float(np.sum(np.abs(yhat) ** 2)))
             l_c.append(float(np.sum(np.abs(yhat - spec.data) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))
@@ -265,7 +264,7 @@ def analyze_blind(spec, cal, cfg=None, sample_rate=16000):
                              rm_loss_at_estimate=math.nan, anechoic=True)
     drr_db, loss_val = blind_drr(
         spec, rt60, grid=cfg.drr_grid, draws_per_point=cfg.draws_per_point,
-        k_inner=cfg.k_inner, band_radius=cfg.band_radius, seed=cfg.seed,
+        k_inner=cfg.k_inner, seed=cfg.seed,
         sample_rate=sample_rate, noise_mode=cfg.noise_mode)
     return BlindEstimate(rt60=rt60, drr_db=drr_db, raw_median_decay=raw,
                          rm_loss_at_estimate=loss_val)

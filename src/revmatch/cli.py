@@ -139,11 +139,7 @@ def cmd_reverberate(opts):
         wet = fftconvolve(dry.samples, rir.taps)
     else:
         cfg = default_stft_config()
-        kernel = tfconv.build_kernel(
-            rir, cfg, _band_radius(opts.get("band_radius", "full")))
-        spec = stft(dry, cfg)
-        wet_spec = tfconv.apply(kernel, spec)
-        wet = istft(wet_spec)
+        wet = istft(tfconv.ExactConv(rir, cfg).forward(stft(dry, cfg)))
     sig = Signal(wet, dry.sample_rate)
     out = opts.get("output")
     _atomic_write(out, lambda tmp: write_wav(tmp, sig, fmt="float32"))
@@ -190,11 +186,10 @@ def cmd_calibrate(opts):
     return 0
 
 
-def _blind_config(opts):
+def _blind_config(opts, draws_per_point=BlindConfig.draws_per_point):
     return BlindConfig(
-        draws_per_point=opts.get("draws", 3, cast=int),
+        draws_per_point=draws_per_point,
         k_inner=opts.get("k_inner", 18, cast=int),
-        band_radius=_band_radius(opts.get("band_radius", 8)),
         seed=opts.get("seed", 0, cast=int),
         noise_mode=opts.get("noise_mode", "centered-gaussian"),
     )
@@ -205,8 +200,9 @@ def cmd_analyze_blind(opts):
     cal = Rt60Calibration.from_file(opts.get("calibration"))
     cfg = default_stft_config()
     spec = stft(sig, cfg)
-    est = analyze_blind(spec, cal, _blind_config(opts),
-                        sample_rate=sig.sample_rate)
+    blind_cfg = _blind_config(
+        opts, opts.get("draws", BlindConfig.draws_per_point, cast=int))
+    est = analyze_blind(spec, cal, blind_cfg, sample_rate=sig.sample_rate)
     _write_text(opts.get("output"), format_records(asdict(est).items()))
     return 0
 
@@ -221,7 +217,6 @@ def _solver_config(opts, seed):
         step_size=opts.get("step_size", 5e-2, cast=float),
         stop_rel_tol=opts.get("stop_rel_tol", 1e-4, cast=float),
         loss_cfg=loss_cfg,
-        band_radius=_band_radius(opts.get("band_radius", 8)),
         seed=seed,
     )
 
@@ -277,6 +272,14 @@ def cmd_dereverb(opts):
     return 0
 
 
+def _report_value(kv, path, *keys):
+    """The value of the first of ``keys`` present in a report's records."""
+    for key in keys:
+        if key in kv:
+            return float(kv[key])
+    raise ValueError(f"{path}: report has no {' or '.join(keys)} record")
+
+
 def cmd_eval(opts):
     est = _read_input_wav(opts.get("est"))
     ref = _read_input_wav(opts.get("ref"))
@@ -286,8 +289,8 @@ def cmd_eval(opts):
     if truth_path and est_report:
         truth = params_from_file(truth_path)
         kv = read_records(est_report)
-        rt60_est = float(kv.get("rt60", kv.get("rt60_est")))
-        drr_est = float(kv.get("drr_db", kv.get("drr_est_db")))
+        rt60_est = _report_value(kv, est_report, "rt60", "rt60_est")
+        drr_est = _report_value(kv, est_report, "drr_db", "drr_est_db")
         report.rt60_abs_err_s = abs(rt60_est - truth.rt60)
         report.drr_abs_err_db = abs(drr_est - truth.drr_db)
     _write_text(opts.get("output"), report.to_lines())
@@ -363,7 +366,6 @@ def build_parser():
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--rir", required=True)
     p.add_argument("--domain", choices=["time", "stft"], default=None)
-    p.add_argument("--band-radius", dest="band_radius", default=None)
 
     p = sub.add_parser("calibrate", help="fit the blind RT60 calibration")
     common(p)
@@ -377,7 +379,6 @@ def build_parser():
     p.add_argument("--calibration", required=True)
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--k-inner", dest="k_inner", type=int, default=None)
-    p.add_argument("--band-radius", dest="band_radius", default=None)
     p.add_argument("--noise-mode", dest="noise_mode",
                    choices=["centered-gaussian", "half-normal"], default=None)
 
@@ -397,7 +398,6 @@ def build_parser():
     p.add_argument("--variant", choices=["single", "average", "best"],
                    default=None)
     p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--band-radius", dest="band_radius", default=None)
     p.add_argument("--noise-mode", dest="noise_mode",
                    choices=["centered-gaussian", "half-normal"], default=None)
     p.add_argument("--k-inner", dest="k_inner", type=int, default=None)

@@ -118,7 +118,8 @@ def gradnorm_alpha(y, yhat):
 
 
 def _align_frames(arr, num_frames):
-    """Crop or zero-pad the frame axis to num_frames."""
+    """Crop or zero-pad the frame axis to num_frames: the frame alignment
+    ``ExactConv`` does internally, for the cross-band kernel reference."""
     f_bins, t = arr.shape
     if t == num_frames:
         return arr
@@ -127,10 +128,8 @@ def _align_frames(arr, num_frames):
     return out
 
 
-def _draw_terms(y_data, shat, kernel, alpha_fallback, want_grad):
-    t_y = y_data.shape[1]
-    yhat_spec = tfconv.apply(kernel, shat)
-    yhat = _align_frames(yhat_spec.data, t_y)
+def _draw_terms(y_data, yhat, alpha_fallback, want_grad):
+    """Loss terms of one draw, and the gradient with respect to yhat."""
     l_c = loss_complex(y_data, yhat)
     l_m = loss_mag(y_data, yhat)
     g_c = grad_complex(y_data, yhat)
@@ -141,19 +140,18 @@ def _draw_terms(y_data, shat, kernel, alpha_fallback, want_grad):
     else:
         alpha = float(np.linalg.norm(g_c) / norm_m)
     total = l_c + alpha * l_m
-    grad = None
-    if want_grad:
-        g_y = g_c + alpha * g_m
-        g_op = _align_frames(g_y, yhat_spec.num_frames)
-        grad = tfconv.apply_adjoint(
-            kernel, Spectrogram(g_op, shat.config)).data
-    return l_c, l_m, alpha, total, grad
+    g_y = g_c + alpha * g_m if want_grad else None
+    return l_c, l_m, alpha, total, g_y
 
 
-def rm_loss(y, shat, sampler, cfg, seed=0, band_radius=8, want_grad=False,
-            alpha_fallback=1.0, kernels=None):
+def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
+            alpha_fallback=1.0, operators=None):
     """Reverberation-matching loss between an observed reverberant grid and a
     dry-estimate grid pushed through sampled RIRs.
+
+    The dry estimate is synthesized once per call and shared by every draw;
+    each draw is the exact STFT-domain convolution with its RIR
+    (:class:`tfconv.ExactConv`), evaluated on the observation's frames.
 
     Parameters
     ----------
@@ -167,14 +165,12 @@ def rm_loss(y, shat, sampler, cfg, seed=0, band_radius=8, want_grad=False,
     seed : int
         Draw i uses the stream (seed, STREAM_LOSS_DRAWS, i), so results do not
         depend on evaluation order.
-    band_radius : int or "full"
-        Kernel band truncation for the draws.
     want_grad : bool
         Also return the gradient with respect to shat (complex array, F x T_s).
     alpha_fallback : float
         Weight used when the magnitude-loss gradient vanishes.
-    kernels : list of ConvKernel, optional
-        Pre-built kernels to use instead of drawing (one per draw).
+    operators : list of tfconv.ExactConv, optional
+        Pre-built operators to use instead of drawing (one per draw).
 
     Returns
     -------
@@ -184,32 +180,41 @@ def rm_loss(y, shat, sampler, cfg, seed=0, band_radius=8, want_grad=False,
         raise ValueError("empty dry estimate")
     if not y.config.same_grid(shat.config):
         raise ValueError("y and shat configs do not match")
-    if kernels is None and sampler is None:
-        raise ValueError("either a sampler or pre-built kernels are required")
+    if operators is None and sampler is None:
+        raise ValueError("either a sampler or pre-built operators are required")
     from .rir import DiracSampler
-    if kernels is None and isinstance(sampler, DiracSampler):
+    if operators is None and isinstance(sampler, DiracSampler):
         # the expectation over a point mass is the single-draw loss
-        kernels = [tfconv.build_kernel(sampler.rir, y.config, band_radius)]
-    n_draws = cfg.resolved_draws if kernels is None else len(kernels)
+        operators = [tfconv.ExactConv(sampler.rir, y.config)]
+    n_draws = cfg.resolved_draws if operators is None else len(operators)
     y_data = y.data
+    t_y, t_s = y.num_frames, shat.num_frames
+    dry = tfconv.synthesize(shat)
     per_draw = []
-    grads = []
+    backprop = []
     for i in range(n_draws):
-        if kernels is not None:
-            kernel = kernels[i]
+        if operators is not None:
+            op = operators[i]
         else:
             rir = sampler.draw(derive_rng(seed, STREAM_LOSS_DRAWS, i))
-            kernel = tfconv.build_kernel(rir, y.config, band_radius)
-        l_c, l_m, alpha, total, grad = _draw_terms(
-            y_data, shat, kernel, alpha_fallback, want_grad)
+            op = tfconv.ExactConv(rir, y.config)
+        yhat = op.forward(dry, t_y).data
+        l_c, l_m, alpha, total, g_y = _draw_terms(
+            y_data, yhat, alpha_fallback, want_grad)
         per_draw.append((l_c, l_m, alpha, total))
-        grads.append(grad)
+        backprop.append((op, g_y))
+
+    def grad_of(i):
+        if not want_grad:
+            return None
+        op, g_y = backprop[i]
+        return op.adjoint(Spectrogram(g_y, y.config), t_s).data
 
     if cfg.variant in ("single",) or n_draws == 1:
         l_c, l_m, alpha, total = per_draw[0]
         report = LossReport(l_c, l_m, alpha, total, selected_draw=None,
                             per_draw=per_draw)
-        return report, grads[0]
+        return report, grad_of(0)
     if cfg.variant == "average":
         l_c = float(np.mean([d[0] for d in per_draw]))
         l_m = float(np.mean([d[1] for d in per_draw]))
@@ -219,11 +224,11 @@ def rm_loss(y, shat, sampler, cfg, seed=0, band_radius=8, want_grad=False,
             np.mean([d[2] for d in per_draw]))
         grad = None
         if want_grad:
-            grad = np.mean(grads, axis=0)
+            grad = np.mean([grad_of(i) for i in range(n_draws)], axis=0)
         return LossReport(l_c, l_m, alpha, total, selected_draw=None,
                           per_draw=per_draw), grad
     # best: backpropagate only through the lowest-loss draw with its own weight
     best = int(np.argmin([d[3] for d in per_draw]))
     l_c, l_m, alpha, total = per_draw[best]
     return LossReport(l_c, l_m, alpha, total, selected_draw=best,
-                      per_draw=per_draw), grads[best]
+                      per_draw=per_draw), grad_of(best)

@@ -31,7 +31,6 @@ class SolverConfig:
     step_size: float = 5e-2
     stop_rel_tol: float = 1e-4
     loss_cfg: LossConfig = field(default_factory=LossConfig)
-    band_radius: object = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -130,10 +129,9 @@ def trainingless_dereverb(y, params, cfg=None):
     y_norm = Spectrogram(y.data / scale, y.config, y.num_samples)
     shat = y_norm.data[:, :t_s].copy()
 
-    fixed_kernels = None
+    fixed_ops = None
     if isinstance(sampler, DiracSampler):
-        fixed_kernels = [tfconv.build_kernel(sampler.rir, y.config,
-                                             cfg.band_radius)]
+        fixed_ops = [tfconv.ExactConv(sampler.rir, y.config)]
 
     floor = 1e-14 * float(np.sum(np.abs(y_norm.data) ** 2))
     reports = []
@@ -149,8 +147,7 @@ def trainingless_dereverb(y, params, cfg=None):
         report, grad = rm_loss(
             y_norm, spec, sampler, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
-            band_radius=cfg.band_radius, want_grad=True,
-            alpha_fallback=alpha_prev, kernels=fixed_kernels)
+            want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops)
         alpha_prev = report.alpha
         reports.append(report)
         total = report.total

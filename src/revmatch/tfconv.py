@@ -14,11 +14,18 @@ Window overlap makes the frame-lag filter slightly noncausal: taps of h inside
 the first window length contribute at lag t'' = -1 (for 50% overlap). The
 kernel therefore stores ``acausal`` extra leading frames; dropping them breaks
 the equivalence with time-domain convolution at O(1) relative error.
+
+The kernel is the cross-band reference: ``bench`` and the band-truncation
+study use it. The solver, the loss, the blind analyzer and ``reverberate
+--domain stft`` use :class:`ExactConv`, the same full-band operator applied
+matrix-free as the product it stands for: overlap-add synthesis with g_s,
+time-domain convolution with h, and analysis with g_a on the frame lattice.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from .rir import Rir
@@ -98,6 +105,13 @@ def kernel_frames(rir_length, cfg):
     return -(-(rir_length + cfg.win_len - 1) // cfg.hop)
 
 
+def _rir_taps(h):
+    taps = h.taps if isinstance(h, Rir) else np.asarray(h, dtype=np.float64)
+    if taps.ndim != 1 or len(taps) == 0:
+        raise ValueError("RIR must be a non-empty 1-D array")
+    return taps
+
+
 def build_kernel(h, cfg, band_radius="full"):
     """Build the convolution kernel for an RIR under a given STFT config.
 
@@ -112,9 +126,7 @@ def build_kernel(h, cfg, band_radius="full"):
     -------
     ConvKernel
     """
-    taps = h.taps if isinstance(h, Rir) else np.asarray(h, dtype=np.float64)
-    if taps.ndim != 1 or len(taps) == 0:
-        raise ValueError("RIR must be a non-empty 1-D array")
+    taps = _rir_taps(h)
     if not cfg.is_perfect_reconstruction():
         raise ValueError("config lacks the perfect-reconstruction property")
     n, hop, f_bins = cfg.win_len, cfg.hop, cfg.num_bins
@@ -243,3 +255,123 @@ def apply_adjoint(kernel, spec):
             if a < b:
                 x[:, a:b] += w[j, :, a + tpp:b + tpp]
     return Spectrogram(np.ascontiguousarray(x), spec.config)
+
+
+def _overlap_add(frames, hop):
+    """Sum (T, N) frames placed at multiples of ``hop`` into one buffer of
+    (T - 1) * hop + N samples."""
+    t_frames, n = frames.shape
+    k = n // hop
+    blocks = frames.reshape(t_frames, k, hop)
+    buf = np.zeros((t_frames + k - 1, hop), dtype=frames.dtype)
+    for j in range(k):
+        buf[j:j + t_frames] += blocks[:, j]
+    return buf.reshape(-1)
+
+
+def _frames(x, n, hop, num_frames):
+    """(num_frames, N) frames of ``x`` at multiples of ``hop``; ``x`` is cut
+    or zero-padded to the span the frames cover."""
+    span = (num_frames - 1) * hop + n
+    if len(x) < span:
+        x = np.concatenate([x, np.zeros(span - len(x), dtype=x.dtype)])
+    return sliding_window_view(x[:span], n)[::hop]
+
+
+@dataclass
+class DrySynthesis:
+    """Overlap-add synthesis of a dry grid with ``g_s``, kept complex (no
+    real part is taken, so an inconsistent grid maps exactly), with its FFT
+    cached per transform length: every RIR the grid is convolved with shares
+    one synthesis and one transform."""
+
+    signal: np.ndarray
+    num_frames: int
+    config: object
+    num_samples: int | None = None
+    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def spectrum(self, n_fft):
+        x_f = self._spectra.get(n_fft)
+        if x_f is None:
+            x_f = np.fft.fft(self.signal, n=n_fft)
+            self._spectra[n_fft] = x_f
+        return x_f
+
+
+def synthesize(spec):
+    """Synthesis step of the exact operator for a dry Spectrogram."""
+    cfg = spec.config
+    frames = np.fft.ifft(spec.data.T, axis=1) * cfg.synthesis_window
+    return DrySynthesis(_overlap_add(frames, cfg.hop), spec.num_frames, cfg,
+                        spec.num_samples)
+
+
+class ExactConv:
+    """Exact STFT-domain convolution with one RIR, applied matrix-free.
+
+    ``forward`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up to
+    rounding) on any complex grid ``s``; ``adjoint`` is its adjoint under
+    <A, B> = sum A conj(B). The RIR's spectrum is computed once per
+    transform length and shared by the forward and adjoint maps.
+    """
+
+    def __init__(self, h, cfg):
+        self.taps = _rir_taps(h)
+        if not cfg.is_perfect_reconstruction():
+            raise ValueError("config lacks the perfect-reconstruction property")
+        self.cfg = cfg
+        self.t_h = kernel_frames(len(self.taps), cfg)
+        self._spectra = {}
+
+    def _spectrum(self, dry_length):
+        """FFT length for a dry signal of the given length, and the RIR's
+        spectrum at it; long enough that neither map wraps around."""
+        n_fft = next_fast_len(dry_length + len(self.taps) - 1)
+        h_f = self._spectra.get(n_fft)
+        if h_f is None:
+            h_f = np.fft.fft(self.taps, n=n_fft)
+            self._spectra[n_fft] = h_f
+        return n_fft, h_f
+
+    def _check(self, cfg):
+        if not self.cfg.same_grid(cfg):
+            raise ValueError("spectrogram config does not match operator config")
+
+    def forward(self, dry, num_frames=None):
+        """Reverberate a dry grid (Spectrogram or its DrySynthesis).
+
+        Returns ``num_frames`` analysis frames, by default all
+        T_s + t_h - 1 frames the convolution covers; fewer frames crop the
+        grid, more frames are zero.
+        """
+        if isinstance(dry, Spectrogram):
+            dry = synthesize(dry)
+        self._check(dry.config)
+        cfg = self.cfg
+        if num_frames is None:
+            num_frames = dry.num_frames + self.t_h - 1
+        n_fft, h_f = self._spectrum(len(dry.signal))
+        wet_len = len(dry.signal) + len(self.taps) - 1
+        wet = np.fft.ifft(dry.spectrum(n_fft) * h_f)[:wet_len]
+        frames = _frames(wet, cfg.win_len, cfg.hop, num_frames)
+        y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
+        n_samp = None
+        if dry.num_samples is not None:
+            n_samp = dry.num_samples + len(self.taps) - 1
+        return Spectrogram(np.ascontiguousarray(y), cfg, num_samples=n_samp)
+
+    def adjoint(self, grid, num_frames):
+        """Adjoint of :meth:`forward` for a dry grid of ``num_frames`` frames:
+        maps any number of wet frames back to ``num_frames`` frames."""
+        self._check(grid.config)
+        cfg = self.cfg
+        n = cfg.win_len
+        frames = np.fft.ifft(grid.data.T, axis=1) * (n * cfg.analysis_window)
+        dry_len = (num_frames - 1) * cfg.hop + n
+        n_fft, h_f = self._spectrum(dry_len)
+        wet_adj = _overlap_add(frames, cfg.hop)[:dry_len + len(self.taps) - 1]
+        dry_adj = np.fft.ifft(np.fft.fft(wet_adj, n=n_fft) * np.conj(h_f))
+        frames = _frames(dry_adj, n, cfg.hop, num_frames)
+        x = np.fft.fft(frames * cfg.synthesis_window, axis=1).T / n
+        return Spectrogram(np.ascontiguousarray(x), cfg)

@@ -246,7 +246,7 @@ def test_criterion_9_dirac_oracle_deconvolution(cfg):
     s = speech_like_noise(FS, FS, rng=11)
     wet = fftconvolve(s, h.taps)
     y = stft(wet, cfg)
-    scfg = SolverConfig(band_radius="full", seed=0)
+    scfg = SolverConfig(seed=0)
     shat, trace = trainingless_dereverb(y, h, scfg)
     l_c = np.array([r.l_complex for r in trace.reports])
     ratio = float(l_c.min() / l_c[0])
@@ -265,7 +265,7 @@ def test_criterion_10_probabilistic_strict_decrease(cfg):
         h = sample_rir(params, rng=100 + seed)
         s = speech_like_noise(FS // 2, FS, rng=200 + seed)
         y = stft(fftconvolve(s, h.taps), cfg)
-        scfg = SolverConfig(max_iters=25, band_radius=8, seed=seed)
+        scfg = SolverConfig(max_iters=25, seed=seed)
         _, trace = trainingless_dereverb(y, params, scfg)
         if trace.totals.min() < trace.totals[0]:
             decreased += 1
@@ -286,10 +286,10 @@ def test_criterion_11_best_not_above_average(cfg):
         shat = Spectrogram(stft(s, cfg).data, cfg)
         avg, _ = rm_loss(y, shat, sampler,
                          LossConfig(variant="average", num_draws=5),
-                         seed=seed, band_radius=8)
+                         seed=seed)
         best, _ = rm_loss(y, shat, sampler,
                           LossConfig(variant="best", num_draws=5),
-                          seed=seed, band_radius=8)
+                          seed=seed)
         ok = ok and best.total <= avg.total
         worst_gap = max(worst_gap, best.total - avg.total)
     report(11, ok, f"loss-variant ordering: best <= average on all 10 "

@@ -5,6 +5,7 @@ import pytest
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
+import revmatch.blind as blind
 from revmatch.cli import main
 from revmatch.blind import Rt60Calibration, speech_like_noise
 from revmatch.rir import AcousticParams, params_to_file, sample_rir
@@ -65,8 +66,7 @@ def test_reverberate_paths_agree(tmp_path):
     assert run("reverberate", "--in", dry_path, "--rir", rir_path,
                "--domain", "time", "-o", wet_time) == 0
     assert run("reverberate", "--in", dry_path, "--rir", rir_path,
-               "--domain", "stft", "--band-radius", "full",
-               "-o", wet_stft) == 0
+               "--domain", "stft", "-o", wet_stft) == 0
     a = read_wav(wet_time).samples
     b = read_wav(wet_stft).samples
     n = min(len(a), len(b))
@@ -110,6 +110,25 @@ def test_eval_param_errors(tmp_path):
     kv = dict(line.split("=") for line in out.read_text().splitlines())
     assert float(kv["rt60_abs_err_s"]) == pytest.approx(0.1)
     assert float(kv["drr_abs_err_db"]) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("records", ["rt60_s=0.5\n", "rt60=0.6\n"],
+                         ids=["no-rt60", "no-drr"])
+def test_eval_est_report_missing_key_is_validation_error(tmp_path, capsys,
+                                                         records):
+    sig_path = tmp_path / "x.wav"
+    write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
+    truth_path = tmp_path / "truth.txt"
+    params_to_file(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
+    est_report = tmp_path / "est.txt"
+    est_report.write_text(records)
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", sig_path, "--ref", sig_path,
+               "--true-params", truth_path, "--est-report", est_report,
+               "-o", out) == 2
+    assert not out.exists()
+    missing = "drr_db" if records.startswith("rt60=") else "rt60"
+    assert missing in capsys.readouterr().err
 
 
 def test_bench_monotone_and_deterministic(tmp_path):
@@ -184,6 +203,25 @@ def test_dereverb_blind_writes_trace(tmp_path):
     lines = trace.read_text().splitlines()
     assert 1 <= len(lines) <= 4
     assert lines[0].startswith("iter=0")
+
+
+def test_dereverb_draws_set_only_the_loss_draws(tmp_path, monkeypatch):
+    # --draws is the loss draw count; the blind grid keeps its own default
+    wet_path = tmp_path / "wet.wav"
+    write_wav(wet_path, Signal(speech_like_noise(FS, FS, rng=1), FS))
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    received = []
+
+    def recording_analyzer(spec, calibration, cfg, sample_rate):
+        received.append(cfg)
+        raise blind.InsufficientDecay("recorded")
+
+    monkeypatch.setattr(blind, "analyze_blind", recording_analyzer)
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--variant", "average", "--draws", 2,
+               "-o", tmp_path / "dry.wav") == 0
+    assert [c.draws_per_point for c in received] == [3]
 
 
 def test_dereverb_requires_params_or_calibration(tmp_path):

@@ -98,8 +98,7 @@ def test_rm_loss_dirac_exact_match(cfg):
     h, s, wet = make_problem(seed=8)
     y = stft(wet, cfg)
     s_spec = stft(s, cfg)
-    report, _ = rm_loss(y, s_spec, DiracSampler(h), LossConfig(),
-                        band_radius="full")
+    report, _ = rm_loss(y, s_spec, DiracSampler(h), LossConfig())
     assert report.l_complex <= 1e-12 * np.sum(np.abs(y.data) ** 2)
 
 
@@ -112,7 +111,7 @@ def test_rm_loss_dirac_collapse_across_variants(cfg):
     for variant, draws in [("single", 1), ("average", 10), ("best", 10)]:
         rep, _ = rm_loss(y, shat, sampler,
                          LossConfig(variant=variant, num_draws=draws),
-                         seed=3, band_radius=8)
+                         seed=3)
         reports[variant] = rep
     assert reports["single"].total == reports["average"].total
     assert reports["single"].total == reports["best"].total
@@ -130,10 +129,10 @@ def test_rm_loss_best_not_worse_than_average(cfg):
     for seed in range(5):
         avg, _ = rm_loss(y, shat, sampler,
                          LossConfig(variant="average", num_draws=4),
-                         seed=seed, band_radius=8)
+                         seed=seed)
         best, _ = rm_loss(y, shat, sampler,
                           LossConfig(variant="best", num_draws=4),
-                          seed=seed, band_radius=8)
+                          seed=seed)
         assert best.total <= avg.total
         # the same draw set underlies both reports
         assert [d[3] for d in best.per_draw] == [d[3] for d in avg.per_draw]
@@ -149,7 +148,7 @@ def test_rm_loss_selected_draw_is_argmin_and_scale_invariant(cfg):
     shat = stft(s, cfg)
     report, grad = rm_loss(y, shat, sampler,
                            LossConfig(variant="best", num_draws=5),
-                           seed=4, band_radius=8, want_grad=True)
+                           seed=4, want_grad=True)
     totals = np.array([d[3] for d in report.per_draw])
     assert report.selected_draw == int(np.argmin(totals))
     # a positive rescale of all totals keeps the argmin and the direction
@@ -169,7 +168,7 @@ def test_rm_loss_gradient_matches_finite_differences():
     y = Spectrogram(random_grid(rng, (6, t_y)), cfg)
     s0 = random_grid(rng, (6, t_s))
     report, grad = rm_loss(y, Spectrogram(s0, cfg), sampler, LossConfig(),
-                           want_grad=True, band_radius="full")
+                           want_grad=True)
     alpha = report.alpha
     kernel = tfconv.build_kernel(h, cfg, "full")
 
@@ -209,7 +208,7 @@ def test_rm_loss_gradnorm_fallback_on_zero_estimate(cfg):
     t_s = stft(s, cfg).num_frames
     zero = Spectrogram(np.zeros((cfg.num_bins, t_s), dtype=complex), cfg)
     rep, grad = rm_loss(y, zero, DiracSampler(h), LossConfig(),
-                        band_radius=8, want_grad=True, alpha_fallback=2.5)
+                        want_grad=True, alpha_fallback=2.5)
     assert rep.alpha == 2.5
     assert rep.l_mag > 0
     assert rep.total == pytest.approx(rep.l_complex + 2.5 * rep.l_mag)
@@ -224,6 +223,6 @@ def test_loss_report_invariant_average(cfg):
     y = stft(fftconvolve(s, sample_rir(params, rng=2).taps), cfg)
     shat = stft(s, cfg)
     rep, _ = rm_loss(y, shat, sampler, LossConfig(variant="average", num_draws=3),
-                     seed=5, band_radius=8)
+                     seed=5)
     assert rep.total == pytest.approx(rep.l_complex + rep.alpha * rep.l_mag,
                                       rel=1e-12)

@@ -39,7 +39,7 @@ def test_dirac_delta_rir_immediate_stop(cfg):
     rng = np.random.default_rng(0)
     y = stft(rng.standard_normal(6000), cfg)
     delta = Rir(np.array([1.0]), FS)
-    scfg = SolverConfig(max_iters=50, band_radius="full")
+    scfg = SolverConfig(max_iters=50)
     shat, trace = trainingless_dereverb(y, delta, scfg)
     assert trace.iterations_used == 1
     assert trace.converged
@@ -55,7 +55,7 @@ def test_dirac_oracle_deconvolution_quick(cfg):
     h = sample_rir(params, rng=3)
     s = speech_like_noise(FS // 2, FS, rng=11)
     y = stft(fftconvolve(s, h.taps), cfg)
-    scfg = SolverConfig(max_iters=120, band_radius=8, seed=0)
+    scfg = SolverConfig(max_iters=120, seed=0)
     shat, trace = trainingless_dereverb(y, h, scfg)
     l_c = np.array([r.l_complex for r in trace.reports])
     assert l_c.min() <= 1e-2 * l_c[0]
@@ -68,7 +68,7 @@ def test_probabilistic_strict_decrease(cfg):
         h = sample_rir(params, rng=50 + seed)
         s = speech_like_noise(FS // 2, FS, rng=60 + seed)
         y = stft(fftconvolve(s, h.taps), cfg)
-        scfg = SolverConfig(max_iters=20, band_radius=8, seed=seed)
+        scfg = SolverConfig(max_iters=20, seed=seed)
         _, trace = trainingless_dereverb(y, params, scfg)
         assert trace.totals.min() < trace.totals[0]
         assert trace.iterations_used == len(trace.reports)
@@ -80,7 +80,7 @@ def test_returned_iterate_not_worse_than_initial(cfg):
     s = speech_like_noise(FS // 2, FS, rng=10)
     y = stft(fftconvolve(s, h.taps), cfg)
     _, trace = trainingless_dereverb(
-        y, params, SolverConfig(max_iters=15, band_radius=8, seed=1))
+        y, params, SolverConfig(max_iters=15, seed=1))
     assert trace.final_report.total <= trace.totals[0]
 
 
@@ -108,7 +108,7 @@ def test_non_finite_loss_is_divergence(cfg, monkeypatch):
 
     monkeypatch.setattr(solver, "rm_loss", nan_at_third_iteration)
     with pytest.raises(DivergenceError, match="iteration 2"):
-        trainingless_dereverb(y, h, SolverConfig(max_iters=6, band_radius=8))
+        trainingless_dereverb(y, h, SolverConfig(max_iters=6))
 
 
 def test_determinism(cfg):
@@ -116,7 +116,7 @@ def test_determinism(cfg):
     h = sample_rir(params, rng=5)
     s = speech_like_noise(FS // 2, FS, rng=6)
     y = stft(fftconvolve(s, h.taps), cfg)
-    scfg = SolverConfig(max_iters=12, band_radius=8, seed=7)
+    scfg = SolverConfig(max_iters=12, seed=7)
     a, trace_a = trainingless_dereverb(y, params, scfg)
     b, trace_b = trainingless_dereverb(y, params, scfg)
     np.testing.assert_array_equal(a.data, b.data)
@@ -129,7 +129,7 @@ def test_divergence_guard(cfg):
     s = speech_like_noise(FS // 2, FS, rng=6)
     y = stft(fftconvolve(s, h.taps), cfg)
     scfg = SolverConfig(max_iters=200, step_rule="fixed", step_size=10.0,
-                        band_radius=8, seed=0)
+                        seed=0)
     with pytest.raises(DivergenceError):
         trainingless_dereverb(y, params, scfg)
 
@@ -142,7 +142,7 @@ def test_fixed_step_monotone_with_small_step(cfg):
     s = speech_like_noise(FS // 2, FS, rng=9)
     y = stft(fftconvolve(s, h.taps), cfg)
     scfg = SolverConfig(max_iters=30, step_rule="fixed", step_size=2e-3,
-                        band_radius=8, seed=0)
+                        seed=0)
     _, trace = trainingless_dereverb(y, h, scfg)
     diffs = np.diff(trace.totals)
     assert np.all(diffs <= 1e-9 * trace.totals[0])
@@ -154,7 +154,7 @@ def test_trace_lines_format(cfg):
     s = speech_like_noise(FS // 2, FS, rng=6)
     y = stft(fftconvolve(s, h.taps), cfg)
     _, trace = trainingless_dereverb(
-        y, h, SolverConfig(max_iters=3, band_radius=8))
+        y, h, SolverConfig(max_iters=3))
     lines = trace.to_lines().splitlines()
     assert len(lines) == trace.iterations_used
     assert lines[0].startswith("iter=0 l_complex=")
@@ -169,7 +169,7 @@ def test_pipeline_matches_manual_composition(cfg):
     wet = fftconvolve(s, h.taps)[:2 * FS]
     sig = Signal(wet, FS)
     cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)  # identity map on raw
-    solver_cfg = SolverConfig(max_iters=8, band_radius=8, seed=3)
+    solver_cfg = SolverConfig(max_iters=8, seed=3)
     blind_cfg = BlindConfig(k_inner=4, draws_per_point=1, seed=3)
     out, trace = dereverb_pipeline(sig, cal, solver_cfg, blind_cfg)
     assert trace is not None

@@ -4,10 +4,12 @@ from scipy.signal import fftconvolve
 
 import revmatch.tfconv as tfconv
 from conftest import rel_frame_error
-from revmatch.rir import AcousticParams, sample_rir
+from revmatch.loss import LossConfig, rm_loss
+from revmatch.rir import AcousticParams, PolackSampler, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, stft)
-from revmatch.tfconv import apply, apply_adjoint, build_kernel, kernel_frames
+from revmatch.tfconv import (ExactConv, apply, apply_adjoint, build_kernel,
+                             kernel_frames)
 
 FS = 16000
 
@@ -193,3 +195,63 @@ def test_sampled_rir_oracle(cfg):
     rng = np.random.default_rng(21)
     s = rng.standard_normal(8000)
     assert oracle_error(s, rir.taps, cfg, "full") <= 1e-8
+
+
+def random_grid(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("num_taps", [300, 1300])
+def test_exact_operator_matches_full_band_kernel(cfg, num_taps):
+    # one RIR shorter and one longer than the 512-sample window, on an
+    # arbitrary complex (inconsistent) grid
+    rng = np.random.default_rng(22)
+    h = rng.standard_normal(num_taps) * np.exp(-np.arange(num_taps) / 300.0)
+    s = Spectrogram(random_grid(rng, (cfg.num_bins, 6)), cfg)
+    ref = apply(build_kernel(h, cfg, "full"), s).data
+    y = ExactConv(h, cfg).forward(s).data
+    assert y.shape == ref.shape
+    assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+def test_exact_operator_adjoint_identity():
+    cfg = small_cfg()
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for trial in range(100):
+        op = ExactConv(rng.standard_normal(int(rng.integers(2, 24))), cfg)
+        t_s = int(rng.integers(1, 7))
+        # wet frame counts below, at and above the convolution's support
+        t_y = int(rng.integers(1, t_s + op.t_h + 2))
+        s = Spectrogram(random_grid(rng, (8, t_s)), cfg)
+        y = op.forward(s, t_y)
+        g = Spectrogram(random_grid(rng, y.data.shape), cfg)
+        x = op.adjoint(g, t_s)
+        assert y.data.shape == (8, t_y) and x.data.shape == (8, t_s)
+        lhs = np.sum(y.data * np.conj(g.data))
+        rhs = np.sum(s.data * np.conj(x.data))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+    assert worst <= 1e-10
+
+
+def test_rm_loss_synthesizes_the_dry_grid_once(cfg, monkeypatch):
+    params = AcousticParams(rt60=0.15, drr_db=0.0, sample_rate=FS)
+    rng = np.random.default_rng(24)
+    s = rng.standard_normal(4000)
+    y = stft(fftconvolve(s, sample_rir(params, rng=1).taps), cfg)
+    counts = {"synthesize": 0, "operators": 0}
+    real_synthesize, real_init = tfconv.synthesize, ExactConv.__init__
+
+    def counting_synthesize(spec):
+        counts["synthesize"] += 1
+        return real_synthesize(spec)
+
+    def counting_init(self, h, op_cfg):
+        counts["operators"] += 1
+        real_init(self, h, op_cfg)
+
+    monkeypatch.setattr(tfconv, "synthesize", counting_synthesize)
+    monkeypatch.setattr(ExactConv, "__init__", counting_init)
+    rm_loss(y, stft(s, cfg), PolackSampler(params),
+            LossConfig("average", 4), want_grad=True)
+    assert counts == {"synthesize": 1, "operators": 4}

@@ -14,7 +14,7 @@ from .rir import (AcousticParams, DiracSampler, EdcAnalysis, PolackSampler,
                   sigma_from_drr, tau_from_rt60, write_rir)
 from .signals import (Signal, Spectrogram, StftConfig, default_stft_config,
                       istft, read_wav, stft, write_wav)
-from .solver import (DivergenceError, SolverConfig, SolveTrace,
+from .solver import (DivergenceError, Passthrough, SolverConfig, SolveTrace,
                      dereverb_pipeline, trainingless_dereverb)
 from .tfconv import ConvKernel, ExactConv, apply, apply_adjoint, build_kernel
 
@@ -25,7 +25,8 @@ __all__ = [
     "DegenerateGradNorm", "DiracSampler", "DivergenceError", "EdcAnalysis",
     "ExactConv",
     "InsufficientDecay", "LossConfig", "LossReport", "MetricReport",
-    "PolackSampler", "Rir", "Rt60Calibration", "Signal", "SolveTrace",
+    "Passthrough", "PolackSampler", "Rir", "Rt60Calibration", "Signal",
+    "SolveTrace",
     "SolverConfig", "Spectrogram", "StftConfig", "analyze_blind",
     "analyze_rir", "apply", "apply_adjoint", "blind_drr", "build_kernel",
     "calibrate_rt60", "default_stft_config", "dereverb_pipeline", "edc",

@@ -140,9 +140,6 @@ class Spectrogram:
     def num_frames(self):
         return self.data.shape[1]
 
-    def copy(self):
-        return Spectrogram(self.data.copy(), self.config, self.num_samples)
-
 
 def num_frames_for(num_samples, cfg):
     """Frame count for a signal of the given length under the framing policy."""

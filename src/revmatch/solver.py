@@ -8,6 +8,7 @@ import numpy as np
 
 from . import blind, tfconv
 from .loss import LossConfig, rm_loss
+from .records import format_records
 from .rir import AcousticParams, DiracSampler, PolackSampler, Rir
 from .seeding import STREAM_SOLVER_ITERS, as_path
 from .signals import Signal, Spectrogram, default_stft_config, istft, stft
@@ -55,10 +56,6 @@ class SolveTrace:
     def totals(self):
         return np.array([r.total for r in self.reports])
 
-    @property
-    def final_report(self):
-        return self.reports[self.best_index]
-
     def to_lines(self):
         out = []
         for i, r in enumerate(self.reports):
@@ -66,6 +63,18 @@ class SolveTrace:
                        f"l_mag={r.l_mag:.17g} alpha={r.alpha:.17g} "
                        f"total={r.total:.17g}")
         return "\n".join(out) + "\n"
+
+
+@dataclass(frozen=True)
+class Passthrough:
+    """Why a blind dereverb returned its input unchanged:
+    ``insufficient-decay`` (the analyzer found no usable decay) or
+    ``anechoic`` (the mapped RT60 is below the anechoic floor)."""
+
+    cause: str
+
+    def to_lines(self):
+        return format_records([("passthrough", self.cause)])
 
 
 def _as_sampler(params):
@@ -209,8 +218,9 @@ def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):
 
     Returns
     -------
-    (Signal, SolveTrace or None)
-        The trace is None when the input passed through without a solve.
+    (Signal, SolveTrace or Passthrough)
+        A Passthrough, naming its cause, when the input passed through without
+        a solve.
     """
     if solver_cfg is None:
         solver_cfg = SolverConfig()
@@ -225,7 +235,9 @@ def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):
         except blind.InsufficientDecay:
             est = None
         if est is None or est.rt60 < blind_cfg.min_rt60:
-            return Signal(sig.samples.copy(), sig.sample_rate), None
+            cause = "insufficient-decay" if est is None else "anechoic"
+            unchanged = Signal(sig.samples.copy(), sig.sample_rate)
+            return unchanged, Passthrough(cause)
         params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
                                 sample_rate=sig.sample_rate,
                                 noise_mode=blind_cfg.noise_mode)

@@ -1,25 +1,30 @@
-"""Inter-band/inter-frame convolution: build the STFT-domain kernel induced
-by a time-domain RIR, and apply the operator or its adjoint.
+"""Exact STFT-domain convolution with a time-domain RIR, and its cross-band
+kernel reference.
 
-The kernel entry for output bin f, input bin f' and frame lag t'' is
+:class:`ExactConv` is the operator of the solver, the loss, the blind
+analyzer and ``reverberate --domain stft``. It applies the convolution
+matrix-free as the product it stands for: overlap-add synthesis with g_s,
+time-domain convolution with h, and analysis with g_a on the frame lattice.
+
+The cross-band kernel (Avargel & Cohen, IEEE TASLP 2007) is the reference
+that ``bench`` and the band-truncation study use. Its entry for output bin f,
+input bin f' and frame lag t'' is
 
     H[f, f', t''] = sum_k h(t''*L + k) * (1/F) * Phi[f'-f](k) * e^{-2i pi f k / F}
 
 with Phi_d(k) = sum_v g_s(v) g_a(v+k) e^{+2i pi d v / F}, the cross-window
-spectrum at band offset d and lag k. This is the window cross-term form of the
-kernel, evaluated per band offset so banded kernels cost O(F log F) per offset
-and frame instead of O(F^2 N).
+spectrum at band offset d and lag k. :func:`build_kernel` evaluates it per
+band offset, so a banded kernel costs O(F log F) per offset and frame instead
+of O(F^2 N).
 
 Window overlap makes the frame-lag filter slightly noncausal: taps of h inside
 the first window length contribute at lag t'' = -1 (for 50% overlap). The
 kernel therefore stores ``acausal`` extra leading frames; dropping them breaks
 the equivalence with time-domain convolution at O(1) relative error.
 
-The kernel is the cross-band reference: ``bench`` and the band-truncation
-study use it. The solver, the loss, the blind analyzer and ``reverberate
---domain stft`` use :class:`ExactConv`, the same full-band operator applied
-matrix-free as the product it stands for: overlap-add synthesis with g_s,
-time-domain convolution with h, and analysis with g_a on the frame lattice.
+:func:`apply` and :func:`apply_adjoint` have one path: they scatter the kernel
+into its dense (F, T_tot * F) matrix on every call and do one matmul, at cost
+O(F^2 * T_tot * T_y) whatever the band radius. Nothing is cached.
 """
 
 from dataclasses import dataclass, field
@@ -31,20 +36,9 @@ from scipy.fft import next_fast_len
 from .rir import Rir
 from .signals import Spectrogram
 
-# switch from the frame-FFT path to one big matmul for wide bands
-_FFT_PATH_MAX_DELTAS = 64
-
-_PHI_CACHE = {}
-_PHI_CACHE_MAX = 4
-
 
 def _phi_table(cfg):
     """Cross-window spectra Phi[k + N - 1, d] for all lags and band offsets."""
-    key = (cfg.win_len, cfg.hop, cfg.analysis_window.tobytes(),
-           cfg.synthesis_window.tobytes())
-    cached = _PHI_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = cfg.win_len
     g_a, g_s = cfg.analysis_window, cfg.synthesis_window
     q = np.zeros((2 * n - 1, n))
@@ -52,11 +46,7 @@ def _phi_table(cfg):
         v0, v1 = max(0, -k), min(n, n - k)
         if v0 < v1:
             q[k + n - 1, v0:v1] = g_s[v0:v1] * g_a[v0 + k:v1 + k]
-    phi = np.fft.ifft(q, axis=1) * n
-    if len(_PHI_CACHE) >= _PHI_CACHE_MAX:
-        _PHI_CACHE.clear()
-    _PHI_CACHE[key] = phi
-    return phi
+    return np.fft.ifft(q, axis=1) * n
 
 
 def band_offsets(num_bins, band_radius):
@@ -84,16 +74,6 @@ class ConvKernel:
     t_h: int
     acausal: int
     rir_length: int
-    _freq_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _gemm_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def num_bins(self):
-        return self.data.shape[0]
-
-    @property
-    def num_offsets(self):
-        return self.data.shape[1]
 
     @property
     def total_frames(self):
@@ -154,36 +134,15 @@ def build_kernel(h, cfg, band_radius="full"):
                       acausal=acausal, rir_length=n_h)
 
 
-def _gather_index(kernel):
-    f = np.arange(kernel.num_bins)
-    return (f[:, None] + kernel.offsets[None, :]) % kernel.num_bins
-
-
-def _kernel_freq(kernel, omega):
-    hf = kernel._freq_cache.get(omega)
-    if hf is None:
-        hf = np.fft.fft(kernel.data, n=omega, axis=2)
-        kernel._freq_cache.clear()
-        kernel._freq_cache[omega] = hf
-    return hf
-
-
-def _kernel_gemm(kernel):
-    mat = kernel._gemm_cache.get("mat")
-    if mat is None:
-        f_bins, n_off, t_tot = kernel.data.shape
-        mat = np.zeros((f_bins, t_tot, f_bins), dtype=np.complex128)
-        idx = _gather_index(kernel)
-        rows = np.repeat(np.arange(f_bins)[:, None], n_off, axis=1)
-        for j in range(t_tot):
-            mat[rows, j, idx] = kernel.data[:, :, j]
-        mat = mat.reshape(f_bins, t_tot * f_bins)
-        kernel._gemm_cache["mat"] = mat
-    return mat
-
-
-def output_frames(kernel, num_input_frames):
-    return num_input_frames + kernel.t_h - 1
+def _dense_matrix(kernel):
+    """The kernel scattered into its (F, total_frames * F) matrix: entry
+    [f, j * F + f'] couples input bin f' to output bin f at frame lag
+    j - acausal; bins outside the band stay zero."""
+    f_bins, _, t_tot = kernel.data.shape
+    f = np.arange(f_bins)[:, None]
+    mat = np.zeros((f_bins, t_tot, f_bins), dtype=np.complex128)
+    mat[f, :, (f + kernel.offsets) % f_bins] = kernel.data
+    return mat.reshape(f_bins, t_tot * f_bins)
 
 
 def apply(kernel, spec):
@@ -195,29 +154,20 @@ def apply(kernel, spec):
         raise ValueError("spectrogram config does not match kernel config")
     s = spec.data
     f_bins, t_s = s.shape
-    t_y = output_frames(kernel, t_s)
+    t_y = t_s + kernel.t_h - 1
     t_tot = kernel.total_frames
-    if kernel.num_offsets <= _FFT_PATH_MAX_DELTAS:
-        omega = next_fast_len(t_s + t_tot - 1)
-        s_pad = np.zeros((f_bins, omega), dtype=np.complex128)
-        s_pad[:, :t_s] = s
-        s_f = np.fft.fft(s_pad, axis=1)
-        h_f = _kernel_freq(kernel, omega)
-        y_f = np.einsum("fdo,fdo->fo", h_f, s_f[_gather_index(kernel), :])
-        y = np.fft.ifft(y_f, axis=1)[:, kernel.acausal:kernel.acausal + t_y]
-    else:
-        mat = _kernel_gemm(kernel)
-        stack = np.zeros((t_tot, f_bins, t_y), dtype=np.complex128)
-        for j in range(t_tot):
-            tpp = j - kernel.acausal
-            t0, t1 = max(0, tpp), min(t_y, t_s + tpp)
-            if t0 < t1:
-                stack[j, :, t0:t1] = s[:, t0 - tpp:t1 - tpp]
-        y = mat @ stack.reshape(t_tot * f_bins, t_y)
+    # stack[j] is the input delayed by lag j - acausal
+    stack = np.zeros((t_tot, f_bins, t_y), dtype=np.complex128)
+    for j in range(t_tot):
+        tpp = j - kernel.acausal
+        t0, t1 = max(0, tpp), min(t_y, t_s + tpp)
+        if t0 < t1:
+            stack[j, :, t0:t1] = s[:, t0 - tpp:t1 - tpp]
+    y = _dense_matrix(kernel) @ stack.reshape(t_tot * f_bins, t_y)
     n_samp = None
     if spec.num_samples is not None:
         n_samp = spec.num_samples + kernel.rir_length - 1
-    return Spectrogram(np.ascontiguousarray(y), spec.config, num_samples=n_samp)
+    return Spectrogram(y, spec.config, num_samples=n_samp)
 
 
 def apply_adjoint(kernel, spec):
@@ -233,28 +183,17 @@ def apply_adjoint(kernel, spec):
     if t_s < 1:
         raise ValueError("grid has fewer frames than the kernel support")
     t_tot = kernel.total_frames
-    if kernel.num_offsets <= _FFT_PATH_MAX_DELTAS:
-        omega = next_fast_len(t_s + t_tot - 1)
-        g_pad = np.zeros((f_bins, omega), dtype=np.complex128)
-        g_pad[:, kernel.acausal:kernel.acausal + t_y] = g
-        g_f = np.fft.fft(g_pad, axis=1) / omega
-        h_f = _kernel_freq(kernel, omega)
-        prod = np.conj(h_f) * g_f[:, None, :]
-        t_f = np.zeros((f_bins, omega), dtype=np.complex128)
-        for i, off in enumerate(kernel.offsets):
-            t_f += np.roll(prod[:, i, :], off, axis=0)
-        x = np.fft.ifft(t_f, axis=1) * omega
-        x = x[:, :t_s]
-    else:
-        mat = _kernel_gemm(kernel)
-        w = (mat.conj().T @ g).reshape(t_tot, f_bins, t_y)
-        x = np.zeros((f_bins, t_s), dtype=np.complex128)
-        for j in range(t_tot):
-            tpp = j - kernel.acausal
-            a, b = max(0, -tpp), min(t_s, t_y - tpp)
-            if a < b:
-                x[:, a:b] += w[j, :, a + tpp:b + tpp]
-    return Spectrogram(np.ascontiguousarray(x), spec.config)
+    # mat^H g, computed as (g^H mat)^H so the matrix is not conjugated
+    w = (g.conj().T @ _dense_matrix(kernel)).conj().T
+    w = w.reshape(t_tot, f_bins, t_y)
+    # fold each lag back onto the input frames
+    x = np.zeros((f_bins, t_s), dtype=np.complex128)
+    for j in range(t_tot):
+        tpp = j - kernel.acausal
+        a, b = max(0, -tpp), min(t_s, t_y - tpp)
+        if a < b:
+            x[:, a:b] += w[j, :, a + tpp:b + tpp]
+    return Spectrogram(x, spec.config)
 
 
 def _overlap_add(frames, hop):

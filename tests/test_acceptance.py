@@ -309,7 +309,7 @@ def test_criterion_12_cli_reproducibility(cfg, tmp_path):
                      "--seed", "5", "-o", str(b)]) == 0
     rir_ok = file_bytes(a) == file_bytes(b)
 
-    # bench twice (timings column off by default)
+    # bench twice
     b1, b2 = tmp_path / "t1.txt", tmp_path / "t2.txt"
     assert cli_main(["bench", "--seed", "2", "--band-radii", "2,8",
                      "-o", str(b1)]) == 0

@@ -8,7 +8,8 @@ from scipy.signal import fftconvolve
 import revmatch.blind as blind
 from revmatch.cli import main
 from revmatch.blind import Rt60Calibration, speech_like_noise
-from revmatch.rir import AcousticParams, params_to_file, sample_rir
+from revmatch.records import read_records
+from revmatch.rir import AcousticParams, params_to_file, read_rir, sample_rir
 from revmatch.signals import Signal, read_wav, stft, write_wav
 
 FS = 16000
@@ -41,6 +42,20 @@ def test_sample_rir_validation_no_partial_output(tmp_path):
     assert not out.exists()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp")]
     assert leftovers == []
+
+
+def test_sample_rir_text_matches_wav(tmp_path):
+    wav_path = tmp_path / "h.wav"
+    txt_path = tmp_path / "h.txt"
+    for out in (wav_path, txt_path):
+        assert run("sample-rir", "--rt60", 0.3, "--drr", 0, "--seed", 5,
+                   "-o", out) == 0
+    from_wav, from_txt = read_rir(wav_path), read_rir(txt_path)
+    assert from_wav.sample_rate == from_txt.sample_rate == FS
+    np.testing.assert_array_equal(from_txt.taps.astype(np.float32),
+                                  from_wav.taps.astype(np.float32))
+    assert txt_path.read_text().splitlines()[0] == "# sample_rate=16000"
+    assert sorted(os.listdir(tmp_path)) == ["h.txt", "h.wav"]
 
 
 def test_sample_rir_analyze_roundtrip(tmp_path):
@@ -203,6 +218,24 @@ def test_dereverb_blind_writes_trace(tmp_path):
     lines = trace.read_text().splitlines()
     assert 1 <= len(lines) <= 4
     assert lines[0].startswith("iter=0")
+
+
+def test_dereverb_passthrough_writes_its_cause(tmp_path):
+    # a calibration mapping every input to RT60 0 passes the file through
+    wet_path = tmp_path / "wet.wav"
+    params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
+    wet = fftconvolve(speech_like_noise(FS, FS, rng=14),
+                      sample_rir(params, rng=15).taps)[:FS]
+    write_wav(wet_path, Signal(wet, FS), fmt="float32")
+    cal = tmp_path / "cal.txt"
+    cal.write_text("c0=0\nc1=0\nc2=0\n")
+    trace = tmp_path / "t.txt"
+    out = tmp_path / "dry.wav"
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--trace", trace, "-o", out) == 0
+    assert read_records(trace) == {"passthrough": "anechoic"}
+    np.testing.assert_array_equal(read_wav(out).samples,
+                                  read_wav(wet_path).samples)
 
 
 def test_dereverb_draws_set_only_the_loss_draws(tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ from revmatch.blind import (BlindConfig, BlindEstimate, Rt60Calibration,
                             speech_like_noise)
 from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.signals import Signal, istft, stft
-from revmatch.solver import (DivergenceError, SolverConfig,
-                             dereverb_pipeline, dry_frames,
+from revmatch.solver import (DivergenceError, Passthrough, SolverConfig,
+                             SolveTrace, dereverb_pipeline, dry_frames,
                              trainingless_dereverb)
 
 FS = 16000
@@ -81,7 +81,7 @@ def test_returned_iterate_not_worse_than_initial(cfg):
     y = stft(fftconvolve(s, h.taps), cfg)
     _, trace = trainingless_dereverb(
         y, params, SolverConfig(max_iters=15, seed=1))
-    assert trace.final_report.total <= trace.totals[0]
+    assert trace.totals[trace.best_index] <= trace.totals[0]
 
 
 def test_non_finite_observation_rejected(cfg):
@@ -172,7 +172,7 @@ def test_pipeline_matches_manual_composition(cfg):
     solver_cfg = SolverConfig(max_iters=8, seed=3)
     blind_cfg = BlindConfig(k_inner=4, draws_per_point=1, seed=3)
     out, trace = dereverb_pipeline(sig, cal, solver_cfg, blind_cfg)
-    assert trace is not None
+    assert isinstance(trace, SolveTrace)
     assert len(out) == len(sig)
     assert np.all(np.isfinite(out.samples))
 
@@ -191,7 +191,20 @@ def test_pipeline_passthrough_on_anechoic(cfg):
     # calibration mapping everything to a near-zero RT60
     cal = Rt60Calibration(c0=0.0, c1=0.0, c2=0.0)
     out, trace = dereverb_pipeline(sig, cal, SolverConfig(max_iters=4))
-    assert trace is None
+    assert trace == Passthrough("anechoic")
+    np.testing.assert_array_equal(out.samples, sig.samples)
+
+
+def test_pipeline_passthrough_on_insufficient_decay(cfg, monkeypatch):
+    def no_decay(spec, calibration, cfg, sample_rate):
+        raise blind.InsufficientDecay("no decay")
+
+    monkeypatch.setattr(blind, "analyze_blind", no_decay)
+    sig = Signal(np.random.default_rng(17).standard_normal(FS) * 0.1, FS)
+    cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)
+    out, trace = dereverb_pipeline(sig, cal)
+    assert trace == Passthrough("insufficient-decay")
+    assert trace.to_lines() == "passthrough=insufficient-decay\n"
     np.testing.assert_array_equal(out.samples, sig.samples)
 
 

@@ -117,35 +117,6 @@ def test_adjoint_inner_product_identity(band_radius):
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_adjoint_identity_on_gemm_path(monkeypatch):
-    monkeypatch.setattr(tfconv, "_FFT_PATH_MAX_DELTAS", 0)
-    cfg = small_cfg()
-    rng = np.random.default_rng(17)
-    h = rng.standard_normal(12)
-    kernel = build_kernel(h, cfg, 3)
-    s = Spectrogram(rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)), cfg)
-    y = apply(kernel, s)
-    g = Spectrogram(rng.standard_normal(y.data.shape)
-                    + 1j * rng.standard_normal(y.data.shape), cfg)
-    x = apply_adjoint(kernel, g)
-    lhs = np.sum(y.data * np.conj(g.data))
-    rhs = np.sum(s.data * np.conj(x.data))
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-def test_gemm_and_fft_paths_agree(monkeypatch):
-    cfg = small_cfg()
-    rng = np.random.default_rng(18)
-    h = rng.standard_normal(15)
-    s = Spectrogram(rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6)), cfg)
-    kernel = build_kernel(h, cfg, "full")
-    y_fft = apply(kernel, s).data
-    monkeypatch.setattr(tfconv, "_FFT_PATH_MAX_DELTAS", 0)
-    kernel2 = build_kernel(h, cfg, "full")
-    y_gemm = apply(kernel2, s).data
-    np.testing.assert_allclose(y_gemm, y_fft, atol=1e-12)
-
-
 def test_zero_kernel_adjoint_is_zero():
     cfg = small_cfg()
     kernel = build_kernel(np.zeros(6), cfg, "full")

@@ -2,11 +2,13 @@
 regression with polynomial calibration for RT60, and a reverberation-matching
 grid search for DRR.
 
-The raw decay statistic scans each band for maximal strictly-decreasing runs
-of log-energy, fits a line per run, converts each slope to a decay time, and
-takes the median over all runs and bands. The statistic is systematically
-biased (short noisy runs are steep), which is exactly what the quadratic
-calibration absorbs.
+The raw decay statistic finds every maximal strictly-decreasing run of
+log-energy in every band in one array pass over the ``(bands, frames)``
+matrix, fits a line per run, converts each slope to a decay time, and takes
+the median over all runs and bands. Its slopes are bit-equal to fitting each
+run of each band on its own. The statistic is systematically biased (short
+noisy runs are steep), which is exactly what the quadratic calibration
+absorbs.
 """
 
 import math
@@ -80,33 +82,41 @@ class BlindConfig:
 
 
 def _run_slopes(log_e, min_run):
-    """Slopes of maximal strictly-decreasing runs (>= min_run points) in one
-    band's log-energy sequence."""
-    d = np.diff(log_e)
-    dec = d < 0
+    """Least-squares slopes of every maximal strictly-decreasing run of at
+    least ``min_run`` points along the rows of a ``(bands, frames)``
+    log-energy matrix, in one array pass.
+
+    The decrease mask, padded with ``False`` at both ends, rises (+1) at a
+    run's first point and falls (-1) at its last, so in row-major order the
+    nonzero edges alternate: first, last, first, last. Runs of one length are
+    gathered into one ``(runs, n)`` block sharing the centred abscissa
+    ``xm``. ``np.vecdot`` takes each row's numerator with the same 1-D dot
+    routine as ``np.dot(xm, run)``, so the slopes are bit-equal to fitting
+    each run on its own; a matrix-vector product (``block @ xm``) sums in
+    another order and is not.
+    """
+    dec = np.diff(log_e, axis=1) < 0
+    edges = np.diff(np.pad(dec, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    first, last = np.flatnonzero(edges).reshape(-1, 2).T
+    npts = last - first + 1
+    flat = log_e.ravel()
     slopes = []
-    t = len(log_e)
-    i = 0
-    while i < t - 1:
-        if not dec[i]:
-            i += 1
-            continue
-        j = i
-        while j < t - 1 and dec[j]:
-            j += 1
-        # run covers points i..j inclusive
-        npts = j - i + 1
-        if npts >= min_run:
-            x = np.arange(npts, dtype=np.float64)
-            y = log_e[i:j + 1]
-            xm = x - x.mean()
-            slopes.append(float(np.dot(xm, y) / np.dot(xm, xm)))
-        i = j
-    return slopes
+    for n in np.unique(npts[npts >= min_run]):
+        block = flat[first[npts == n, None] + np.arange(n)]
+        x = np.arange(n, dtype=np.float64)
+        xm = x - x.mean()
+        slopes.append(np.vecdot(xm, block) / np.dot(xm, xm))
+    return np.concatenate(slopes) if slopes else np.empty(0)
 
 
 def raw_decay_estimate(spec, sample_rate=16000, min_run=3, band_floor_db=60.0):
     """Median per-run decay time (seconds) over all bands of a spectrogram.
+
+    The log-energies of the bands that pass ``band_floor_db`` form one
+    ``(bands, frames)`` matrix; one array pass finds the maximal
+    strictly-decreasing runs of at least ``min_run`` frames in every band and
+    fits each with a least-squares line (see ``_run_slopes``). Each negative
+    slope ``s`` (dB per frame) gives the decay time ``-60 * hop / (rate * s)``.
 
     Parameters
     ----------
@@ -138,15 +148,12 @@ def raw_decay_estimate(spec, sample_rate=16000, min_run=3, band_floor_db=60.0):
         raise InsufficientDecay("insufficient decay evidence")
     keep = band_mean > peak * 10.0 ** (-band_floor_db / 10.0)
     log_e = 10.0 * np.log10(energy + 1e-300)
-    decay_times = []
-    frame_dt = hop / float(sample_rate)
-    for f in np.nonzero(keep)[0]:
-        for slope in _run_slopes(log_e[f], min_run):
-            if slope < 0:
-                decay_times.append(-60.0 * frame_dt / slope)
-    if not decay_times:
+    slopes = _run_slopes(log_e[keep], min_run)
+    slopes = slopes[slopes < 0]
+    if not slopes.size:
         raise InsufficientDecay("insufficient decay evidence")
-    return float(np.median(decay_times))
+    frame_dt = hop / float(sample_rate)
+    return float(np.median(-60.0 * frame_dt / slopes))
 
 
 def fit_rt60_polynomial(raw_values, rt60_values):

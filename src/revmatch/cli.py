@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import tfconv
 from .blind import (BlindConfig, Rt60Calibration, analyze_blind,
@@ -32,7 +31,8 @@ from .records import format_records, read_records
 from .rir import (AcousticParams, Rir, analyze_rir, params_from_file,
                   read_rir, sample_rir, write_rir)
 from .seeding import STREAM_CLI_TASKS, STREAM_SYNTH, derive_rng
-from .signals import Signal, default_stft_config, istft, read_wav, stft, write_wav
+from .signals import (Signal, default_stft_config, fft_convolve, istft,
+                      read_wav, stft, write_wav)
 from .solver import SolverConfig, dereverb_pipeline
 # not called here; perfbench/spans.py wraps cli.trainingless_dereverb by name
 from .solver import trainingless_dereverb  # noqa: F401
@@ -125,7 +125,7 @@ def cmd_reverberate(opts):
     if domain not in ("time", "stft"):
         raise ValueError("domain must be 'time' or 'stft'")
     if domain == "time":
-        wet = fftconvolve(dry.samples, rir.taps)
+        wet = fft_convolve(dry.samples, rir.taps)
     else:
         cfg = default_stft_config()
         wet = istft(tfconv.ExactConv(rir, cfg).forward(stft(dry, cfg)))
@@ -143,7 +143,7 @@ def _synthetic_pair(seed, index, duration, cfg):
     rir = sample_rir(params, rng=rng)
     dry = speech_like_noise(int(duration * CLI_SAMPLE_RATE), CLI_SAMPLE_RATE,
                             rng=rng)
-    wet = fftconvolve(dry, rir.taps)
+    wet = fft_convolve(dry, rir.taps)
     return stft(wet, cfg), rt60
 
 
@@ -244,12 +244,19 @@ def cmd_dereverb(opts):
     if len(inputs) == 1:
         return _dereverb_one(inputs[0], out, trace_path, opts,
                              (seed, STREAM_CLI_TASKS, 0))
+    if trace_path:
+        raise ValueError("--trace takes a single input")
     if not os.path.isdir(out):
         raise ValueError("multiple inputs require an output directory")
+    names = [os.path.basename(path) for path in inputs]
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        raise ValueError("inputs would write the same output file: "
+                         + ", ".join(clashes))
     tasks = []
-    for i, path in enumerate(inputs):
-        out_path = os.path.join(out, os.path.basename(path))
-        tasks.append((path, out_path, None, opts, (seed, STREAM_CLI_TASKS, i)))
+    for i, (path, name) in enumerate(zip(inputs, names)):
+        tasks.append((path, os.path.join(out, name), None, opts,
+                      (seed, STREAM_CLI_TASKS, i)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_dereverb_one, *t) for t in tasks]
@@ -298,7 +305,7 @@ def cmd_bench(opts):
     taps[0] = 1.0
     rir = Rir(taps, CLI_SAMPLE_RATE)
     dry = speech_like_noise(CLI_SAMPLE_RATE, CLI_SAMPLE_RATE, rng=rng)
-    wet = fftconvolve(dry, rir.taps)
+    wet = fft_convolve(dry, rir.taps)
     y_ref = stft(wet, cfg)
     spec = stft(dry, cfg)
     t_ref = y_ref.num_frames

@@ -5,9 +5,10 @@ import pytest
 from scipy.signal import fftconvolve
 
 from revmatch.blind import (BlindConfig, InsufficientDecay, Rt60Calibration,
-                            analyze_blind, blind_drr, calibrate_rt60,
-                            fit_rt60_polynomial, raw_decay_estimate,
-                            speech_like_noise, speech_shaped_noise)
+                            _run_slopes, analyze_blind, blind_drr,
+                            calibrate_rt60, fit_rt60_polynomial,
+                            raw_decay_estimate, speech_like_noise,
+                            speech_shaped_noise)
 from revmatch.rir import AcousticParams, sample_rir, tau_from_rt60
 from revmatch.seeding import STREAM_SYNTH, derive_rng
 from revmatch.signals import Spectrogram, stft
@@ -65,12 +66,112 @@ def test_raw_decay_errors(cfg):
     short = Spectrogram(spec.data[:, :10], cfg, num_samples=100)
     with pytest.raises(ValueError, match="shorter than 1 s"):
         raw_decay_estimate(short, FS)
-    # growing energy leaves no strictly-decreasing runs
+    # growing or flat energy leaves no strictly-decreasing runs
     growing = Spectrogram(
         np.exp(np.linspace(0, 8, 512 * 80)).reshape(512, 80) + 0j, cfg,
         num_samples=80 * 256)
+    flat = Spectrogram(np.ones((512, 80), dtype=complex), cfg,
+                       num_samples=80 * 256)
+    for spec in (growing, flat):
+        with pytest.raises(InsufficientDecay):
+            raw_decay_estimate(spec, FS)
+
+
+def _run_slopes_per_band(log_e, min_run):
+    """The per-band scan the array pass replaced, kept verbatim as the
+    reference: slopes of maximal strictly-decreasing runs (>= min_run points)
+    in one band's log-energy sequence."""
+    d = np.diff(log_e)
+    dec = d < 0
+    slopes = []
+    t = len(log_e)
+    i = 0
+    while i < t - 1:
+        if not dec[i]:
+            i += 1
+            continue
+        j = i
+        while j < t - 1 and dec[j]:
+            j += 1
+        # run covers points i..j inclusive
+        npts = j - i + 1
+        if npts >= min_run:
+            x = np.arange(npts, dtype=np.float64)
+            y = log_e[i:j + 1]
+            xm = x - x.mean()
+            slopes.append(float(np.dot(xm, y) / np.dot(xm, xm)))
+        i = j
+    return slopes
+
+
+def assert_slopes_match_reference(log_e, min_run):
+    log_e = np.asarray(log_e, dtype=np.float64)
+    want = sorted(s for row in log_e for s in _run_slopes_per_band(row, min_run))
+    got = sorted(_run_slopes(log_e, min_run).tolist())
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("min_run", [2, 3, 5])
+def test_run_slopes_bit_equal_to_per_band_scan_on_random_matrices(min_run):
+    rng = np.random.default_rng(60 + min_run)
+    for bands, frames in [(1, 2), (3, 7), (40, 250), (257, 64)]:
+        # white noise (short runs), random walks with a downward drift (long
+        # runs, some reaching the last frame) and a coarse integer grid
+        # (frequent plateaus, which break runs)
+        assert_slopes_match_reference(
+            rng.standard_normal((bands, frames)), min_run)
+        assert_slopes_match_reference(np.cumsum(
+            rng.standard_normal((bands, frames)) - 0.8, axis=1), min_run)
+        assert_slopes_match_reference(
+            rng.integers(0, 4, (bands, frames)), min_run)
+
+
+def test_run_slopes_edge_cases():
+    # a run ending on the last frame
+    assert assert_slopes_match_reference([[0.0, 1.0, 5.0, 4.0, 3.0]], 3) == [-1.0]
+    # a run of exactly min_run points counts, one point short does not
+    assert assert_slopes_match_reference([[0.0, 3.0, 2.0, 1.0, 4.0]], 3) == [-1.0]
+    assert assert_slopes_match_reference([[0.0, 3.0, 2.0, 1.0, 4.0]], 4) == []
+    # a plateau breaks a run: (5, 4) and (4, 3, 1)
+    assert assert_slopes_match_reference([[5.0, 4.0, 4.0, 3.0, 1.0]], 3) == [-1.5]
+    assert assert_slopes_match_reference(
+        [[5.0, 4.0, 4.0, 3.0, 1.0]], 2) == [-1.5, -1.0]
+    # min_run=2 counts every single decreasing step, one row after another
+    assert assert_slopes_match_reference(
+        [[3.0, 1.0, 2.0], [0.0, 0.0, -0.5]], 2) == [-2.0, -0.5]
+    # flat and growing rows hold no run
+    assert assert_slopes_match_reference(np.ones((3, 9)), 2) == []
+    assert assert_slopes_match_reference(np.arange(12.0).reshape(2, 6), 2) == []
+
+
+def test_raw_decay_bit_equal_to_per_band_scan(cfg):
+    for seed in range(3):
+        spec = make_reverberant(0.3 + 0.3 * seed, 3.0 * seed, 40 + seed,
+                                50 + seed, duration=2.0, cfg=cfg)
+        f_half = cfg.num_bins // 2 + 1
+        energy = np.abs(spec.data[:f_half]) ** 2
+        band_mean = energy.mean(axis=1)
+        keep = band_mean > band_mean.max() * 10.0 ** (-60.0 / 10.0)
+        log_e = 10.0 * np.log10(energy + 1e-300)
+        frame_dt = cfg.hop / float(FS)
+        decay_times = [-60.0 * frame_dt / slope
+                       for f in np.nonzero(keep)[0]
+                       for slope in _run_slopes_per_band(log_e[f], 3)
+                       if slope < 0]
+        assert raw_decay_estimate(spec, FS) == float(np.median(decay_times))
+
+
+def test_raw_decay_floor_cut_band_holding_the_only_runs(cfg):
+    # every loud band grows; the one band that decays sits over 120 dB down
+    frames = 80
+    data = np.tile(np.exp(np.linspace(0.0, 4.0, frames)), (cfg.num_bins, 1))
+    data[5] = 1e-6 * np.exp(-np.linspace(0.0, 4.0, frames))
+    spec = Spectrogram(data + 0j, cfg, num_samples=frames * cfg.hop)
     with pytest.raises(InsufficientDecay):
-        raw_decay_estimate(growing, FS)
+        raw_decay_estimate(spec, FS)
+    # the runs are there: a floor that keeps the band finds them
+    assert raw_decay_estimate(spec, FS, band_floor_db=200.0) > 0
 
 
 def test_fit_polynomial_exact_quadratic_relation():

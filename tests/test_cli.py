@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 import revmatch.blind as blind
+import revmatch.cli as cli
 from revmatch.cli import main
 from revmatch.blind import Rt60Calibration, speech_like_noise
 from revmatch.records import read_records
@@ -304,3 +308,61 @@ def test_config_file_with_cli_override(tmp_path):
 def test_missing_input_file_is_validation_error(tmp_path):
     assert run("analyze-rir", "--in", tmp_path / "nope.wav",
                "-o", tmp_path / "r.txt") == 2
+
+
+def _noise_wavs(tmp_path, *names):
+    paths = []
+    for i, name in enumerate(names):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        write_wav(path, Signal(speech_like_noise(FS // 2, FS, rng=40 + i), FS))
+        paths.append(path)
+    return paths
+
+
+def _recording_reads(monkeypatch):
+    reads = []
+    read_input_wav = cli._read_input_wav
+
+    def recording(path):
+        reads.append(path)
+        return read_input_wav(path)
+
+    monkeypatch.setattr(cli, "_read_input_wav", recording)
+    return reads
+
+
+def test_dereverb_batch_rejects_trace(tmp_path, monkeypatch):
+    a, b = _noise_wavs(tmp_path, "a.wav", "b.wav")
+    out = tmp_path / "out"
+    out.mkdir()
+    trace = tmp_path / "t.txt"
+    reads = _recording_reads(monkeypatch)
+    assert run("dereverb", "--in", a, "--in", b, "--rt60", 0.25, "--drr", 0,
+               "--max-iters", 2, "--trace", trace, "-o", out) == 2
+    assert reads == []
+    assert os.listdir(out) == []
+    assert not trace.exists()
+
+
+def test_dereverb_batch_rejects_duplicate_output_names(tmp_path, monkeypatch):
+    a, b, c = _noise_wavs(tmp_path, "a/x.wav", "b/x.wav", "c/y.wav")
+    out = tmp_path / "out"
+    out.mkdir()
+    reads = _recording_reads(monkeypatch)
+    for workers in (1, 2):
+        assert run("dereverb", "--in", a, "--in", c, "--in", b, "--rt60", 0.25,
+                   "--drr", 0, "--max-iters", 2, "--workers", workers,
+                   "-o", out) == 2
+    assert reads == []
+    assert os.listdir(out) == []
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    code = ("import sys, revmatch.cli; "
+            "print('scipy.signal' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

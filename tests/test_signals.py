@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from revmatch.signals import (Signal, Spectrogram, StftConfig,
-                              canonical_dual_window, hann_window, istft,
-                              read_wav, stft, write_wav)
+                              canonical_dual_window, fft_convolve,
+                              hann_window, istft, read_wav, stft, write_wav)
 
 
 def test_default_config_is_perfect_reconstruction(cfg):
@@ -152,3 +153,15 @@ def test_wav_rejects_unexpected_rate(tmp_path):
     wavfile.write(path, 44100, np.zeros(100, dtype=np.float32))
     with pytest.raises(ValueError, match="unsupported sample rate"):
         read_wav(path, expect_rate=16000)
+
+
+@pytest.mark.parametrize("la, lb", [(48000, 9641), (16000, 1500), (64000, 8041),
+                                    (1500, 16000), (100, 1), (1, 100),
+                                    (1, 1), (2, 2), (7, 3)])
+def test_fft_convolve_bit_equal_to_scipy_signal(la, lb):
+    rng = np.random.default_rng(la + 7 * lb)
+    a, b = rng.standard_normal(la), rng.standard_normal(lb)
+    want = fftconvolve(a, b)
+    got = fft_convolve(a, b)
+    assert got.shape == want.shape == (la + lb - 1,)
+    assert np.array_equal(got, want)

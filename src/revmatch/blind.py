@@ -21,6 +21,7 @@ from .loss import LossConfig
 from .records import format_records, read_records
 from .rir import AcousticParams, PolackSampler
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
+from .signals import row_weights
 
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
 
@@ -200,7 +201,8 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     draws share one seed stream across points (common random numbers), so the
     comparison is deterministic for a fixed seed; exact ties resolve to the
     lowest dB. The reference is synthesized once and shared by every draw of
-    every point.
+    every point. The grid is scored on the one-sided reference, with the
+    energies summed under :func:`~revmatch.signals.row_weights`.
 
     The residual value of the matching loss itself is NOT a usable selection
     statistic here: for sign-symmetric tail draws its expectation is
@@ -231,9 +233,11 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
                               loss_cfg=LossConfig())
     shat, _ = trainingless_dereverb(spec, ref_params, solver_cfg)
-    dry = tfconv.synthesize(shat)
+    dry = tfconv.synthesize(shat.half())
 
-    y_energy = float(np.sum(np.abs(spec.data) ** 2))
+    y_half = spec.half().data
+    weights = row_weights(spec.config)
+    y_energy = float(np.sum(weights * np.abs(y_half) ** 2))
     t_y = spec.num_frames
     scores = []
     rm_values = []
@@ -246,8 +250,8 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
         for i in range(draws_per_point):
             rir = sampler.draw(derive_rng(seed, STREAM_DRR_GRID, 1, i))
             yhat = tfconv.ExactConv(rir, spec.config).forward(dry, t_y).data
-            energies.append(float(np.sum(np.abs(yhat) ** 2)))
-            l_c.append(float(np.sum(np.abs(yhat - spec.data) ** 2)))
+            energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
+            l_c.append(float(np.sum(weights * np.abs(yhat - y_half) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))
         rm_values.append(float(np.mean(l_c)))
     best = int(np.argmin(scores))

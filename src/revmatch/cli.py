@@ -233,6 +233,14 @@ def _dereverb_one(path, out_path, trace_path, opts, task_seed):
     return 0
 
 
+def _same_file(a, b):
+    """Whether two paths name one file: ``samefile`` when both exist,
+    otherwise the resolved paths compared."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_dereverb(opts):
     inputs = opts.get("inputs") or []
     if not inputs:
@@ -241,22 +249,33 @@ def cmd_dereverb(opts):
     seed = opts.get("seed", 0, cast=int)
     trace_path = opts.get("trace")
     workers = opts.get("workers", 1, cast=int)
+    if workers < 1:
+        raise ValueError("--workers must be >= 1")
+    if len(inputs) == 1:
+        if os.path.isdir(out):
+            raise ValueError(f"output {out} is a directory; a single input "
+                             "takes an output file")
+        outputs = [out, trace_path] if trace_path else [out]
+    else:
+        if trace_path:
+            raise ValueError("--trace takes a single input")
+        if not os.path.isdir(out):
+            raise ValueError("multiple inputs require an output directory")
+        names = [os.path.basename(path) for path in inputs]
+        clashes = sorted({name for name in names if names.count(name) > 1})
+        if clashes:
+            raise ValueError("inputs would write the same output file: "
+                             + ", ".join(clashes))
+        outputs = [os.path.join(out, name) for name in names]
+    for path in outputs:
+        for src in inputs:
+            if _same_file(path, src):
+                raise ValueError(f"output {path} would overwrite input {src}")
     if len(inputs) == 1:
         return _dereverb_one(inputs[0], out, trace_path, opts,
                              (seed, STREAM_CLI_TASKS, 0))
-    if trace_path:
-        raise ValueError("--trace takes a single input")
-    if not os.path.isdir(out):
-        raise ValueError("multiple inputs require an output directory")
-    names = [os.path.basename(path) for path in inputs]
-    clashes = sorted({name for name in names if names.count(name) > 1})
-    if clashes:
-        raise ValueError("inputs would write the same output file: "
-                         + ", ".join(clashes))
-    tasks = []
-    for i, (path, name) in enumerate(zip(inputs, names)):
-        tasks.append((path, os.path.join(out, name), None, opts,
-                      (seed, STREAM_CLI_TASKS, i)))
+    tasks = [(path, out_path, None, opts, (seed, STREAM_CLI_TASKS, i))
+             for i, (path, out_path) in enumerate(zip(inputs, outputs))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_dereverb_one, *t) for t in tasks]

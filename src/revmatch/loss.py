@@ -9,6 +9,13 @@ respect to the re-reverberated grid, recomputed per draw.
 
 Gradients follow the convention grad[f, t] = dL/dRe + i * dL/dIm, so a real
 optimizer treats the real and imaginary parts as independent coordinates.
+
+:func:`rm_loss` also takes one-sided grids (F // 2 + 1 rows, see
+:class:`~revmatch.signals.Spectrogram`). Every sum over bins, in both terms
+and in the gradient norms behind the weight, then weights its rows by
+:func:`~revmatch.signals.row_weights` (1 for DC and Nyquist, 2 for the
+rest), so the values equal those of the Hermitian full grids to rounding,
+and the gradient is the first F // 2 + 1 rows of the full-band gradient.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +24,7 @@ import numpy as np
 
 from . import tfconv
 from .seeding import STREAM_LOSS_DRAWS, derive_rng
-from .signals import Spectrogram
+from .signals import Spectrogram, row_weights
 
 VARIANTS = ("single", "average", "best")
 
@@ -96,9 +103,12 @@ def grad_complex(y, yhat):
 
 def grad_mag(y, yhat):
     """Gradient of loss_mag with respect to yhat; zero where |yhat| vanishes."""
-    mag_y = np.abs(y)
     mag = np.abs(yhat)
-    err = np.log1p(mag_y) - np.log1p(mag)
+    return _grad_mag(np.log1p(np.abs(y)) - np.log1p(mag), mag, yhat)
+
+
+def _grad_mag(err, mag, yhat):
+    """grad_mag from the log-magnitude error and |yhat|."""
     denom = np.maximum(mag, _TINY) * (1.0 + mag)
     grad = (-2.0 * err / denom) * yhat
     grad[mag <= 0.0] = 0.0
@@ -128,17 +138,40 @@ def _align_frames(arr, num_frames):
     return out
 
 
-def _draw_terms(y_data, yhat, alpha_fallback, want_grad):
-    """Loss terms of one draw, and the gradient with respect to yhat."""
-    l_c = loss_complex(y_data, yhat)
-    l_m = loss_mag(y_data, yhat)
-    g_c = grad_complex(y_data, yhat)
-    g_m = grad_mag(y_data, yhat)
-    norm_m = np.linalg.norm(g_m)
+def _weighted_sq_sum(x, weights):
+    """sum_f w_f sum_t |x[f, t]|^2 for a C-contiguous (rows, T) array: the
+    squared Frobenius norm of the full grid a one-sided grid stands for."""
+    flat = x.view(np.float64) if np.iscomplexobj(x) else x
+    return float(weights[:, 0] @ np.vecdot(flat, flat))
+
+
+def _draw_terms(y_data, yhat, alpha_fallback, want_grad, weights=None):
+    """Loss terms of one draw, and the gradient with respect to yhat.
+
+    ``weights`` are the row weights of one-sided grids, None for full grids.
+    """
+    if weights is None:
+        l_c = loss_complex(y_data, yhat)
+        l_m = loss_mag(y_data, yhat)
+        g_c = grad_complex(y_data, yhat)
+        g_m = grad_mag(y_data, yhat)
+        norm_c, norm_m = np.linalg.norm(g_c), np.linalg.norm(g_m)
+    else:
+        _check_shapes(y_data, yhat)
+        diff = yhat - y_data
+        mag = np.abs(yhat)
+        err = np.log1p(np.abs(y_data)) - np.log1p(mag)
+        l_c = _weighted_sq_sum(diff, weights)
+        l_m = _weighted_sq_sum(err, weights)
+        g_c = 2.0 * diff
+        g_m = _grad_mag(err, mag, yhat)
+        # doubling is exact, so ||g_c|| is 2 sqrt(l_c) to the last bit
+        norm_c = 2.0 * np.sqrt(l_c)
+        norm_m = np.sqrt(_weighted_sq_sum(g_m, weights))
     if norm_m == 0.0:
         alpha = float(alpha_fallback)
     else:
-        alpha = float(np.linalg.norm(g_c) / norm_m)
+        alpha = float(norm_c / norm_m)
     total = l_c + alpha * l_m
     g_y = g_c + alpha * g_m if want_grad else None
     return l_c, l_m, alpha, total, g_y
@@ -153,12 +186,18 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
     each draw is the exact STFT-domain convolution with its RIR
     (:class:`tfconv.ExactConv`), evaluated on the observation's frames.
 
+    Both grids are full (F rows) or both one-sided (F // 2 + 1 rows). On
+    one-sided grids the operator runs on real FFTs and every sum over bins
+    is weighted by :func:`~revmatch.signals.row_weights`, so the loss values
+    and the weight equal those of the Hermitian full grids to rounding, and
+    the gradient is the first F // 2 + 1 rows of the full-band gradient.
+
     Parameters
     ----------
     y : Spectrogram
-        Observed reverberant STFT (F x T_y).
+        Observed reverberant STFT (F x T_y, or one-sided).
     shat : Spectrogram
-        Dry estimate (F x T_s).
+        Dry estimate (F x T_s, or one-sided), in ``y``'s layout.
     sampler : PolackSampler or DiracSampler
         Source of RIR draws; must match y's sample rate.
     cfg : LossConfig
@@ -166,7 +205,8 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         Draw i uses the stream (seed, STREAM_LOSS_DRAWS, i), so results do not
         depend on evaluation order.
     want_grad : bool
-        Also return the gradient with respect to shat (complex array, F x T_s).
+        Also return the gradient with respect to shat (complex array in
+        shat's shape).
     alpha_fallback : float
         Weight used when the magnitude-loss gradient vanishes.
     operators : list of tfconv.ExactConv, optional
@@ -180,6 +220,8 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         raise ValueError("empty dry estimate")
     if not y.config.same_grid(shat.config):
         raise ValueError("y and shat configs do not match")
+    if y.one_sided != shat.one_sided:
+        raise ValueError("y and shat must both be full or both one-sided")
     if operators is None and sampler is None:
         raise ValueError("either a sampler or pre-built operators are required")
     from .rir import DiracSampler
@@ -188,6 +230,7 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         operators = [tfconv.ExactConv(sampler.rir, y.config)]
     n_draws = cfg.resolved_draws if operators is None else len(operators)
     y_data = y.data
+    weights = row_weights(y.config) if y.one_sided else None
     t_y, t_s = y.num_frames, shat.num_frames
     dry = tfconv.synthesize(shat)
     per_draw = []
@@ -200,7 +243,7 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
             op = tfconv.ExactConv(rir, y.config)
         yhat = op.forward(dry, t_y).data
         l_c, l_m, alpha, total, g_y = _draw_terms(
-            y_data, yhat, alpha_fallback, want_grad)
+            y_data, yhat, alpha_fallback, want_grad, weights)
         per_draw.append((l_c, l_m, alpha, total))
         backprop.append((op, g_y))
 

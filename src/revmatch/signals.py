@@ -63,7 +63,9 @@ class StftConfig:
     """STFT analysis/synthesis parameters.
 
     ``num_bins`` equals the window length: the operator math is defined on the
-    full band. ``head_pad`` is the fixed leading zero-pad (``N - L``).
+    full band. ``half_bins`` (``N // 2 + 1``) is the row count of a one-sided
+    grid (see :class:`Spectrogram`); ``win_len`` must exceed 2 so the two row
+    counts differ. ``head_pad`` is the fixed leading zero-pad (``N - L``).
     """
 
     win_len: int
@@ -80,6 +82,9 @@ class StftConfig:
             np.asarray(self.synthesis_window, dtype=np.float64))
         if self.hop <= 0 or self.win_len <= 0:
             raise ValueError("win_len and hop must be positive")
+        if self.win_len <= 2:
+            raise ValueError("win_len must exceed 2: a one-sided grid would "
+                             "have as many rows as a full one")
         if self.hop > self.win_len:
             raise ValueError("hop must not exceed win_len")
         if self.win_len % self.hop != 0:
@@ -92,6 +97,10 @@ class StftConfig:
     @property
     def num_bins(self):
         return self.win_len
+
+    @property
+    def half_bins(self):
+        return self.win_len // 2 + 1
 
     @property
     def head_pad(self):
@@ -122,9 +131,28 @@ def default_stft_config(win_len=512, hop=256):
                       analysis_window=g_a, synthesis_window=g_s)
 
 
+def row_weights(cfg):
+    """(half_bins, 1) weights that turn a sum over a one-sided grid into the
+    sum over its Hermitian full grid: 1 for DC (and Nyquist when F is even),
+    2 for every other bin, which stands for itself and its mirror."""
+    w = np.full((cfg.half_bins, 1), 2.0)
+    w[0] = 1.0
+    if cfg.num_bins % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
 @dataclass
 class Spectrogram:
-    """Complex full-band STFT grid, shape (F, T)."""
+    """Complex STFT grid, shape (rows, T), in one of two layouts told apart
+    by the row count:
+
+    - full: ``num_bins`` (F) rows, any complex grid;
+    - one-sided: ``half_bins`` (F // 2 + 1) rows, the non-negative bins of a
+      real signal's STFT, standing for the Hermitian full grid that
+      :meth:`hermitian` returns. The imaginary parts of the DC (and, for even
+      F, Nyquist) rows are ignored, as a real inverse FFT ignores them.
+    """
 
     data: np.ndarray
     config: StftConfig
@@ -134,12 +162,37 @@ class Spectrogram:
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2:
             raise ValueError("spectrogram data must be 2-D (F x T)")
-        if self.data.shape[0] != self.config.num_bins:
-            raise ValueError("spectrogram row count must equal num_bins")
+        if self.data.shape[0] not in (self.config.num_bins,
+                                      self.config.half_bins):
+            raise ValueError("spectrogram row count must equal num_bins "
+                             "(full) or num_bins // 2 + 1 (one-sided)")
 
     @property
     def num_frames(self):
         return self.data.shape[1]
+
+    @property
+    def one_sided(self):
+        return self.data.shape[0] != self.config.num_bins
+
+    def half(self):
+        """The one-sided grid: the first F // 2 + 1 rows."""
+        return Spectrogram(self.data[:self.config.half_bins], self.config,
+                           self.num_samples)
+
+    def hermitian(self):
+        """The full Hermitian grid a one-sided grid stands for: real DC (and
+        Nyquist) rows, and row F - f the conjugate of row f."""
+        if not self.one_sided:
+            raise ValueError("hermitian() takes a one-sided grid")
+        f_bins, half = self.config.num_bins, self.config.half_bins
+        full = np.empty((f_bins, self.num_frames), dtype=np.complex128)
+        full[:half] = self.data
+        full[0] = full[0].real
+        if f_bins % 2 == 0:
+            full[half - 1] = full[half - 1].real
+        full[half:] = np.conj(full[f_bins - half:0:-1])
+        return Spectrogram(full, self.config, self.num_samples)
 
 
 def num_frames_for(num_samples, cfg):

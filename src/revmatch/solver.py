@@ -1,6 +1,7 @@
 """Training-less dereverberation: per-sample minimization of the
 reverberation-matching objective over the dry STFT, with probabilistic or
-degenerate (known-RIR) samplers."""
+degenerate (known-RIR) samplers. The solve runs on the one-sided grid of the
+real dry signal (see :class:`~revmatch.signals.Spectrogram`)."""
 
 from dataclasses import dataclass, field
 
@@ -103,10 +104,16 @@ def trainingless_dereverb(y, params, cfg=None):
     per-iteration RIR resampling for probabilistic samplers, and returns the
     best-loss iterate.
 
+    The iterate, the loss and the operator work on the one-sided grid, the
+    F // 2 + 1 non-negative bins of a real signal's STFT: the observation's
+    half is taken once, and the returned grid is the Hermitian extension of
+    the best one-sided iterate, so ``istft``'s real part drops nothing.
+
     Parameters
     ----------
     y : Spectrogram
-        Observed reverberant STFT.
+        Observed reverberant STFT of a real signal; only its first
+        F // 2 + 1 rows are read.
     params : AcousticParams, Rir, PolackSampler or DiracSampler
         Acoustic description; a Rir or DiracSampler pins the draw.
     cfg : SolverConfig, optional
@@ -129,20 +136,19 @@ def trainingless_dereverb(y, params, cfg=None):
         raise ValueError("sampler sample rate invalid")
     if not np.all(np.isfinite(y.data)):
         raise ValueError("observation contains non-finite values")
-    f_bins, t_y = y.data.shape
-    t_s = dry_frames(t_y, sampler.rir_length, y.config)
+    t_s = dry_frames(y.num_frames, sampler.rir_length, y.config)
 
     scale = np.linalg.norm(y.data) / np.sqrt(y.data.size)
     if scale == 0:
         raise ValueError("observation is identically zero")
-    y_norm = Spectrogram(y.data / scale, y.config, y.num_samples)
+    floor = 1e-14 * float(np.sum(np.abs(y.data / scale) ** 2))
+    y_norm = Spectrogram(y.half().data / scale, y.config, y.num_samples)
     shat = y_norm.data[:, :t_s].copy()
 
     fixed_ops = None
     if isinstance(sampler, DiracSampler):
         fixed_ops = [tfconv.ExactConv(sampler.rir, y.config)]
 
-    floor = 1e-14 * float(np.sum(np.abs(y_norm.data) ** 2))
     reports = []
     best_total = np.inf
     best_shat = shat.copy()
@@ -184,26 +190,24 @@ def trainingless_dereverb(y, params, cfg=None):
         if cfg.step_rule == "fixed":
             shat = shat - cfg.step_size * grad
         else:
+            # the real and imaginary parts are independent Adam coordinates
+            g = grad.view(np.float64)
             if moments is None:
-                m = np.zeros_like(grad)
-                v = np.zeros((2,) + grad.shape)
-                moments = (m, v)
+                moments = (np.zeros_like(g), np.zeros_like(g))
             m, v = moments
             b1, b2, eps = 0.9, 0.999, 1e-8
-            m = b1 * m + (1 - b1) * grad
-            v[0] = b2 * v[0] + (1 - b2) * grad.real ** 2
-            v[1] = b2 * v[1] + (1 - b2) * grad.imag ** 2
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g ** 2
             moments = (m, v)
             tcorr = it + 1
             mhat = m / (1 - b1 ** tcorr)
             vhat = v / (1 - b2 ** tcorr)
-            step_re = mhat.real / (np.sqrt(vhat[0]) + eps)
-            step_im = mhat.imag / (np.sqrt(vhat[1]) + eps)
-            shat = shat - cfg.step_size * (step_re + 1j * step_im)
+            step = mhat / (np.sqrt(vhat) + eps)
+            shat = shat - (cfg.step_size * step).view(np.complex128)
 
     trace = SolveTrace(reports=reports, best_index=best_index,
                        iterations_used=len(reports), converged=converged)
-    out = Spectrogram(best_shat * scale, y.config, y.num_samples)
+    out = Spectrogram(best_shat * scale, y.config, y.num_samples).hermitian()
     return out, trace
 
 

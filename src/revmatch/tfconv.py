@@ -5,6 +5,14 @@ kernel reference.
 analyzer and ``reverberate --domain stft``. It applies the convolution
 matrix-free as the product it stands for: overlap-add synthesis with g_s,
 time-domain convolution with h, and analysis with g_a on the frame lattice.
+It takes either layout of :class:`~revmatch.signals.Spectrogram` and returns
+the same one:
+
+- a full grid (F rows, any complex grid) goes through complex FFTs;
+- a one-sided grid (F // 2 + 1 rows, standing for a Hermitian full grid)
+  goes through real FFTs: ``irfft`` synthesis, a real ``rfft``/``irfft``
+  convolution, and ``rfft`` analysis, at about half the cost. On Hermitian
+  grids its output is the first F // 2 + 1 rows of the full path's.
 
 The cross-band kernel (Avargel & Cohen, IEEE TASLP 2007) is the reference
 that ``bench`` and the band-truncation study use. Its entry for output bin f,
@@ -217,12 +225,21 @@ def _frames(x, n, hop, num_frames):
     return sliding_window_view(x[:span], n)[::hop]
 
 
+def _ffts(one_sided):
+    """The (forward, inverse) FFT pair of a layout: real FFTs for one-sided
+    grids, complex FFTs for full ones."""
+    if one_sided:
+        return np.fft.rfft, np.fft.irfft
+    return np.fft.fft, np.fft.ifft
+
+
 @dataclass
 class DrySynthesis:
-    """Overlap-add synthesis of a dry grid with ``g_s``, kept complex (no
-    real part is taken, so an inconsistent grid maps exactly), with its FFT
-    cached per transform length: every RIR the grid is convolved with shares
-    one synthesis and one transform."""
+    """Overlap-add synthesis of a dry grid with ``g_s``, with its FFT cached
+    per transform length: every RIR the grid is convolved with shares one
+    synthesis and one transform. A full grid's synthesis is kept complex (no
+    real part is taken, so an inconsistent grid maps exactly); a one-sided
+    grid's is real, and its transform is a real FFT."""
 
     signal: np.ndarray
     num_frames: int
@@ -230,18 +247,25 @@ class DrySynthesis:
     num_samples: int | None = None
     _spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def one_sided(self):
+        return not np.iscomplexobj(self.signal)
+
     def spectrum(self, n_fft):
         x_f = self._spectra.get(n_fft)
         if x_f is None:
-            x_f = np.fft.fft(self.signal, n=n_fft)
+            x_f = _ffts(self.one_sided)[0](self.signal, n=n_fft)
             self._spectra[n_fft] = x_f
         return x_f
 
 
 def synthesize(spec):
-    """Synthesis step of the exact operator for a dry Spectrogram."""
+    """Synthesis step of the exact operator for a dry Spectrogram: complex
+    for a full grid, real (``irfft`` of the one-sided rows) for a one-sided
+    grid."""
     cfg = spec.config
-    frames = np.fft.ifft(spec.data.T, axis=1) * cfg.synthesis_window
+    ifft = _ffts(spec.one_sided)[1]
+    frames = ifft(spec.data.T, n=cfg.win_len, axis=1) * cfg.synthesis_window
     return DrySynthesis(_overlap_add(frames, cfg.hop), spec.num_frames, cfg,
                         spec.num_samples)
 
@@ -249,10 +273,19 @@ def synthesize(spec):
 class ExactConv:
     """Exact STFT-domain convolution with one RIR, applied matrix-free.
 
-    ``forward`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up to
-    rounding) on any complex grid ``s``; ``adjoint`` is its adjoint under
-    <A, B> = sum A conj(B). The RIR's spectrum is computed once per
-    transform length and shared by the forward and adjoint maps.
+    On a full grid, ``forward`` equals ``apply(build_kernel(h, cfg, "full"),
+    s)`` (up to rounding) for any complex grid ``s``, and ``adjoint`` is its
+    adjoint under <A, B> = sum A conj(B).
+
+    On a one-sided grid both maps use real FFTs and return one-sided grids.
+    For a Hermitian full grid they equal the first F // 2 + 1 rows of the
+    full maps, and ``adjoint`` is the adjoint of ``forward`` under
+    <A, B> = sum_f w_f Re(A conj B), with the row weights of
+    :func:`~revmatch.signals.row_weights` (the full-grid inner product of the
+    Hermitian grids).
+
+    The RIR's spectrum is computed once per transform length and layout and
+    shared by the forward and adjoint maps.
     """
 
     def __init__(self, h, cfg):
@@ -263,14 +296,15 @@ class ExactConv:
         self.t_h = kernel_frames(len(self.taps), cfg)
         self._spectra = {}
 
-    def _spectrum(self, dry_length):
+    def _spectrum(self, dry_length, one_sided):
         """FFT length for a dry signal of the given length, and the RIR's
-        spectrum at it; long enough that neither map wraps around."""
-        n_fft = next_fast_len(dry_length + len(self.taps) - 1)
-        h_f = self._spectra.get(n_fft)
+        spectrum at it (a real FFT for the one-sided layout); long enough
+        that neither map wraps around."""
+        n_fft = next_fast_len(dry_length + len(self.taps) - 1, one_sided)
+        h_f = self._spectra.get((n_fft, one_sided))
         if h_f is None:
-            h_f = np.fft.fft(self.taps, n=n_fft)
-            self._spectra[n_fft] = h_f
+            h_f = _ffts(one_sided)[0](self.taps, n=n_fft)
+            self._spectra[(n_fft, one_sided)] = h_f
         return n_fft, h_f
 
     def _check(self, cfg):
@@ -282,7 +316,7 @@ class ExactConv:
 
         Returns ``num_frames`` analysis frames, by default all
         T_s + t_h - 1 frames the convolution covers; fewer frames crop the
-        grid, more frames are zero.
+        grid, more frames are zero. The output has the dry grid's layout.
         """
         if isinstance(dry, Spectrogram):
             dry = synthesize(dry)
@@ -290,11 +324,12 @@ class ExactConv:
         cfg = self.cfg
         if num_frames is None:
             num_frames = dry.num_frames + self.t_h - 1
-        n_fft, h_f = self._spectrum(len(dry.signal))
+        fft, ifft = _ffts(dry.one_sided)
+        n_fft, h_f = self._spectrum(len(dry.signal), dry.one_sided)
         wet_len = len(dry.signal) + len(self.taps) - 1
-        wet = np.fft.ifft(dry.spectrum(n_fft) * h_f)[:wet_len]
+        wet = ifft(dry.spectrum(n_fft) * h_f, n=n_fft)[:wet_len]
         frames = _frames(wet, cfg.win_len, cfg.hop, num_frames)
-        y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
+        y = fft(frames * cfg.analysis_window, axis=1).T
         n_samp = None
         if dry.num_samples is not None:
             n_samp = dry.num_samples + len(self.taps) - 1
@@ -302,15 +337,17 @@ class ExactConv:
 
     def adjoint(self, grid, num_frames):
         """Adjoint of :meth:`forward` for a dry grid of ``num_frames`` frames:
-        maps any number of wet frames back to ``num_frames`` frames."""
+        maps any number of wet frames back to ``num_frames`` frames, in the
+        wet grid's layout."""
         self._check(grid.config)
         cfg = self.cfg
         n = cfg.win_len
-        frames = np.fft.ifft(grid.data.T, axis=1) * (n * cfg.analysis_window)
+        fft, ifft = _ffts(grid.one_sided)
+        frames = ifft(grid.data.T, n=n, axis=1) * (n * cfg.analysis_window)
         dry_len = (num_frames - 1) * cfg.hop + n
-        n_fft, h_f = self._spectrum(dry_len)
+        n_fft, h_f = self._spectrum(dry_len, grid.one_sided)
         wet_adj = _overlap_add(frames, cfg.hop)[:dry_len + len(self.taps) - 1]
-        dry_adj = np.fft.ifft(np.fft.fft(wet_adj, n=n_fft) * np.conj(h_f))
+        dry_adj = ifft(fft(wet_adj, n=n_fft) * np.conj(h_f), n=n_fft)
         frames = _frames(dry_adj, n, cfg.hop, num_frames)
-        x = np.fft.fft(frames * cfg.synthesis_window, axis=1).T / n
+        x = fft(frames * cfg.synthesis_window, axis=1).T / n
         return Spectrogram(np.ascontiguousarray(x), cfg)

@@ -366,3 +366,47 @@ def test_cli_import_leaves_scipy_signal_out():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_dereverb_refuses_to_overwrite_an_input(tmp_path, monkeypatch):
+    x0, x1 = _noise_wavs(tmp_path, "d/x0.wav", "d/x1.wav")
+    before = [file_bytes(x0), file_bytes(x1)]
+    reads = _recording_reads(monkeypatch)
+    base = ["dereverb", "--rt60", 0.3, "--drr", 0, "--max-iters", 2]
+    d = tmp_path / "d"
+    assert run(*base, "--in", x0, "-o", x0) == 2
+    assert run(*base, "--in", x0, "-o", d / ".." / "d" / "x0.wav") == 2
+    assert run(*base, "--in", x0, "--trace", x0, "-o", tmp_path / "o.wav") == 2
+    assert run(*base, "--in", x0, "--in", x1, "-o", d) == 2
+    assert reads == []
+    assert [file_bytes(x0), file_bytes(x1)] == before
+    assert sorted(os.listdir(d)) == ["x0.wav", "x1.wav"]
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_dereverb_single_input_to_directory_is_validation_error(
+        tmp_path, monkeypatch):
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    out = tmp_path / "outd"
+    out.mkdir()
+    reads = _recording_reads(monkeypatch)
+    assert run("dereverb", "--in", x0, "--rt60", 0.3, "--drr", 0,
+               "--max-iters", 2, "-o", out) == 2
+    assert reads == []
+    assert os.listdir(out) == []
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_dereverb_rejects_workers_below_one(tmp_path, monkeypatch, workers):
+    a, b = _noise_wavs(tmp_path, "a.wav", "b.wav")
+    out = tmp_path / "out"
+    out.mkdir()
+    reads = _recording_reads(monkeypatch)
+    base = ["dereverb", "--rt60", 0.3, "--drr", 0, "--max-iters", 2,
+            "--workers", workers]
+    assert run(*base, "--in", a, "-o", tmp_path / "single.wav") == 2
+    assert run(*base, "--in", a, "--in", b, "-o", out) == 2
+    assert reads == []
+    assert os.listdir(out) == []
+    assert not (tmp_path / "single.wav").exists()

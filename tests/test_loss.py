@@ -226,3 +226,37 @@ def test_loss_report_invariant_average(cfg):
                      seed=5)
     assert rep.total == pytest.approx(rep.l_complex + rep.alpha * rep.l_mag,
                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("variant, draws", [
+    ("single", 1), ("average", 3), ("best", 3)])
+@pytest.mark.parametrize("n, hop", [(6, 3), (8, 4), (512, 256)])
+def test_rm_loss_one_sided_equals_full_hermitian(n, hop, variant, draws):
+    # the row-weighted loss on the one-sided grid is the full-band loss of
+    # the Hermitian grid, and its gradient the full gradient's first rows
+    g_a = hann_window(n)
+    op_cfg = StftConfig(n, hop, g_a, canonical_dual_window(g_a, hop))
+    params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
+    rng = np.random.default_rng(15)
+    s = rng.standard_normal(2000)
+    y = stft(fftconvolve(s, sample_rir(params, rng=rng).taps), op_cfg)
+    half = Spectrogram(random_grid(rng, (op_cfg.half_bins, 5 + 2000 // hop)),
+                       op_cfg)
+    cfg = LossConfig(variant=variant, num_draws=draws)
+    sampler = PolackSampler(params)
+    ref, grad_full = rm_loss(y, half.hermitian(), sampler, cfg, seed=4,
+                             want_grad=True)
+    rep, grad = rm_loss(y.half(), half, sampler, cfg, seed=4, want_grad=True)
+    for key in ("l_complex", "l_mag", "alpha", "total"):
+        assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-12)
+    assert rep.selected_draw == ref.selected_draw
+    assert grad.shape == half.data.shape
+    scale = np.linalg.norm(grad_full)
+    assert np.linalg.norm(grad - grad_full[:op_cfg.half_bins]) <= 1e-12 * scale
+
+
+def test_rm_loss_rejects_mixed_layouts(cfg):
+    h, s, wet = make_problem(seed=16)
+    y = stft(wet, cfg)
+    with pytest.raises(ValueError, match="one-sided"):
+        rm_loss(y, stft(s, cfg).half(), DiracSampler(h), LossConfig())

@@ -21,7 +21,7 @@ from .loss import LossConfig
 from .records import format_records, read_records
 from .rir import AcousticParams, PolackSampler
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
-from .signals import row_weights
+from .signals import istft, row_weights
 
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
 
@@ -189,9 +189,10 @@ def calibrate_rt60(pairs, sample_rate=16000, min_run=3, band_floor_db=60.0):
     return fit_rt60_polynomial(raws, [rt60 for _, rt60 in pairs])
 
 
-def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
-              seed=0, sample_rate=16000,
-              noise_mode="centered-gaussian"):
+def blind_drr(spec, rt60, grid=None,
+              draws_per_point=BlindConfig.draws_per_point,
+              k_inner=BlindConfig.k_inner, seed=0, sample_rate=16000,
+              noise_mode=BlindConfig.noise_mode):
     """Pick a DRR grid point by reverberation matching at a fixed RT60.
 
     One cheap training-less solve (budget ``k_inner``) at the most reverberant
@@ -200,9 +201,9 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     ``draws_per_point`` Monte-Carlo draws, matches the observed energy. The
     draws share one seed stream across points (common random numbers), so the
     comparison is deterministic for a fixed seed; exact ties resolve to the
-    lowest dB. The reference is synthesized once and shared by every draw of
-    every point. The grid is scored on the one-sided reference, with the
-    energies summed under :func:`~revmatch.signals.row_weights`.
+    lowest dB. Every draw of every point convolves the reference signal
+    directly, and the one-sided grids are scored with the energies summed
+    under :func:`~revmatch.signals.row_weights`.
 
     The residual value of the matching loss itself is NOT a usable selection
     statistic here: for sign-symmetric tail draws its expectation is
@@ -233,12 +234,11 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
     solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
                               loss_cfg=LossConfig())
     shat, _ = trainingless_dereverb(spec, ref_params, solver_cfg)
-    dry = tfconv.synthesize(shat.half())
+    x = istft(shat)
 
     y_half = spec.half().data
     weights = row_weights(spec.config)
     y_energy = float(np.sum(weights * np.abs(y_half) ** 2))
-    t_y = spec.num_frames
     scores = []
     rm_values = []
     for db in grid:
@@ -249,7 +249,7 @@ def blind_drr(spec, rt60, grid=None, draws_per_point=3, k_inner=18,
         l_c = []
         for i in range(draws_per_point):
             rir = sampler.draw(derive_rng(seed, STREAM_DRR_GRID, 1, i))
-            yhat = tfconv.ExactConv(rir, spec.config).forward(dry, t_y).data
+            yhat = tfconv.ExactConv(rir, spec.config).forward(x).data
             energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
             l_c.append(float(np.sum(weights * np.abs(yhat - y_half) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))

@@ -28,8 +28,8 @@ from .blind import (BlindConfig, Rt60Calibration, analyze_blind,
 from .loss import LossConfig
 from .metrics import evaluate
 from .records import format_records, read_records
-from .rir import (AcousticParams, Rir, analyze_rir, params_from_file,
-                  read_rir, sample_rir, write_rir)
+from .rir import (DEFAULT_DIRECT_DELAY, AcousticParams, Rir, analyze_rir,
+                  params_from_file, read_rir, sample_rir, write_rir)
 from .seeding import STREAM_CLI_TASKS, STREAM_SYNTH, derive_rng
 from .signals import (Signal, default_stft_config, fft_convolve, istft,
                       read_wav, stft, write_wav)
@@ -96,9 +96,9 @@ def cmd_sample_rir(opts):
     params = AcousticParams(
         rt60=opts.get("rt60", cast=float),
         drr_db=opts.get("drr", cast=float),
-        n_d=opts.get("nd", 40, cast=int),
+        n_d=opts.get("nd", DEFAULT_DIRECT_DELAY, cast=int),
         sample_rate=opts.get("rate", CLI_SAMPLE_RATE, cast=int),
-        noise_mode=opts.get("noise_mode", "centered-gaussian"),
+        noise_mode=opts.get("noise_mode", AcousticParams.noise_mode),
     )
     length = opts.get("length", cast=int)
     seed = opts.get("seed", 0, cast=int)
@@ -109,7 +109,8 @@ def cmd_sample_rir(opts):
 
 def cmd_analyze_rir(opts):
     rir = read_rir(opts.get("input"))
-    analysis = analyze_rir(rir, n_d=opts.get("nd", 40, cast=int))
+    analysis = analyze_rir(rir, n_d=opts.get("nd", DEFAULT_DIRECT_DELAY,
+                                             cast=int))
     keys = ("rt60_est", "sigma_est", "drr_est_db", "t5", "t25", "e_5_25")
     _write_text(opts.get("output"),
                 format_records((k, getattr(analysis, k)) for k in keys))
@@ -128,7 +129,7 @@ def cmd_reverberate(opts):
         wet = fft_convolve(dry.samples, rir.taps)
     else:
         cfg = default_stft_config()
-        wet = istft(tfconv.ExactConv(rir, cfg).forward(stft(dry, cfg)))
+        wet = istft(tfconv.ExactConv(rir, cfg).forward_full(stft(dry, cfg)))
     sig = Signal(wet, dry.sample_rate)
     out = opts.get("output")
     _atomic_write(out, lambda tmp: write_wav(tmp, sig, fmt="float32"))
@@ -178,9 +179,9 @@ def cmd_calibrate(opts):
 def _blind_config(opts, draws_per_point=BlindConfig.draws_per_point):
     return BlindConfig(
         draws_per_point=draws_per_point,
-        k_inner=opts.get("k_inner", 18, cast=int),
+        k_inner=opts.get("k_inner", BlindConfig.k_inner, cast=int),
         seed=opts.get("seed", 0, cast=int),
-        noise_mode=opts.get("noise_mode", "centered-gaussian"),
+        noise_mode=opts.get("noise_mode", BlindConfig.noise_mode),
     )
 
 
@@ -197,14 +198,14 @@ def cmd_analyze_blind(opts):
 
 
 def _solver_config(opts, seed):
-    variant = opts.get("variant", "single")
-    draws = opts.get("draws", cast=int)
-    loss_cfg = LossConfig(variant=variant, num_draws=draws)
+    loss_cfg = LossConfig(variant=opts.get("variant", LossConfig.variant),
+                          num_draws=opts.get("draws", cast=int))
     return SolverConfig(
-        max_iters=opts.get("max_iters", 500, cast=int),
-        step_rule=opts.get("step_rule", "adam"),
-        step_size=opts.get("step_size", 5e-2, cast=float),
-        stop_rel_tol=opts.get("stop_rel_tol", 1e-4, cast=float),
+        max_iters=opts.get("max_iters", SolverConfig.max_iters, cast=int),
+        step_rule=opts.get("step_rule", SolverConfig.step_rule),
+        step_size=opts.get("step_size", SolverConfig.step_size, cast=float),
+        stop_rel_tol=opts.get("stop_rel_tol", SolverConfig.stop_rel_tol,
+                              cast=float),
         loss_cfg=loss_cfg,
         seed=seed,
     )
@@ -216,8 +217,9 @@ def _dereverb_one(path, out_path, trace_path, opts, task_seed):
     if rt60 is not None:
         acoustics = AcousticParams(
             rt60=rt60, drr_db=opts.get("drr", 0.0, cast=float),
-            n_d=opts.get("nd", 40, cast=int), sample_rate=sig.sample_rate,
-            noise_mode=opts.get("noise_mode", "centered-gaussian"))
+            n_d=opts.get("nd", DEFAULT_DIRECT_DELAY, cast=int),
+            sample_rate=sig.sample_rate,
+            noise_mode=opts.get("noise_mode", AcousticParams.noise_mode))
     else:
         cal_path = opts.get("calibration")
         if not cal_path:

@@ -1,21 +1,20 @@
 """Reverberation-matching losses with gradient-norm balancing and Monte-Carlo
-expectation variants, plus analytic gradients with respect to the dry STFT.
+expectation variants, plus analytic gradients with respect to the real dry
+signal.
 
-The complex term penalizes the full-band squared Frobenius distance between
-the observed reverberant grid and the re-reverberated estimate; the magnitude
+The complex term penalizes the squared Frobenius distance between the
+observed reverberant grid and the re-reverberated estimate; the magnitude
 term measures the same distance between log(1 + |.|) magnitudes. The weight
 balancing the two equalizes the Frobenius norms of their gradients taken with
 respect to the re-reverberated grid, recomputed per draw.
 
-Gradients follow the convention grad[f, t] = dL/dRe + i * dL/dIm, so a real
-optimizer treats the real and imaginary parts as independent coordinates.
-
-:func:`rm_loss` also takes one-sided grids (F // 2 + 1 rows, see
-:class:`~revmatch.signals.Spectrogram`). Every sum over bins, in both terms
-and in the gradient norms behind the weight, then weights its rows by
+The grid helpers (:func:`loss_complex`, :func:`grad_mag`, ...) work on full
+grids, with gradients in the convention grad[f, t] = dL/dRe + i * dL/dIm.
+:func:`rm_loss` scores one-sided grids (F // 2 + 1 rows, see
+:class:`~revmatch.signals.Spectrogram`): every sum over bins, in both terms
+and in the gradient norms behind the weight, weights its rows by
 :func:`~revmatch.signals.row_weights` (1 for DC and Nyquist, 2 for the
-rest), so the values equal those of the Hermitian full grids to rounding,
-and the gradient is the first F // 2 + 1 rows of the full-band gradient.
+rest), so the values equal those of the Hermitian full grids to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -128,8 +127,8 @@ def gradnorm_alpha(y, yhat):
 
 
 def _align_frames(arr, num_frames):
-    """Crop or zero-pad the frame axis to num_frames: the frame alignment
-    ``ExactConv`` does internally, for the cross-band kernel reference."""
+    """Crop or zero-pad the frame axis to num_frames: aligns the cross-band
+    kernel's output with an observation's frames."""
     f_bins, t = arr.shape
     if t == num_frames:
         return arr
@@ -145,59 +144,45 @@ def _weighted_sq_sum(x, weights):
     return float(weights[:, 0] @ np.vecdot(flat, flat))
 
 
-def _draw_terms(y_data, yhat, alpha_fallback, want_grad, weights=None):
-    """Loss terms of one draw, and the gradient with respect to yhat.
-
-    ``weights`` are the row weights of one-sided grids, None for full grids.
-    """
-    if weights is None:
-        l_c = loss_complex(y_data, yhat)
-        l_m = loss_mag(y_data, yhat)
-        g_c = grad_complex(y_data, yhat)
-        g_m = grad_mag(y_data, yhat)
-        norm_c, norm_m = np.linalg.norm(g_c), np.linalg.norm(g_m)
-    else:
-        _check_shapes(y_data, yhat)
-        diff = yhat - y_data
-        mag = np.abs(yhat)
-        err = np.log1p(np.abs(y_data)) - np.log1p(mag)
-        l_c = _weighted_sq_sum(diff, weights)
-        l_m = _weighted_sq_sum(err, weights)
-        g_c = 2.0 * diff
-        g_m = _grad_mag(err, mag, yhat)
-        # doubling is exact, so ||g_c|| is 2 sqrt(l_c) to the last bit
-        norm_c = 2.0 * np.sqrt(l_c)
-        norm_m = np.sqrt(_weighted_sq_sum(g_m, weights))
+def _draw_terms(y_data, yhat, weights, alpha_fallback, want_grad):
+    """Loss terms of one draw on one-sided grids, and the gradient with
+    respect to yhat."""
+    _check_shapes(y_data, yhat)
+    diff = yhat - y_data
+    mag = np.abs(yhat)
+    err = np.log1p(np.abs(y_data)) - np.log1p(mag)
+    l_c = _weighted_sq_sum(diff, weights)
+    l_m = _weighted_sq_sum(err, weights)
+    g_m = _grad_mag(err, mag, yhat)
+    # doubling is exact, so ||2 diff|| is 2 sqrt(l_c) to the last bit
+    norm_c = 2.0 * np.sqrt(l_c)
+    norm_m = np.sqrt(_weighted_sq_sum(g_m, weights))
     if norm_m == 0.0:
         alpha = float(alpha_fallback)
     else:
         alpha = float(norm_c / norm_m)
     total = l_c + alpha * l_m
-    g_y = g_c + alpha * g_m if want_grad else None
+    g_y = 2.0 * diff + alpha * g_m if want_grad else None
     return l_c, l_m, alpha, total, g_y
 
 
-def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
+def rm_loss(y, x, sampler, cfg, seed=0, want_grad=False,
             alpha_fallback=1.0, operators=None):
     """Reverberation-matching loss between an observed reverberant grid and a
-    dry-estimate grid pushed through sampled RIRs.
+    real dry signal pushed through sampled RIRs.
 
-    The dry estimate is synthesized once per call and shared by every draw;
-    each draw is the exact STFT-domain convolution with its RIR
-    (:class:`tfconv.ExactConv`), evaluated on the observation's frames.
-
-    Both grids are full (F rows) or both one-sided (F // 2 + 1 rows). On
-    one-sided grids the operator runs on real FFTs and every sum over bins
-    is weighted by :func:`~revmatch.signals.row_weights`, so the loss values
-    and the weight equal those of the Hermitian full grids to rounding, and
-    the gradient is the first F // 2 + 1 rows of the full-band gradient.
+    Each draw is the exact convolution with its RIR
+    (:meth:`tfconv.ExactConv.forward`): the one-sided STFT of ``(h * x)``
+    cut to ``len(x)`` samples, scored against ``y``'s first F // 2 + 1 rows
+    with row-weighted sums, so the loss values and the weight equal those of
+    the Hermitian full grids to rounding.
 
     Parameters
     ----------
     y : Spectrogram
-        Observed reverberant STFT (F x T_y, or one-sided).
-    shat : Spectrogram
-        Dry estimate (F x T_s, or one-sided), in ``y``'s layout.
+        Observed reverberant STFT (full or one-sided) of ``len(x)`` samples.
+    x : ndarray
+        Real dry estimate, 1-D.
     sampler : PolackSampler or DiracSampler
         Source of RIR draws; must match y's sample rate.
     cfg : LossConfig
@@ -205,8 +190,8 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         Draw i uses the stream (seed, STREAM_LOSS_DRAWS, i), so results do not
         depend on evaluation order.
     want_grad : bool
-        Also return the gradient with respect to shat (complex array in
-        shat's shape).
+        Also return the gradient with respect to x (a real array of its
+        length).
     alpha_fallback : float
         Weight used when the magnitude-loss gradient vanishes.
     operators : list of tfconv.ExactConv, optional
@@ -216,12 +201,6 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
     -------
     (LossReport, ndarray or None)
     """
-    if shat.data.size == 0:
-        raise ValueError("empty dry estimate")
-    if not y.config.same_grid(shat.config):
-        raise ValueError("y and shat configs do not match")
-    if y.one_sided != shat.one_sided:
-        raise ValueError("y and shat must both be full or both one-sided")
     if operators is None and sampler is None:
         raise ValueError("either a sampler or pre-built operators are required")
     from .rir import DiracSampler
@@ -229,10 +208,8 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         # the expectation over a point mass is the single-draw loss
         operators = [tfconv.ExactConv(sampler.rir, y.config)]
     n_draws = cfg.resolved_draws if operators is None else len(operators)
-    y_data = y.data
-    weights = row_weights(y.config) if y.one_sided else None
-    t_y, t_s = y.num_frames, shat.num_frames
-    dry = tfconv.synthesize(shat)
+    y_data = y.data[:y.config.half_bins]
+    weights = row_weights(y.config)
     per_draw = []
     backprop = []
     for i in range(n_draws):
@@ -241,9 +218,9 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         else:
             rir = sampler.draw(derive_rng(seed, STREAM_LOSS_DRAWS, i))
             op = tfconv.ExactConv(rir, y.config)
-        yhat = op.forward(dry, t_y).data
+        yhat = op.forward(x).data
         l_c, l_m, alpha, total, g_y = _draw_terms(
-            y_data, yhat, alpha_fallback, want_grad, weights)
+            y_data, yhat, weights, alpha_fallback, want_grad)
         per_draw.append((l_c, l_m, alpha, total))
         backprop.append((op, g_y))
 
@@ -251,7 +228,7 @@ def rm_loss(y, shat, sampler, cfg, seed=0, want_grad=False,
         if not want_grad:
             return None
         op, g_y = backprop[i]
-        return op.adjoint(Spectrogram(g_y, y.config), t_s).data
+        return op.adjoint(Spectrogram(g_y, y.config, len(x)))
 
     if cfg.variant in ("single",) or n_draws == 1:
         l_c, l_m, alpha, total = per_draw[0]

@@ -149,9 +149,9 @@ class Spectrogram:
 
     - full: ``num_bins`` (F) rows, any complex grid;
     - one-sided: ``half_bins`` (F // 2 + 1) rows, the non-negative bins of a
-      real signal's STFT, standing for the Hermitian full grid that
-      :meth:`hermitian` returns. The imaginary parts of the DC (and, for even
-      F, Nyquist) rows are ignored, as a real inverse FFT ignores them.
+      real signal's STFT, standing for its Hermitian full grid. The imaginary
+      parts of the DC (and, for even F, Nyquist) rows are ignored, as a real
+      inverse FFT ignores them.
     """
 
     data: np.ndarray
@@ -180,27 +180,13 @@ class Spectrogram:
         return Spectrogram(self.data[:self.config.half_bins], self.config,
                            self.num_samples)
 
-    def hermitian(self):
-        """The full Hermitian grid a one-sided grid stands for: real DC (and
-        Nyquist) rows, and row F - f the conjugate of row f."""
-        if not self.one_sided:
-            raise ValueError("hermitian() takes a one-sided grid")
-        f_bins, half = self.config.num_bins, self.config.half_bins
-        full = np.empty((f_bins, self.num_frames), dtype=np.complex128)
-        full[:half] = self.data
-        full[0] = full[0].real
-        if f_bins % 2 == 0:
-            full[half - 1] = full[half - 1].real
-        full[half:] = np.conj(full[f_bins - half:0:-1])
-        return Spectrogram(full, self.config, self.num_samples)
-
 
 def num_frames_for(num_samples, cfg):
     """Frame count for a signal of the given length under the framing policy."""
     return -(-(num_samples + cfg.head_pad) // cfg.hop)
 
 
-def stft(x, cfg):
+def stft(x, cfg, one_sided=False):
     """Short-time Fourier transform of a signal (or raw 1-D array).
 
     Parameters
@@ -208,11 +194,14 @@ def stft(x, cfg):
     x : Signal or ndarray
         Non-empty mono signal.
     cfg : StftConfig
+    one_sided : bool
+        Return only the F // 2 + 1 non-negative bins, computed with a real
+        FFT; they equal the full grid's first rows to rounding.
 
     Returns
     -------
     Spectrogram
-        Full-band complex grid, F = win_len rows.
+        Full-band complex grid (F = win_len rows), or its one-sided half.
     """
     samples = x.samples if isinstance(x, Signal) else np.asarray(x, dtype=np.float64)
     if samples.ndim != 1 or len(samples) == 0:
@@ -223,12 +212,14 @@ def stft(x, cfg):
     buf = np.zeros((t_frames - 1) * hop + n)
     buf[cfg.head_pad:cfg.head_pad + n_samp] = samples
     frames = np.lib.stride_tricks.sliding_window_view(buf, n)[::hop]
-    spec = np.fft.fft(frames * cfg.analysis_window, axis=1).T
+    fft = np.fft.rfft if one_sided else np.fft.fft
+    spec = fft(frames * cfg.analysis_window, axis=1).T
     return Spectrogram(np.ascontiguousarray(spec), cfg, num_samples=n_samp)
 
 
 def istft(spec, length=None):
-    """Inverse STFT by overlap-add with the synthesis window.
+    """Inverse STFT by overlap-add with the synthesis window, of a full grid
+    (real part of a complex inverse FFT) or a one-sided one (``irfft``).
 
     ``length`` defaults to the spectrogram's recorded ``num_samples`` when
     available, otherwise to the full frame lattice span.
@@ -243,7 +234,11 @@ def istft(spec, length=None):
     if length is None:
         length = t_frames * hop
     buf = np.zeros((t_frames - 1) * hop + n)
-    frames = np.real(np.fft.ifft(spec.data.T, axis=1)) * cfg.synthesis_window
+    if spec.one_sided:
+        frames = np.fft.irfft(spec.data.T, n=n, axis=1)
+    else:
+        frames = np.real(np.fft.ifft(spec.data.T, axis=1))
+    frames = frames * cfg.synthesis_window
     for t in range(t_frames):
         buf[t * hop:t * hop + n] += frames[t]
     out = np.zeros(length)

@@ -1,7 +1,6 @@
 """Training-less dereverberation: per-sample minimization of the
-reverberation-matching objective over the dry STFT, with probabilistic or
-degenerate (known-RIR) samplers. The solve runs on the one-sided grid of the
-real dry signal (see :class:`~revmatch.signals.Spectrogram`)."""
+reverberation-matching objective over the real dry signal, with probabilistic
+or degenerate (known-RIR) samplers."""
 
 from dataclasses import dataclass, field
 
@@ -12,7 +11,8 @@ from .loss import LossConfig, rm_loss
 from .records import format_records
 from .rir import AcousticParams, DiracSampler, PolackSampler, Rir
 from .seeding import STREAM_SOLVER_ITERS, as_path
-from .signals import Signal, Spectrogram, default_stft_config, istft, stft
+from .signals import (Signal, Spectrogram, default_stft_config, istft,
+                      row_weights, stft)
 
 STEP_RULES = ("adam", "fixed")
 
@@ -25,7 +25,8 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Iteration budget and step rule for the per-sample solver.
 
-    ``step_size`` applies to the internally unit-RMS-normalized observation.
+    ``step_size`` is relative to the dry signal, which the solver normalizes
+    to unit RMS; the ``fixed`` rule divides it by the window length.
     """
 
     max_iters: int = 500
@@ -88,32 +89,23 @@ def _as_sampler(params):
     raise TypeError("params must be AcousticParams, Rir, or a sampler")
 
 
-def dry_frames(num_wet_frames, rir_length, cfg):
-    """Dry-grid frame count for a wet grid and an RIR of known length."""
-    shift = -(-(rir_length - 1) // cfg.hop)
-    t_s = num_wet_frames - shift
-    if t_s < 1:
-        raise ValueError("observation shorter than the RIR support")
-    return t_s
-
-
 def trainingless_dereverb(y, params, cfg=None):
-    """Minimize the reverberation-matching objective over the dry STFT.
+    """Minimize the reverberation-matching objective over the real dry signal.
 
-    Starts from the observation itself, iterates first-order updates with
+    The iterate ``x`` has the observation's ``n = y.num_samples`` samples and
+    starts from them; its model under an RIR ``h`` is the one-sided STFT of
+    ``(h * x)[:n]`` (see :meth:`tfconv.ExactConv.forward`), scored against
+    ``y``'s first F // 2 + 1 rows. Iterates first-order updates with
     per-iteration RIR resampling for probabilistic samplers, and returns the
-    best-loss iterate.
-
-    The iterate, the loss and the operator work on the one-sided grid, the
-    F // 2 + 1 non-negative bins of a real signal's STFT: the observation's
-    half is taken once, and the returned grid is the Hermitian extension of
-    the best one-sided iterate, so ``istft``'s real part drops nothing.
+    one-sided STFT of the best-loss iterate, which ``istft`` turns back into
+    that iterate.
 
     Parameters
     ----------
     y : Spectrogram
-        Observed reverberant STFT of a real signal; only its first
-        F // 2 + 1 rows are read.
+        Observed reverberant STFT of a real signal of ``y.num_samples``
+        samples (when unset, the most samples its frames hold); only its
+        first F // 2 + 1 rows are read.
     params : AcousticParams, Rir, PolackSampler or DiracSampler
         Acoustic description; a Rir or DiracSampler pins the draw.
     cfg : SolverConfig, optional
@@ -125,7 +117,7 @@ def trainingless_dereverb(y, params, cfg=None):
     Raises
     ------
     ValueError
-        If the observation holds a non-finite value.
+        If the observation holds a non-finite value or is identically zero.
     DivergenceError
         If the loss turns non-finite or exceeds 10x its initial value.
     """
@@ -136,14 +128,20 @@ def trainingless_dereverb(y, params, cfg=None):
         raise ValueError("sampler sample rate invalid")
     if not np.all(np.isfinite(y.data)):
         raise ValueError("observation contains non-finite values")
-    t_s = dry_frames(y.num_frames, sampler.rir_length, y.config)
 
-    scale = np.linalg.norm(y.data) / np.sqrt(y.data.size)
+    n = y.num_samples
+    if n is None:
+        # the longest signal whose analysis has the grid's frames
+        n = y.num_frames * y.config.hop - y.config.head_pad
+    y_half = y.half()
+    x = istft(y_half, length=n)
+    scale = np.sqrt(np.mean(x ** 2))
     if scale == 0:
         raise ValueError("observation is identically zero")
-    floor = 1e-14 * float(np.sum(np.abs(y.data / scale) ** 2))
-    y_norm = Spectrogram(y.half().data / scale, y.config, y.num_samples)
-    shat = y_norm.data[:, :t_s].copy()
+    x /= scale
+    y_norm = Spectrogram(y_half.data / scale, y.config, n)
+    floor = 1e-14 * float(np.sum(row_weights(y.config)
+                                 * np.abs(y_norm.data) ** 2))
 
     fixed_ops = None
     if isinstance(sampler, DiracSampler):
@@ -151,16 +149,15 @@ def trainingless_dereverb(y, params, cfg=None):
 
     reports = []
     best_total = np.inf
-    best_shat = shat.copy()
+    best_x = x
     best_index = 0
     alpha_prev = 1.0
     moments = None
     converged = False
 
     for it in range(cfg.max_iters):
-        spec = Spectrogram(shat, y.config)
         report, grad = rm_loss(
-            y_norm, spec, sampler, cfg.loss_cfg,
+            y_norm, x, sampler, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
             want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops)
         alpha_prev = report.alpha
@@ -170,7 +167,7 @@ def trainingless_dereverb(y, params, cfg=None):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         if total < best_total:
             best_total = total
-            best_shat = shat.copy()
+            best_x = x
             best_index = it
         if it == 0:
             initial = total
@@ -188,27 +185,25 @@ def trainingless_dereverb(y, params, cfg=None):
                 break
 
         if cfg.step_rule == "fixed":
-            shat = shat - cfg.step_size * grad
+            # the analysis multiplies a sample's curvature by up to the
+            # window length, so the step is taken in units of it
+            x = x - (cfg.step_size / y.config.win_len) * grad
         else:
-            # the real and imaginary parts are independent Adam coordinates
-            g = grad.view(np.float64)
             if moments is None:
-                moments = (np.zeros_like(g), np.zeros_like(g))
+                moments = (np.zeros_like(grad), np.zeros_like(grad))
             m, v = moments
             b1, b2, eps = 0.9, 0.999, 1e-8
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g ** 2
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad ** 2
             moments = (m, v)
             tcorr = it + 1
             mhat = m / (1 - b1 ** tcorr)
             vhat = v / (1 - b2 ** tcorr)
-            step = mhat / (np.sqrt(vhat) + eps)
-            shat = shat - (cfg.step_size * step).view(np.complex128)
+            x = x - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
 
     trace = SolveTrace(reports=reports, best_index=best_index,
                        iterations_used=len(reports), converged=converged)
-    out = Spectrogram(best_shat * scale, y.config, y.num_samples).hermitian()
-    return out, trace
+    return stft(best_x * scale, y.config, one_sided=True), trace
 
 
 def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):

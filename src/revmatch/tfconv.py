@@ -2,17 +2,16 @@
 kernel reference.
 
 :class:`ExactConv` is the operator of the solver, the loss, the blind
-analyzer and ``reverberate --domain stft``. It applies the convolution
-matrix-free as the product it stands for: overlap-add synthesis with g_s,
-time-domain convolution with h, and analysis with g_a on the frame lattice.
-It takes either layout of :class:`~revmatch.signals.Spectrogram` and returns
-the same one:
+analyzer and ``reverberate --domain stft``, applied matrix-free:
 
-- a full grid (F rows, any complex grid) goes through complex FFTs;
-- a one-sided grid (F // 2 + 1 rows, standing for a Hermitian full grid)
-  goes through real FFTs: ``irfft`` synthesis, a real ``rfft``/``irfft``
-  convolution, and ``rfft`` analysis, at about half the cost. On Hermitian
-  grids its output is the first F // 2 + 1 rows of the full path's.
+- ``forward(x)`` models a real dry signal ``x`` of ``n`` samples: the
+  one-sided STFT of ``(h * x)[:n]``, by a real FFT convolution and ``rfft``
+  analysis. It is the analysis that made an ``n``-sample observation, so no
+  frame count depends on the RIR. ``adjoint`` maps a one-sided grid back to
+  ``n`` samples (analysis adjoint, overlap-add, correlation with h, crop).
+- ``forward_full(s)`` reverberates a full complex grid: overlap-add synthesis
+  with g_s, complex FFT convolution, analysis of every frame the convolution
+  covers. Only ``reverberate --domain stft`` uses it.
 
 The cross-band kernel (Avargel & Cohen, IEEE TASLP 2007) is the reference
 that ``bench`` and the band-truncation study use. Its entry for output bin f,
@@ -35,14 +34,14 @@ into its dense (F, T_tot * F) matrix on every call and do one matmul, at cost
 O(F^2 * T_tot * T_y) whatever the band radius. Nothing is cached.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from .rir import Rir
-from .signals import Spectrogram
+from .signals import Spectrogram, stft
 
 
 def _phi_table(cfg):
@@ -225,67 +224,20 @@ def _frames(x, n, hop, num_frames):
     return sliding_window_view(x[:span], n)[::hop]
 
 
-def _ffts(one_sided):
-    """The (forward, inverse) FFT pair of a layout: real FFTs for one-sided
-    grids, complex FFTs for full ones."""
-    if one_sided:
-        return np.fft.rfft, np.fft.irfft
-    return np.fft.fft, np.fft.ifft
-
-
-@dataclass
-class DrySynthesis:
-    """Overlap-add synthesis of a dry grid with ``g_s``, with its FFT cached
-    per transform length: every RIR the grid is convolved with shares one
-    synthesis and one transform. A full grid's synthesis is kept complex (no
-    real part is taken, so an inconsistent grid maps exactly); a one-sided
-    grid's is real, and its transform is a real FFT."""
-
-    signal: np.ndarray
-    num_frames: int
-    config: object
-    num_samples: int | None = None
-    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def one_sided(self):
-        return not np.iscomplexobj(self.signal)
-
-    def spectrum(self, n_fft):
-        x_f = self._spectra.get(n_fft)
-        if x_f is None:
-            x_f = _ffts(self.one_sided)[0](self.signal, n=n_fft)
-            self._spectra[n_fft] = x_f
-        return x_f
-
-
-def synthesize(spec):
-    """Synthesis step of the exact operator for a dry Spectrogram: complex
-    for a full grid, real (``irfft`` of the one-sided rows) for a one-sided
-    grid."""
-    cfg = spec.config
-    ifft = _ffts(spec.one_sided)[1]
-    frames = ifft(spec.data.T, n=cfg.win_len, axis=1) * cfg.synthesis_window
-    return DrySynthesis(_overlap_add(frames, cfg.hop), spec.num_frames, cfg,
-                        spec.num_samples)
-
-
 class ExactConv:
     """Exact STFT-domain convolution with one RIR, applied matrix-free.
 
-    On a full grid, ``forward`` equals ``apply(build_kernel(h, cfg, "full"),
-    s)`` (up to rounding) for any complex grid ``s``, and ``adjoint`` is its
-    adjoint under <A, B> = sum A conj(B).
+    ``forward`` maps a real dry signal of ``n`` samples to the one-sided STFT
+    of its reverberation cut to ``n`` samples, and ``adjoint`` is its adjoint
+    under <A, B> = sum_f w_f Re(A conj B) with the row weights of
+    :func:`~revmatch.signals.row_weights` (the full-grid inner product of
+    the Hermitian grids), and the dot product on signals.
 
-    On a one-sided grid both maps use real FFTs and return one-sided grids.
-    For a Hermitian full grid they equal the first F // 2 + 1 rows of the
-    full maps, and ``adjoint`` is the adjoint of ``forward`` under
-    <A, B> = sum_f w_f Re(A conj B), with the row weights of
-    :func:`~revmatch.signals.row_weights` (the full-grid inner product of the
-    Hermitian grids).
+    ``forward_full`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up
+    to rounding) for any complex grid ``s``.
 
-    The RIR's spectrum is computed once per transform length and layout and
-    shared by the forward and adjoint maps.
+    The RIR's real spectrum is computed once per transform length and shared
+    by ``forward`` and ``adjoint``.
     """
 
     def __init__(self, h, cfg):
@@ -296,58 +248,57 @@ class ExactConv:
         self.t_h = kernel_frames(len(self.taps), cfg)
         self._spectra = {}
 
-    def _spectrum(self, dry_length, one_sided):
-        """FFT length for a dry signal of the given length, and the RIR's
-        spectrum at it (a real FFT for the one-sided layout); long enough
-        that neither map wraps around."""
-        n_fft = next_fast_len(dry_length + len(self.taps) - 1, one_sided)
-        h_f = self._spectra.get((n_fft, one_sided))
+    def _spectrum(self, num_samples):
+        """FFT length for a dry signal of ``num_samples`` samples, and the
+        RIR's real spectrum at it; long enough that neither map wraps
+        around."""
+        n_fft = next_fast_len(num_samples + len(self.taps) - 1, True)
+        h_f = self._spectra.get(n_fft)
         if h_f is None:
-            h_f = _ffts(one_sided)[0](self.taps, n=n_fft)
-            self._spectra[(n_fft, one_sided)] = h_f
+            h_f = np.fft.rfft(self.taps, n=n_fft)
+            self._spectra[n_fft] = h_f
         return n_fft, h_f
 
     def _check(self, cfg):
         if not self.cfg.same_grid(cfg):
             raise ValueError("spectrogram config does not match operator config")
 
-    def forward(self, dry, num_frames=None):
-        """Reverberate a dry grid (Spectrogram or its DrySynthesis).
+    def forward(self, x):
+        """One-sided STFT of ``(h * x)[:len(x)]`` for a real dry signal."""
+        n = len(x)
+        n_fft, h_f = self._spectrum(n)
+        wet = np.fft.irfft(np.fft.rfft(x, n=n_fft) * h_f, n=n_fft)[:n]
+        return stft(wet, self.cfg, one_sided=True)
 
-        Returns ``num_frames`` analysis frames, by default all
-        T_s + t_h - 1 frames the convolution covers; fewer frames crop the
-        grid, more frames are zero. The output has the dry grid's layout.
-        """
-        if isinstance(dry, Spectrogram):
-            dry = synthesize(dry)
+    def adjoint(self, grid):
+        """Adjoint of :meth:`forward`: a one-sided grid of the frames of
+        ``grid.num_samples`` samples back to a real signal of that length."""
+        self._check(grid.config)
+        cfg = self.cfg
+        n = grid.num_samples
+        frames = np.fft.irfft(grid.data.T, n=cfg.win_len, axis=1)
+        frames *= cfg.win_len * cfg.analysis_window
+        wet_adj = _overlap_add(frames, cfg.hop)[cfg.head_pad:cfg.head_pad + n]
+        n_fft, h_f = self._spectrum(n)
+        return np.fft.irfft(np.fft.rfft(wet_adj, n=n_fft) * np.conj(h_f),
+                            n=n_fft)[:n]
+
+    def forward_full(self, dry):
+        """Reverberate a full complex grid: complex overlap-add synthesis (no
+        real part taken, so an inconsistent grid maps exactly), convolution,
+        and analysis of all T_s + t_h - 1 frames the convolution covers."""
         self._check(dry.config)
         cfg = self.cfg
-        if num_frames is None:
-            num_frames = dry.num_frames + self.t_h - 1
-        fft, ifft = _ffts(dry.one_sided)
-        n_fft, h_f = self._spectrum(len(dry.signal), dry.one_sided)
-        wet_len = len(dry.signal) + len(self.taps) - 1
-        wet = ifft(dry.spectrum(n_fft) * h_f, n=n_fft)[:wet_len]
-        frames = _frames(wet, cfg.win_len, cfg.hop, num_frames)
-        y = fft(frames * cfg.analysis_window, axis=1).T
+        frames = np.fft.ifft(dry.data.T, n=cfg.win_len, axis=1)
+        signal = _overlap_add(frames * cfg.synthesis_window, cfg.hop)
+        wet_len = len(signal) + len(self.taps) - 1
+        n_fft = next_fast_len(wet_len, False)
+        wet = np.fft.ifft(np.fft.fft(signal, n=n_fft)
+                          * np.fft.fft(self.taps, n=n_fft), n=n_fft)[:wet_len]
+        frames = _frames(wet, cfg.win_len, cfg.hop,
+                         dry.num_frames + self.t_h - 1)
+        y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
         n_samp = None
         if dry.num_samples is not None:
             n_samp = dry.num_samples + len(self.taps) - 1
         return Spectrogram(np.ascontiguousarray(y), cfg, num_samples=n_samp)
-
-    def adjoint(self, grid, num_frames):
-        """Adjoint of :meth:`forward` for a dry grid of ``num_frames`` frames:
-        maps any number of wet frames back to ``num_frames`` frames, in the
-        wet grid's layout."""
-        self._check(grid.config)
-        cfg = self.cfg
-        n = cfg.win_len
-        fft, ifft = _ffts(grid.one_sided)
-        frames = ifft(grid.data.T, n=n, axis=1) * (n * cfg.analysis_window)
-        dry_len = (num_frames - 1) * cfg.hop + n
-        n_fft, h_f = self._spectrum(dry_len, grid.one_sided)
-        wet_adj = _overlap_add(frames, cfg.hop)[:dry_len + len(self.taps) - 1]
-        dry_adj = ifft(fft(wet_adj, n=n_fft) * np.conj(h_f), n=n_fft)
-        frames = _frames(dry_adj, n, cfg.hop, num_frames)
-        x = fft(frames * cfg.synthesis_window, axis=1).T / n
-        return Spectrogram(np.ascontiguousarray(x), cfg)

@@ -11,10 +11,11 @@ from scipy.signal import fftconvolve
 import revmatch.blind as blind
 import revmatch.cli as cli
 from revmatch.cli import main
-from revmatch.blind import Rt60Calibration, speech_like_noise
+from revmatch.blind import BlindConfig, Rt60Calibration, speech_like_noise
 from revmatch.records import read_records
 from revmatch.rir import AcousticParams, params_to_file, read_rir, sample_rir
 from revmatch.signals import Signal, read_wav, stft, write_wav
+from revmatch.solver import SolverConfig
 
 FS = 16000
 
@@ -259,6 +260,15 @@ def test_dereverb_draws_set_only_the_loss_draws(tmp_path, monkeypatch):
                "--variant", "average", "--draws", 2,
                "-o", tmp_path / "dry.wav") == 0
     assert [c.draws_per_point for c in received] == [3]
+
+
+def test_dereverb_defaults_are_the_config_defaults():
+    # with no flag and no config file, the CLI builds the library's defaults
+    args = cli.build_parser().parse_args(
+        ["dereverb", "--in", "wet.wav", "-o", "dry.wav"])
+    opts = cli._Options(args)
+    assert cli._solver_config(opts, (7, 1)) == SolverConfig(seed=(7, 1))
+    assert cli._blind_config(opts) == BlindConfig()
 
 
 def test_dereverb_requires_params_or_calibration(tmp_path):

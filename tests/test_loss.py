@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-import revmatch.tfconv as tfconv
-from revmatch.loss import (DegenerateGradNorm, LossConfig, _align_frames,
-                           grad_complex, grad_mag, gradnorm_alpha,
-                           loss_complex, loss_mag, rm_loss)
+from revmatch.loss import (DegenerateGradNorm, LossConfig, grad_complex,
+                           grad_mag, gradnorm_alpha, loss_complex, loss_mag,
+                           rm_loss)
 from revmatch.rir import AcousticParams, DiracSampler, PolackSampler, sample_rir
-from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
-                              hann_window, stft)
+from revmatch.seeding import STREAM_LOSS_DRAWS, derive_rng
+from revmatch.signals import (StftConfig, canonical_dual_window, hann_window,
+                              stft)
 from scipy.signal import fftconvolve
 
 FS = 16000
@@ -83,6 +83,11 @@ def test_gradnorm_degenerate_raises():
         gradnorm_alpha(y, np.zeros((4, 3), dtype=complex))
 
 
+def padded(s, y):
+    """The dry signal zero-padded to the observation's length."""
+    return np.concatenate([s, np.zeros(y.num_samples - len(s))])
+
+
 def make_problem(seed=7, n_h=400, n_s=4000, cfg=None):
     cfg = cfg or small_cfg()
     params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
@@ -94,18 +99,17 @@ def make_problem(seed=7, n_h=400, n_s=4000, cfg=None):
 
 
 def test_rm_loss_dirac_exact_match(cfg):
-    # re-reverberating the true dry grid with the true kernel matches Y
+    # re-reverberating the true dry signal with the true RIR matches Y
     h, s, wet = make_problem(seed=8)
     y = stft(wet, cfg)
-    s_spec = stft(s, cfg)
-    report, _ = rm_loss(y, s_spec, DiracSampler(h), LossConfig())
+    report, _ = rm_loss(y, padded(s, y), DiracSampler(h), LossConfig())
     assert report.l_complex <= 1e-12 * np.sum(np.abs(y.data) ** 2)
 
 
 def test_rm_loss_dirac_collapse_across_variants(cfg):
     h, s, wet = make_problem(seed=9)
     y = stft(wet, cfg)
-    shat = Spectrogram(stft(s, cfg).data * 0.9, cfg)
+    shat = 0.9 * padded(s, y)
     sampler = DiracSampler(h)
     reports = {}
     for variant, draws in [("single", 1), ("average", 10), ("best", 10)]:
@@ -125,7 +129,7 @@ def test_rm_loss_best_not_worse_than_average(cfg):
     s = rng.standard_normal(5000)
     h = sample_rir(params, rng=0)
     y = stft(fftconvolve(s, h.taps), cfg)
-    shat = stft(s, cfg)
+    shat = padded(s, y)
     for seed in range(5):
         avg, _ = rm_loss(y, shat, sampler,
                          LossConfig(variant="average", num_draws=4),
@@ -145,7 +149,7 @@ def test_rm_loss_selected_draw_is_argmin_and_scale_invariant(cfg):
     s = rng.standard_normal(4000)
     h = sample_rir(params, rng=1)
     y = stft(fftconvolve(s, h.taps), cfg)
-    shat = stft(s, cfg)
+    shat = padded(s, y)
     report, grad = rm_loss(y, shat, sampler,
                            LossConfig(variant="best", num_draws=5),
                            seed=4, want_grad=True)
@@ -158,36 +162,33 @@ def test_rm_loss_selected_draw_is_argmin_and_scale_invariant(cfg):
     assert cos == pytest.approx(1.0, rel=1e-12)
 
 
+def reference_loss(y, x, taps, alpha):
+    """l_complex + alpha * l_mag of one draw on the full grids: the STFT of
+    (h * x) cut to len(x), against y's full grid."""
+    yhat = stft(fftconvolve(x, taps)[:len(x)], y.config).data
+    return loss_complex(y.data, yhat) + alpha * loss_mag(y.data, yhat)
+
+
 def test_rm_loss_gradient_matches_finite_differences():
+    # central differences in every sample of x, with the weight held at the
+    # value the analytic gradient treats as constant
     cfg = small_cfg()
     rng = np.random.default_rng(12)
     params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
     h = sample_rir(params, rng=rng)
-    sampler = DiracSampler(h)
-    t_s, t_y = 4, 6
-    y = Spectrogram(random_grid(rng, (6, t_y)), cfg)
-    s0 = random_grid(rng, (6, t_s))
-    report, grad = rm_loss(y, Spectrogram(s0, cfg), sampler, LossConfig(),
+    x0 = rng.standard_normal(20)
+    y = stft(rng.standard_normal(20), cfg)
+    report, grad = rm_loss(y, x0, DiracSampler(h), LossConfig(),
                            want_grad=True)
-    alpha = report.alpha
-    kernel = tfconv.build_kernel(h, cfg, "full")
-
-    def loss_at(grid):
-        yhat = _align_frames(
-            tfconv.apply(kernel, Spectrogram(grid, cfg)).data, t_y)
-        return loss_complex(y.data, yhat) + alpha * loss_mag(y.data, yhat)
-
+    assert grad.shape == x0.shape
     eps = 1e-4
-    fd = np.zeros_like(s0)
-    for f in range(6):
-        for t in range(t_s):
-            for comp in (1.0, 1j):
-                plus = s0.copy()
-                plus[f, t] += eps * comp
-                minus = s0.copy()
-                minus[f, t] -= eps * comp
-                d = (loss_at(plus) - loss_at(minus)) / (2 * eps)
-                fd[f, t] += d if comp == 1.0 else 1j * d
+    fd = np.zeros_like(x0)
+    for k in range(len(x0)):
+        step = np.zeros_like(x0)
+        step[k] = eps
+        plus = reference_loss(y, x0 + step, h.taps, report.alpha)
+        minus = reference_loss(y, x0 - step, h.taps, report.alpha)
+        fd[k] = (plus - minus) / (2 * eps)
     assert np.linalg.norm(fd - grad) / np.linalg.norm(fd) <= 1e-5
 
 
@@ -205,14 +206,13 @@ def test_rm_loss_gradnorm_fallback_on_zero_estimate(cfg):
     # vanishes, and the weight falls back to the supplied value
     h, s, wet = make_problem(seed=14)
     y = stft(wet, cfg)
-    t_s = stft(s, cfg).num_frames
-    zero = Spectrogram(np.zeros((cfg.num_bins, t_s), dtype=complex), cfg)
+    zero = np.zeros(y.num_samples)
     rep, grad = rm_loss(y, zero, DiracSampler(h), LossConfig(),
                         want_grad=True, alpha_fallback=2.5)
     assert rep.alpha == 2.5
     assert rep.l_mag > 0
     assert rep.total == pytest.approx(rep.l_complex + 2.5 * rep.l_mag)
-    assert np.all(np.isfinite(grad.real)) and np.all(np.isfinite(grad.imag))
+    assert np.all(np.isfinite(grad))
 
 
 def test_loss_report_invariant_average(cfg):
@@ -221,7 +221,7 @@ def test_loss_report_invariant_average(cfg):
     rng = np.random.default_rng(13)
     s = rng.standard_normal(4000)
     y = stft(fftconvolve(s, sample_rir(params, rng=2).taps), cfg)
-    shat = stft(s, cfg)
+    shat = padded(s, y)
     rep, _ = rm_loss(y, shat, sampler, LossConfig(variant="average", num_draws=3),
                      seed=5)
     assert rep.total == pytest.approx(rep.l_complex + rep.alpha * rep.l_mag,
@@ -232,31 +232,47 @@ def test_loss_report_invariant_average(cfg):
     ("single", 1), ("average", 3), ("best", 3)])
 @pytest.mark.parametrize("n, hop", [(6, 3), (8, 4), (512, 256)])
 def test_rm_loss_one_sided_equals_full_hermitian(n, hop, variant, draws):
-    # the row-weighted loss on the one-sided grid is the full-band loss of
-    # the Hermitian grid, and its gradient the full gradient's first rows
+    # the row-weighted loss on the one-sided grids is the full-band loss of
+    # the full grids, draw by draw, with the full-band gradient-norm weight;
+    # the gradient is the derivative of the full-band loss along any
+    # direction
     g_a = hann_window(n)
     op_cfg = StftConfig(n, hop, g_a, canonical_dual_window(g_a, hop))
     params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
     rng = np.random.default_rng(15)
-    s = rng.standard_normal(2000)
-    y = stft(fftconvolve(s, sample_rir(params, rng=rng).taps), op_cfg)
-    half = Spectrogram(random_grid(rng, (op_cfg.half_bins, 5 + 2000 // hop)),
-                       op_cfg)
+    y = stft(fftconvolve(rng.standard_normal(2000),
+                         sample_rir(params, rng=rng).taps), op_cfg)
+    x = rng.standard_normal(y.num_samples)
     cfg = LossConfig(variant=variant, num_draws=draws)
     sampler = PolackSampler(params)
-    ref, grad_full = rm_loss(y, half.hermitian(), sampler, cfg, seed=4,
-                             want_grad=True)
-    rep, grad = rm_loss(y.half(), half, sampler, cfg, seed=4, want_grad=True)
-    for key in ("l_complex", "l_mag", "alpha", "total"):
-        assert getattr(rep, key) == pytest.approx(getattr(ref, key), rel=1e-12)
-    assert rep.selected_draw == ref.selected_draw
-    assert grad.shape == half.data.shape
-    scale = np.linalg.norm(grad_full)
-    assert np.linalg.norm(grad - grad_full[:op_cfg.half_bins]) <= 1e-12 * scale
+    rep, grad = rm_loss(y, x, sampler, cfg, seed=4, want_grad=True)
+    taps = [sampler.draw(derive_rng(4, STREAM_LOSS_DRAWS, i)).taps
+            for i in range(draws)]
+    for (l_c, l_m, alpha, total), h in zip(rep.per_draw, taps):
+        yhat = stft(fftconvolve(x, h)[:len(x)], op_cfg).data
+        assert l_c == pytest.approx(loss_complex(y, yhat), rel=1e-12)
+        assert l_m == pytest.approx(loss_mag(y, yhat), rel=1e-12)
+        assert alpha == pytest.approx(gradnorm_alpha(y, yhat), rel=1e-12)
+        assert total == pytest.approx(l_c + alpha * l_m, rel=1e-12)
+    totals = [d[3] for d in rep.per_draw]
+    used = range(draws) if variant == "average" else [int(np.argmin(totals))]
+    if variant == "best":
+        assert rep.selected_draw == used[0]
+
+    def loss_along(t, v):
+        return np.mean([reference_loss(y, x + t * v, taps[i],
+                                       rep.per_draw[i][2]) for i in used])
+
+    eps = 1e-4
+    for _ in range(3):
+        v = rng.standard_normal(len(x))
+        v /= np.linalg.norm(v)
+        fd = (loss_along(eps, v) - loss_along(-eps, v)) / (2 * eps)
+        assert np.dot(grad, v) == pytest.approx(fd, rel=1e-5)
 
 
-def test_rm_loss_rejects_mixed_layouts(cfg):
+def test_rm_loss_rejects_an_estimate_off_the_observation_frames(cfg):
     h, s, wet = make_problem(seed=16)
     y = stft(wet, cfg)
-    with pytest.raises(ValueError, match="one-sided"):
-        rm_loss(y, stft(s, cfg).half(), DiracSampler(h), LossConfig())
+    with pytest.raises(ValueError, match="shape"):
+        rm_loss(y, s, DiracSampler(h), LossConfig())

@@ -44,6 +44,24 @@ def test_roundtrip_perfect_reconstruction(cfg, length):
     assert np.linalg.norm(back - x) / np.linalg.norm(x) <= 1e-10
 
 
+@pytest.mark.parametrize("n, hop", [(512, 256), (8, 4)])
+@pytest.mark.parametrize("length", [1000, 1001])
+def test_istft_inverts_a_one_sided_grid(n, hop, length):
+    g_a = hann_window(n)
+    cfg = StftConfig(n, hop, g_a, canonical_dual_window(g_a, hop))
+    x = np.random.default_rng(length).standard_normal(length)
+    full = stft(x, cfg)
+    half = stft(x, cfg, one_sided=True)
+    assert half.one_sided
+    assert np.linalg.norm(half.data - full.half().data) <= (
+        1e-12 * np.linalg.norm(full.data))
+    ref = istft(full)
+    for grid in (full.half(), half):
+        back = istft(grid)
+        assert len(back) == length
+        assert np.linalg.norm(back - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_stft_linearity(cfg):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(5000)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-import revmatch.tfconv as tfconv
 from conftest import rel_frame_error
-from revmatch.loss import LossConfig, rm_loss
-from revmatch.rir import AcousticParams, PolackSampler, sample_rir
+from revmatch.rir import AcousticParams, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, row_weights, stft)
 from revmatch.tfconv import (ExactConv, apply, apply_adjoint, build_kernel,
@@ -180,117 +178,49 @@ def test_exact_operator_matches_full_band_kernel(cfg, num_taps):
     h = rng.standard_normal(num_taps) * np.exp(-np.arange(num_taps) / 300.0)
     s = Spectrogram(random_grid(rng, (cfg.num_bins, 6)), cfg)
     ref = apply(build_kernel(h, cfg, "full"), s).data
-    y = ExactConv(h, cfg).forward(s).data
+    y = ExactConv(h, cfg).forward_full(s).data
     assert y.shape == ref.shape
     assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 1e-12
-
-
-def test_exact_operator_adjoint_identity():
-    cfg = small_cfg()
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for trial in range(100):
-        op = ExactConv(rng.standard_normal(int(rng.integers(2, 24))), cfg)
-        t_s = int(rng.integers(1, 7))
-        # wet frame counts below, at and above the convolution's support
-        t_y = int(rng.integers(1, t_s + op.t_h + 2))
-        s = Spectrogram(random_grid(rng, (8, t_s)), cfg)
-        y = op.forward(s, t_y)
-        g = Spectrogram(random_grid(rng, y.data.shape), cfg)
-        x = op.adjoint(g, t_s)
-        assert y.data.shape == (8, t_y) and x.data.shape == (8, t_s)
-        lhs = np.sum(y.data * np.conj(g.data))
-        rhs = np.sum(s.data * np.conj(x.data))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
-    assert worst <= 1e-10
-
-
-def test_rm_loss_synthesizes_the_dry_grid_once(cfg, monkeypatch):
-    params = AcousticParams(rt60=0.15, drr_db=0.0, sample_rate=FS)
-    rng = np.random.default_rng(24)
-    s = rng.standard_normal(4000)
-    y = stft(fftconvolve(s, sample_rir(params, rng=1).taps), cfg)
-    counts = {"synthesize": 0, "operators": 0}
-    real_synthesize, real_init = tfconv.synthesize, ExactConv.__init__
-
-    def counting_synthesize(spec):
-        counts["synthesize"] += 1
-        return real_synthesize(spec)
-
-    def counting_init(self, h, op_cfg):
-        counts["operators"] += 1
-        real_init(self, h, op_cfg)
-
-    monkeypatch.setattr(tfconv, "synthesize", counting_synthesize)
-    monkeypatch.setattr(ExactConv, "__init__", counting_init)
-    rm_loss(y, stft(s, cfg), PolackSampler(params),
-            LossConfig("average", 4), want_grad=True)
-    assert counts == {"synthesize": 1, "operators": 4}
-
-
-def mirror(n):
-    """Row index of each bin's mirror: the conjugate row of a Hermitian
-    grid."""
-    return -np.arange(n) % n
-
-
-def hermitian_grids(rng, op_cfg, num_samples):
-    """Two Hermitian full grids: the STFT of a real signal, and the
-    Hermitian extension of a random one-sided grid."""
-    real_stft = stft(rng.standard_normal(num_samples), op_cfg)
-    half = random_grid(rng, (op_cfg.half_bins, real_stft.num_frames))
-    extended = Spectrogram(half, op_cfg).hermitian()
-    for grid in (real_stft, extended):
-        mirrored = grid.data[mirror(op_cfg.num_bins)]
-        assert np.allclose(grid.data, np.conj(mirrored))
-    return real_stft, extended
-
-
-def rel_diff(a, b):
-    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n, hop, num_taps", [
     (8, 4, 3), (8, 4, 21), (6, 3, 2), (6, 3, 17), (512, 256, 300),
     (512, 256, 1300)])
 def test_one_sided_operator_equals_full_rows(n, hop, num_taps):
-    # RIRs shorter and longer than the window; 6/3 has no Nyquist row
+    # forward(x) is the first F // 2 + 1 rows of the full STFT of the
+    # reverberant signal cut to len(x): signals shorter and longer than the
+    # RIR and the window; 6/3 has no Nyquist row
     op_cfg = small_cfg(n, hop)
-    half = op_cfg.half_bins
     rng = np.random.default_rng(25)
-    op = ExactConv(rng.standard_normal(num_taps), op_cfg)
-    for full in hermitian_grids(rng, op_cfg, 12 * n + 5):
-        t_s = full.num_frames
-        for t_y in (t_s, t_s + op.t_h - 1, t_s + op.t_h + 2):
-            y_full = op.forward(full, t_y).data
-            y_half = op.forward(full.half(), t_y).data
-            assert y_half.shape == (half, t_y)
-            assert rel_diff(y_half, y_full[:half]) <= 1e-12
-            g = Spectrogram(y_full, op_cfg)
-            x_full = op.adjoint(g, t_s).data
-            x_half = op.adjoint(g.half(), t_s).data
-            assert x_half.shape == (half, t_s)
-            assert rel_diff(x_half, x_full[:half]) <= 1e-12
+    h = rng.standard_normal(num_taps)
+    op = ExactConv(h, op_cfg)
+    for num_samples in (1, num_taps // 2 + 1, 12 * n + 5):
+        x = rng.standard_normal(num_samples)
+        y = op.forward(x)
+        ref = stft(fftconvolve(x, h)[:num_samples], op_cfg)
+        assert y.one_sided and y.num_samples == num_samples
+        assert y.data.shape == (op_cfg.half_bins, ref.num_frames)
+        assert (np.linalg.norm(y.data - ref.data[:op_cfg.half_bins])
+                <= 1e-12 * np.linalg.norm(ref.data))
 
 
 @pytest.mark.parametrize("n, hop", [(8, 4), (6, 3)])
 def test_one_sided_adjoint_identity(n, hop):
-    # <A s, g>_w == <s, A* g>_w with <a, b>_w = sum_f w_f Re(a conj b), on
-    # arbitrary one-sided grids (DC and Nyquist rows not real)
+    # <A x, g>_w == x . A* g with <a, b>_w = sum_f w_f Re(a conj b), for
+    # arbitrary one-sided grids g (DC and Nyquist rows not real) and signals
+    # shorter and longer than the RIR
     op_cfg = small_cfg(n, hop)
     w = row_weights(op_cfg)
     rng = np.random.default_rng(26)
     worst = 0.0
     for trial in range(100):
         op = ExactConv(rng.standard_normal(int(rng.integers(2, 24))), op_cfg)
-        t_s = int(rng.integers(1, 7))
-        t_y = int(rng.integers(1, t_s + op.t_h + 2))
-        s = Spectrogram(random_grid(rng, (op_cfg.half_bins, t_s)), op_cfg)
-        y = op.forward(s, t_y)
-        g = Spectrogram(random_grid(rng, y.data.shape), op_cfg)
-        x = op.adjoint(g, t_s)
-        assert y.one_sided and x.one_sided
+        x = rng.standard_normal(int(rng.integers(1, 40)))
+        y = op.forward(x)
+        g = Spectrogram(random_grid(rng, y.data.shape), op_cfg, len(x))
+        x_adj = op.adjoint(g)
+        assert x_adj.shape == x.shape and not np.iscomplexobj(x_adj)
         lhs = np.sum(w * np.real(y.data * np.conj(g.data)))
-        rhs = np.sum(w * np.real(s.data * np.conj(x.data)))
+        rhs = np.dot(x, x_adj)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     assert worst <= 1e-10

@@ -8,7 +8,7 @@ from .blind import (BlindConfig, BlindEstimate, InsufficientDecay,
                     speech_like_noise, speech_shaped_noise)
 from .loss import (DegenerateGradNorm, LossConfig, LossReport, gradnorm_alpha,
                    loss_complex, loss_mag, rm_loss)
-from .metrics import MetricReport, evaluate, param_errors, sisdr
+from .metrics import MetricReport, evaluate, sisdr
 from .rir import (AcousticParams, DiracSampler, EdcAnalysis, PolackSampler,
                   Rir, analyze_rir, edc, min_rir_length, read_rir, sample_rir,
                   sigma_from_drr, tau_from_rt60, write_rir)
@@ -32,7 +32,7 @@ __all__ = [
     "calibrate_rt60", "default_stft_config", "dereverb_pipeline", "edc",
     "evaluate", "fit_rt60_polynomial", "gradnorm_alpha", "istft",
     "loss_complex", "loss_mag",
-    "min_rir_length", "param_errors", "raw_decay_estimate", "read_rir",
+    "min_rir_length", "raw_decay_estimate", "read_rir",
     "read_wav", "rm_loss", "sample_rir", "sigma_from_drr", "sisdr",
     "speech_like_noise", "speech_shaped_noise", "stft", "tau_from_rt60",
     "trainingless_dereverb", "write_rir", "write_wav",

@@ -110,7 +110,8 @@ def _run_slopes(log_e, min_run):
     return np.concatenate(slopes) if slopes else np.empty(0)
 
 
-def raw_decay_estimate(spec, sample_rate=16000, min_run=3, band_floor_db=60.0):
+def raw_decay_estimate(spec, sample_rate=16000, min_run=BlindConfig.min_run,
+                       band_floor_db=BlindConfig.band_floor_db):
     """Median per-run decay time (seconds) over all bands of a spectrogram.
 
     The log-energies of the bands that pass ``band_floor_db`` form one
@@ -182,11 +183,19 @@ def fit_rt60_polynomial(raw_values, rt60_values):
                            residual=resid)
 
 
-def calibrate_rt60(pairs, sample_rate=16000, min_run=3, band_floor_db=60.0):
-    """Fit the calibration polynomial on (Spectrogram, rt60 seconds) pairs."""
-    raws = [raw_decay_estimate(spec, sample_rate, min_run, band_floor_db)
-            for spec, _ in pairs]
-    return fit_rt60_polynomial(raws, [rt60 for _, rt60 in pairs])
+def calibrate_rt60(pairs, sample_rate=16000, min_run=BlindConfig.min_run,
+                   band_floor_db=BlindConfig.band_floor_db):
+    """Fit the calibration polynomial on (Spectrogram, rt60 seconds) pairs.
+
+    ``pairs`` is read in one pass and may be any iterable: a generator holds
+    one spectrogram at a time, since only its raw decay statistic is kept.
+    """
+    raws, rt60s = [], []
+    for spec, rt60 in pairs:
+        raws.append(raw_decay_estimate(spec, sample_rate, min_run,
+                                       band_floor_db))
+        rt60s.append(rt60)
+    return fit_rt60_polynomial(raws, rt60s)
 
 
 def blind_drr(spec, rt60, grid=None,

@@ -1,5 +1,5 @@
-"""Evaluation metrics: scale-invariant SDR for signals and absolute parameter
-errors for the analyzers."""
+"""Evaluation metrics: scale-invariant SDR for signals, in a report that also
+carries the analyzers' absolute parameter errors."""
 
 from dataclasses import asdict, dataclass
 
@@ -53,24 +53,6 @@ def sisdr(est, ref):
         return SISDR_CAP_DB, True
     value = 10.0 * np.log10(tgt_energy / res_energy)
     return float(min(value, SISDR_CAP_DB)), False
-
-
-def param_errors(est, truth):
-    """Absolute RT60 (s) and DRR (dB) errors of an analyzer output.
-
-    Accepts blind estimates (rt60/drr_db fields) or non-blind analyses
-    (rt60_est/drr_est_db fields).
-    """
-    rt60_est = getattr(est, "rt60", None)
-    if rt60_est is None:
-        rt60_est = getattr(est, "rt60_est")
-    drr_est = getattr(est, "drr_db", None)
-    if drr_est is None:
-        drr_est = getattr(est, "drr_est_db")
-    return MetricReport(
-        rt60_abs_err_s=abs(float(rt60_est) - truth.rt60),
-        drr_abs_err_db=abs(float(drr_est) - truth.drr_db),
-    )
 
 
 def evaluate(est_sig, ref_sig):

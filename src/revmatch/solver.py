@@ -233,7 +233,7 @@ def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):
                                       sample_rate=sig.sample_rate)
         except blind.InsufficientDecay:
             est = None
-        if est is None or est.rt60 < blind_cfg.min_rt60:
+        if est is None or est.anechoic:
             cause = "insufficient-decay" if est is None else "anechoic"
             unchanged = Signal(sig.samples.copy(), sig.sample_rate)
             return unchanged, Passthrough(cause)

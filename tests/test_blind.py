@@ -210,6 +210,19 @@ def test_calibration_file_roundtrip(tmp_path):
     assert Rt60Calibration.from_file(path) == cal
 
 
+def test_calibrate_rt60_reads_a_generator_in_one_pass(cfg):
+    cases = [(0.3, 0.0), (0.6, 3.0), (0.9, -3.0), (0.45, 6.0)]
+
+    def pairs():
+        for i, (rt60, drr) in enumerate(cases):
+            yield make_reverberant(rt60, drr, 50 + i, 60 + i, duration=1.5,
+                                   cfg=cfg), rt60
+
+    from_list = calibrate_rt60(list(pairs()), FS)
+    assert calibrate_rt60(pairs(), FS) == from_list
+    assert from_list.n_pairs == len(cases)
+
+
 def test_calibration_experiment_accuracy(cfg):
     # build-time pinned protocol: 100 train / 50 held-out pairs, uniform
     # rt60 in [0.2, 1.0] s and drr in [-6, 10] dB; measured median abs err

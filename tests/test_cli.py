@@ -122,14 +122,17 @@ def test_eval_param_errors(tmp_path):
     truth_path = tmp_path / "truth.txt"
     params_to_file(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
     est_report = tmp_path / "est.txt"
-    est_report.write_text("rt60=0.6\ndrr_db=-1.0\n")
     out = tmp_path / "eval.txt"
-    assert run("eval", "--est", sig_path, "--ref", sig_path,
-               "--true-params", truth_path, "--est-report", est_report,
-               "-o", out) == 0
-    kv = dict(line.split("=") for line in out.read_text().splitlines())
-    assert float(kv["rt60_abs_err_s"]) == pytest.approx(0.1)
-    assert float(kv["drr_abs_err_db"]) == pytest.approx(3.0)
+    # blind (analyze-blind) and non-blind (analyze-rir) report keys
+    for records in ("rt60=0.6\ndrr_db=-1.0\n",
+                    "rt60_est=0.6\ndrr_est_db=-1.0\n"):
+        est_report.write_text(records)
+        assert run("eval", "--est", sig_path, "--ref", sig_path,
+                   "--true-params", truth_path, "--est-report", est_report,
+                   "-o", out) == 0
+        kv = dict(line.split("=") for line in out.read_text().splitlines())
+        assert float(kv["rt60_abs_err_s"]) == pytest.approx(0.1)
+        assert float(kv["drr_abs_err_db"]) == pytest.approx(3.0)
 
 
 @pytest.mark.parametrize("records", ["rt60_s=0.5\n", "rt60=0.6\n"],
@@ -266,9 +269,8 @@ def test_dereverb_defaults_are_the_config_defaults():
     # with no flag and no config file, the CLI builds the library's defaults
     args = cli.build_parser().parse_args(
         ["dereverb", "--in", "wet.wav", "-o", "dry.wav"])
-    opts = cli._Options(args)
-    assert cli._solver_config(opts, (7, 1)) == SolverConfig(seed=(7, 1))
-    assert cli._blind_config(opts) == BlindConfig()
+    assert cli._solver_config(args, (7, 1)) == SolverConfig(seed=(7, 1))
+    assert cli._blind_config(args) == BlindConfig()
 
 
 def test_dereverb_requires_params_or_calibration(tmp_path):
@@ -313,6 +315,97 @@ def test_config_file_with_cli_override(tmp_path):
     assert run("sample-rir", "--rt60", 0.3, "--drr", 0, "--seed", 5,
                "-o", reference) == 0
     assert file_bytes(out1) == file_bytes(reference)
+
+
+@pytest.mark.parametrize("given,missing", [(("--drr", 0), "--rt60"),
+                                           (("--rt60", 0.3), "--drr")],
+                         ids=["no-rt60", "no-drr"])
+def test_sample_rir_without_rt60_or_drr_is_validation_error(
+        tmp_path, capsys, given, missing):
+    out = tmp_path / "h.wav"
+    assert run("sample-rir", *given, "-o", out) == 2
+    assert missing in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_missing_config_file_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "h.wav"
+    assert run("sample-rir", "--config", tmp_path / "nope.cfg",
+               "-o", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _short_wet(tmp_path):
+    wet_path = tmp_path / "wet.wav"
+    params = AcousticParams(rt60=0.25, drr_db=0.0, sample_rate=FS)
+    wet = fftconvolve(speech_like_noise(FS // 2, FS, rng=8),
+                      sample_rir(params, rng=7).taps)
+    write_wav(wet_path, Signal(wet, FS))
+    return wet_path
+
+
+def test_dereverb_config_file_equals_the_same_flags(tmp_path):
+    wet_path = _short_wet(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("max_iters=3\nstep_size=0.1\nvariant=average\n"
+                      "draws=2\nseed=9\n")
+    base = ["dereverb", "--in", wet_path, "--rt60", 0.25, "--drr", 0]
+    outs = {}
+    for name, extra in [("flags", ["--max-iters", 3, "--step-size", 0.1,
+                                   "--variant", "average", "--draws", 2,
+                                   "--seed", 9]),
+                        ("config", ["--config", config])]:
+        out, trace = tmp_path / f"{name}.wav", tmp_path / f"{name}.txt"
+        assert run(*base, *extra, "--trace", trace, "-o", out) == 0
+        outs[name] = (file_bytes(out), file_bytes(trace))
+    assert outs["config"] == outs["flags"]
+    assert len(outs["flags"][1].splitlines()) == 3
+
+
+def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("rt60=abc\n")
+    out = tmp_path / "h.wav"
+    errors = []
+    for extra in (["--config", config], ["--rt60", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            run("sample-rir", "--drr", 0, *extra, "-o", out)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[0] == errors[1]
+    assert "argument --rt60: invalid float value: 'abc'" in errors[0]
+    assert not out.exists()
+
+
+def test_config_value_outside_the_choices_is_validation_error(tmp_path,
+                                                             capsys):
+    # argparse checks choices on flags only; the handler checks the rest
+    dry_path = tmp_path / "dry.wav"
+    write_wav(dry_path, Signal(speech_like_noise(FS // 4, FS, rng=1), FS))
+    rir_path = tmp_path / "h.wav"
+    assert run("sample-rir", "--rt60", 0.2, "--drr", 0, "-o", rir_path) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("domain=freq\n")
+    out = tmp_path / "wet.wav"
+    assert run("reverberate", "--in", dry_path, "--rir", rir_path,
+               "--config", config, "-o", out) == 2
+    assert "domain must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_naming_command_line_files_are_ignored(tmp_path):
+    wet_path = _short_wet(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"in={tmp_path / 'nope.wav'}\n"
+                      f"inputs={tmp_path / 'nope.wav'}\n"
+                      f"output={tmp_path / 'other.wav'}\ncommand=eval\n")
+    base = ["dereverb", "--in", wet_path, "--rt60", 0.25, "--drr", 0,
+            "--max-iters", 2]
+    assert run(*base, "--config", config, "-o", tmp_path / "a.wav") == 0
+    assert run(*base, "-o", tmp_path / "b.wav") == 0
+    assert file_bytes(tmp_path / "a.wav") == file_bytes(tmp_path / "b.wav")
+    assert not (tmp_path / "other.wav").exists()
 
 
 def test_missing_input_file_is_validation_error(tmp_path):

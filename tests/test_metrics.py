@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from revmatch.blind import BlindEstimate
-from revmatch.metrics import (SISDR_CAP_DB, MetricReport, evaluate,
-                              param_errors, sisdr)
-from revmatch.rir import AcousticParams, EdcAnalysis
+from revmatch.metrics import SISDR_CAP_DB, MetricReport, evaluate, sisdr
 
 
 def test_sisdr_perfect_and_cap():
@@ -41,29 +38,6 @@ def test_sisdr_errors():
         sisdr(np.ones(3), np.ones(4))
     with pytest.raises(ValueError, match="zero reference"):
         sisdr(np.ones(3), np.zeros(3))
-
-
-def test_param_errors_blind_and_nonblind():
-    truth = AcousticParams(rt60=0.5, drr_db=2.0)
-    blind = BlindEstimate(rt60=0.6, drr_db=-1.0, raw_median_decay=0.2,
-                          rm_loss_at_estimate=1.0)
-    rep = param_errors(blind, truth)
-    assert rep.rt60_abs_err_s == pytest.approx(0.1)
-    assert rep.drr_abs_err_db == pytest.approx(3.0)
-    nonblind = EdcAnalysis(edc=np.array([1.0]), t5=1, t25=2, e_5_25=0.5,
-                           rt60_est=0.5, sigma_est=0.1, drr_est_db=2.0)
-    rep2 = param_errors(nonblind, truth)
-    assert rep2.rt60_abs_err_s == 0.0
-    assert rep2.drr_abs_err_db == 0.0
-
-
-def test_param_errors_batch_mean_consistency():
-    truth = AcousticParams(rt60=0.5, drr_db=0.0)
-    ests = [BlindEstimate(rt60=0.5 + d, drr_db=d, raw_median_decay=0.1,
-                          rm_loss_at_estimate=0.0)
-            for d in (-0.2, 0.1, 0.3)]
-    errs = [param_errors(e, truth).rt60_abs_err_s for e in ests]
-    assert np.mean(errs) == pytest.approx(np.mean([0.2, 0.1, 0.3]))
 
 
 def test_evaluate_report_lines():

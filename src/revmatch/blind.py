@@ -19,7 +19,7 @@ import numpy as np
 from . import tfconv
 from .loss import LossConfig
 from .records import format_records, read_records
-from .rir import AcousticParams, PolackSampler
+from .rir import NOISE_MODES, AcousticParams, PolackSampler
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 from .signals import istft, row_weights
 
@@ -51,7 +51,7 @@ class Rt60Calibration:
 
     @classmethod
     def from_file(cls, path):
-        kv = read_records(path)
+        kv = read_records(path, required=("c0", "c1", "c2"))
         return cls(c0=float(kv["c0"]), c1=float(kv["c1"]), c2=float(kv["c2"]),
                    residual=float(kv.get("residual", 0.0)),
                    n_pairs=int(kv.get("n_pairs", 0)))
@@ -80,6 +80,12 @@ class BlindConfig:
     min_run: int = 3
     band_floor_db: float = 60.0
     noise_mode: str = "centered-gaussian"
+
+    def __post_init__(self):
+        if self.draws_per_point < 1:
+            raise ValueError("draws_per_point must be >= 1")
+        if self.noise_mode not in NOISE_MODES:
+            raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
 
 
 def _run_slopes(log_e, min_run):
@@ -136,14 +142,9 @@ def raw_decay_estimate(spec, sample_rate=16000, min_run=BlindConfig.min_run,
     InsufficientDecay
         If no band contains a qualifying decreasing run.
     """
-    hop = spec.config.hop
-    n_samp = spec.num_samples
-    if n_samp is None:
-        n_samp = spec.num_frames * hop
-    if n_samp < sample_rate:
+    if spec.num_samples < sample_rate:
         raise ValueError("input shorter than 1 s")
-    f_half = spec.config.num_bins // 2 + 1
-    energy = np.abs(spec.data[:f_half]) ** 2
+    energy = np.abs(spec.half().data) ** 2
     band_mean = energy.mean(axis=1)
     peak = band_mean.max()
     if peak <= 0:
@@ -154,7 +155,7 @@ def raw_decay_estimate(spec, sample_rate=16000, min_run=BlindConfig.min_run,
     slopes = slopes[slopes < 0]
     if not slopes.size:
         raise InsufficientDecay("insufficient decay evidence")
-    frame_dt = hop / float(sample_rate)
+    frame_dt = spec.config.hop / float(sample_rate)
     return float(np.median(-60.0 * frame_dt / slopes))
 
 

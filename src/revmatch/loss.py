@@ -208,7 +208,7 @@ def rm_loss(y, x, sampler, cfg, seed=0, want_grad=False,
         # the expectation over a point mass is the single-draw loss
         operators = [tfconv.ExactConv(sampler.rir, y.config)]
     n_draws = cfg.resolved_draws if operators is None else len(operators)
-    y_data = y.data[:y.config.half_bins]
+    y_data = y.half().data
     weights = row_weights(y.config)
     per_draw = []
     backprop = []

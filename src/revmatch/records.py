@@ -7,8 +7,9 @@ significant digits, so they read back exactly, and bools as ``0``/``1``.
 """
 
 
-def read_records(path):
-    """``{key: value string}`` of a record file."""
+def read_records(path, required=()):
+    """``{key: value string}`` of a record file; a missing ``required`` key
+    is a ``ValueError`` naming the file."""
     records = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -16,6 +17,9 @@ def read_records(path):
             if line and not line.startswith("#") and "=" in line:
                 key, val = line.split("=", 1)
                 records[key.strip()] = val.strip()
+    for key in required:
+        if key not in records:
+            raise ValueError(f"{path}: no {key} record")
     return records
 
 

@@ -285,7 +285,7 @@ def params_to_file(path, params):
 
 
 def params_from_file(path):
-    kv = read_records(path)
+    kv = read_records(path, required=("rt60", "drr_db"))
     return AcousticParams(
         rt60=float(kv["rt60"]),
         drr_db=float(kv["drr_db"]),

@@ -66,6 +66,7 @@ class StftConfig:
     full band. ``half_bins`` (``N // 2 + 1``) is the row count of a one-sided
     grid (see :class:`Spectrogram`); ``win_len`` must exceed 2 so the two row
     counts differ. ``head_pad`` is the fixed leading zero-pad (``N - L``).
+    A window pair without perfect reconstruction (residual > 1e-10) is refused.
     """
 
     win_len: int
@@ -93,6 +94,8 @@ class StftConfig:
             raise ValueError("analysis window length mismatch")
         if len(self.synthesis_window) != self.win_len:
             raise ValueError("synthesis window length mismatch")
+        if self.reconstruction_residual() > 1e-10:
+            raise ValueError("config lacks the perfect-reconstruction property")
 
     @property
     def num_bins(self):
@@ -113,9 +116,6 @@ class StftConfig:
         for k in range(self.win_len // self.hop):
             cola += prod[k * self.hop:(k + 1) * self.hop]
         return float(np.abs(cola - 1.0).max())
-
-    def is_perfect_reconstruction(self, tol=1e-10):
-        return self.reconstruction_residual() <= tol
 
     def same_grid(self, other):
         return (self.win_len == other.win_len and self.hop == other.hop
@@ -152,6 +152,10 @@ class Spectrogram:
       real signal's STFT, standing for its Hermitian full grid. The imaginary
       parts of the DC (and, for even F, Nyquist) rows are ignored, as a real
       inverse FFT ignores them.
+
+    ``num_samples`` defaults to ``T * hop - head_pad``, the longest signal
+    whose analysis gives T frames. :func:`istft` inverts either layout with
+    :func:`overlap_add`, the package's one overlap-add.
     """
 
     data: np.ndarray
@@ -165,7 +169,10 @@ class Spectrogram:
         if self.data.shape[0] not in (self.config.num_bins,
                                       self.config.half_bins):
             raise ValueError("spectrogram row count must equal num_bins "
-                             "(full) or num_bins // 2 + 1 (one-sided)")
+                             "(full) or half_bins (one-sided)")
+        if self.num_samples is None:
+            cfg = self.config
+            self.num_samples = self.num_frames * cfg.hop - cfg.head_pad
 
     @property
     def num_frames(self):
@@ -217,30 +224,30 @@ def stft(x, cfg, one_sided=False):
     return Spectrogram(np.ascontiguousarray(spec), cfg, num_samples=n_samp)
 
 
-def istft(spec, length=None):
-    """Inverse STFT by overlap-add with the synthesis window, of a full grid
-    (real part of a complex inverse FFT) or a one-sided one (``irfft``).
+def overlap_add(frames, hop):
+    """Sum (T, N) frames placed at multiples of ``hop`` into one buffer of
+    (T - 1) * hop + N samples: the overlap-add of istft and of tfconv."""
+    t_frames, n = frames.shape
+    k = n // hop
+    blocks = frames.reshape(t_frames, k, hop)
+    buf = np.zeros((t_frames + k - 1, hop), dtype=frames.dtype)
+    for j in range(k):
+        buf[j:j + t_frames] += blocks[:, j]
+    return buf.reshape(-1)
 
-    ``length`` defaults to the spectrogram's recorded ``num_samples`` when
-    available, otherwise to the full frame lattice span.
-    """
+
+def istft(spec, length=None):
+    """Inverse STFT by :func:`overlap_add` with the synthesis window, of a
+    full grid (real part of a complex inverse FFT) or a one-sided one
+    (``irfft``), at ``length`` samples (default ``spec.num_samples``)."""
     cfg = spec.config
-    if not cfg.is_perfect_reconstruction():
-        raise ValueError("config lacks the perfect-reconstruction property")
-    n, hop = cfg.win_len, cfg.hop
-    t_frames = spec.num_frames
     if length is None:
         length = spec.num_samples
-    if length is None:
-        length = t_frames * hop
-    buf = np.zeros((t_frames - 1) * hop + n)
     if spec.one_sided:
-        frames = np.fft.irfft(spec.data.T, n=n, axis=1)
+        frames = np.fft.irfft(spec.data.T, n=cfg.win_len, axis=1)
     else:
         frames = np.real(np.fft.ifft(spec.data.T, axis=1))
-    frames = frames * cfg.synthesis_window
-    for t in range(t_frames):
-        buf[t * hop:t * hop + n] += frames[t]
+    buf = overlap_add(frames * cfg.synthesis_window, cfg.hop)
     out = np.zeros(length)
     avail = min(length, len(buf) - cfg.head_pad)
     out[:avail] = buf[cfg.head_pad:cfg.head_pad + avail]

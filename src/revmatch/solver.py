@@ -104,8 +104,7 @@ def trainingless_dereverb(y, params, cfg=None):
     ----------
     y : Spectrogram
         Observed reverberant STFT of a real signal of ``y.num_samples``
-        samples (when unset, the most samples its frames hold); only its
-        first F // 2 + 1 rows are read.
+        samples; only its first F // 2 + 1 rows are read.
     params : AcousticParams, Rir, PolackSampler or DiracSampler
         Acoustic description; a Rir or DiracSampler pins the draw.
     cfg : SolverConfig, optional
@@ -130,9 +129,6 @@ def trainingless_dereverb(y, params, cfg=None):
         raise ValueError("observation contains non-finite values")
 
     n = y.num_samples
-    if n is None:
-        # the longest signal whose analysis has the grid's frames
-        n = y.num_frames * y.config.hop - y.config.head_pad
     y_half = y.half()
     x = istft(y_half, length=n)
     scale = np.sqrt(np.mean(x ** 2))

@@ -13,6 +13,8 @@ analyzer and ``reverberate --domain stft``, applied matrix-free:
   with g_s, complex FFT convolution, analysis of every frame the convolution
   covers. Only ``reverberate --domain stft`` uses it.
 
+Both overlap-adds are :func:`~revmatch.signals.overlap_add`, as in ``istft``.
+
 The cross-band kernel (Avargel & Cohen, IEEE TASLP 2007) is the reference
 that ``bench`` and the band-truncation study use. Its entry for output bin f,
 input bin f' and frame lag t'' is
@@ -41,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 
 from .rir import Rir
-from .signals import Spectrogram, stft
+from .signals import Spectrogram, overlap_add, stft
 
 
 def _phi_table(cfg):
@@ -114,8 +116,6 @@ def build_kernel(h, cfg, band_radius="full"):
     ConvKernel
     """
     taps = _rir_taps(h)
-    if not cfg.is_perfect_reconstruction():
-        raise ValueError("config lacks the perfect-reconstruction property")
     n, hop, f_bins = cfg.win_len, cfg.hop, cfg.num_bins
     n_h = len(taps)
     t_h = kernel_frames(n_h, cfg)
@@ -171,10 +171,8 @@ def apply(kernel, spec):
         if t0 < t1:
             stack[j, :, t0:t1] = s[:, t0 - tpp:t1 - tpp]
     y = _dense_matrix(kernel) @ stack.reshape(t_tot * f_bins, t_y)
-    n_samp = None
-    if spec.num_samples is not None:
-        n_samp = spec.num_samples + kernel.rir_length - 1
-    return Spectrogram(y, spec.config, num_samples=n_samp)
+    return Spectrogram(y, spec.config,
+                       spec.num_samples + kernel.rir_length - 1)
 
 
 def apply_adjoint(kernel, spec):
@@ -201,18 +199,6 @@ def apply_adjoint(kernel, spec):
         if a < b:
             x[:, a:b] += w[j, :, a + tpp:b + tpp]
     return Spectrogram(x, spec.config)
-
-
-def _overlap_add(frames, hop):
-    """Sum (T, N) frames placed at multiples of ``hop`` into one buffer of
-    (T - 1) * hop + N samples."""
-    t_frames, n = frames.shape
-    k = n // hop
-    blocks = frames.reshape(t_frames, k, hop)
-    buf = np.zeros((t_frames + k - 1, hop), dtype=frames.dtype)
-    for j in range(k):
-        buf[j:j + t_frames] += blocks[:, j]
-    return buf.reshape(-1)
 
 
 def _frames(x, n, hop, num_frames):
@@ -242,8 +228,6 @@ class ExactConv:
 
     def __init__(self, h, cfg):
         self.taps = _rir_taps(h)
-        if not cfg.is_perfect_reconstruction():
-            raise ValueError("config lacks the perfect-reconstruction property")
         self.cfg = cfg
         self.t_h = kernel_frames(len(self.taps), cfg)
         self._spectra = {}
@@ -278,7 +262,7 @@ class ExactConv:
         n = grid.num_samples
         frames = np.fft.irfft(grid.data.T, n=cfg.win_len, axis=1)
         frames *= cfg.win_len * cfg.analysis_window
-        wet_adj = _overlap_add(frames, cfg.hop)[cfg.head_pad:cfg.head_pad + n]
+        wet_adj = overlap_add(frames, cfg.hop)[cfg.head_pad:cfg.head_pad + n]
         n_fft, h_f = self._spectrum(n)
         return np.fft.irfft(np.fft.rfft(wet_adj, n=n_fft) * np.conj(h_f),
                             n=n_fft)[:n]
@@ -290,7 +274,7 @@ class ExactConv:
         self._check(dry.config)
         cfg = self.cfg
         frames = np.fft.ifft(dry.data.T, n=cfg.win_len, axis=1)
-        signal = _overlap_add(frames * cfg.synthesis_window, cfg.hop)
+        signal = overlap_add(frames * cfg.synthesis_window, cfg.hop)
         wet_len = len(signal) + len(self.taps) - 1
         n_fft = next_fast_len(wet_len, False)
         wet = np.fft.ifft(np.fft.fft(signal, n=n_fft)
@@ -298,7 +282,5 @@ class ExactConv:
         frames = _frames(wet, cfg.win_len, cfg.hop,
                          dry.num_frames + self.t_h - 1)
         y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
-        n_samp = None
-        if dry.num_samples is not None:
-            n_samp = dry.num_samples + len(self.taps) - 1
-        return Spectrogram(np.ascontiguousarray(y), cfg, num_samples=n_samp)
+        return Spectrogram(np.ascontiguousarray(y), cfg,
+                           dry.num_samples + len(self.taps) - 1)

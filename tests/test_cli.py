@@ -154,6 +154,21 @@ def test_eval_est_report_missing_key_is_validation_error(tmp_path, capsys,
     assert missing in capsys.readouterr().err
 
 
+def test_true_params_without_drr_is_validation_error(tmp_path, capsys):
+    sig_path = tmp_path / "x.wav"
+    write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
+    truth_path = tmp_path / "truth.txt"
+    truth_path.write_text("rt60=0.5\n")
+    est_report = tmp_path / "est.txt"
+    est_report.write_text("rt60=0.6\ndrr_db=-1.0\n")
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", sig_path, "--ref", sig_path,
+               "--true-params", truth_path, "--est-report", est_report,
+               "-o", out) == 2
+    assert not out.exists()
+    assert f"{truth_path}: no drr_db record" in capsys.readouterr().err
+
+
 def test_bench_monotone_and_deterministic(tmp_path):
     out1 = tmp_path / "bench1.txt"
     out2 = tmp_path / "bench2.txt"
@@ -186,6 +201,49 @@ def test_calibrate_and_analyze_blind(tmp_path):
     out = dict(line.split("=") for line in report.read_text().splitlines())
     assert 0.0 < float(out["rt60"]) < 1.5
     assert float(out["drr_db"]) in (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
+
+
+def _blind_inputs(tmp_path, calibration):
+    """A 1.25 s reverberant wav and a calibration file of the given records."""
+    wet_path = tmp_path / "wet.wav"
+    params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
+    wet = fftconvolve(speech_like_noise(FS, FS, rng=6),
+                      sample_rir(params, rng=5).taps)[:FS * 5 // 4]
+    write_wav(wet_path, Signal(wet, FS))
+    cal_path = tmp_path / "cal.txt"
+    cal_path.write_text(calibration)
+    return wet_path, cal_path
+
+
+def test_analyze_blind_rejects_a_config_noise_mode(tmp_path, capsys):
+    # an all-zero calibration maps to an anechoic estimate, which builds no
+    # AcousticParams to check the noise mode
+    wet_path, cal_path = _blind_inputs(tmp_path, "c0=0\nc1=0\nc2=0\n")
+    config = tmp_path / "run.cfg"
+    config.write_text("noise_mode=bogus\n")
+    report = tmp_path / "blind.txt"
+    assert run("analyze-blind", "--in", wet_path, "--calibration", cal_path,
+               "--config", config, "-o", report) == 2
+    assert "noise_mode must be one of" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_analyze_blind_rejects_zero_draws(tmp_path, capsys):
+    wet_path, cal_path = _blind_inputs(tmp_path, "c0=0.5\nc1=0\nc2=0\n")
+    report = tmp_path / "blind.txt"
+    assert run("analyze-blind", "--in", wet_path, "--calibration", cal_path,
+               "--k-inner", 2, "--draws", 0, "-o", report) == 2
+    assert "draws_per_point must be >= 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_calibration_without_c2_is_validation_error(tmp_path, capsys):
+    wet_path, cal_path = _blind_inputs(tmp_path, "c0=0.5\nc1=0\n")
+    report = tmp_path / "blind.txt"
+    assert run("analyze-blind", "--in", wet_path, "--calibration", cal_path,
+               "-o", report) == 2
+    assert f"{cal_path}: no c2 record" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_calibrate_requires_source(tmp_path):

@@ -4,7 +4,8 @@ from scipy.signal import fftconvolve
 
 from revmatch.signals import (Signal, Spectrogram, StftConfig,
                               canonical_dual_window, fft_convolve,
-                              hann_window, istft, read_wav, stft, write_wav)
+                              hann_window, istft, num_frames_for, overlap_add,
+                              read_wav, stft, write_wav)
 
 
 def test_default_config_is_perfect_reconstruction(cfg):
@@ -83,13 +84,40 @@ def test_istft_zero_and_scaling(cfg):
 
 
 def test_istft_rejects_non_reconstructing_config():
-    # matched Hann/Hann violates the product overlap-add condition
+    # matched Hann/Hann violates the product overlap-add condition, so no
+    # config (and no grid for istft to invert) can be built on it
     g_a = hann_window(512)
-    bad = StftConfig(512, 256, g_a, g_a)
-    assert not bad.is_perfect_reconstruction()
-    spec = Spectrogram(np.zeros((512, 4), dtype=complex), bad)
     with pytest.raises(ValueError, match="perfect-reconstruction"):
-        istft(spec)
+        StftConfig(512, 256, g_a, g_a)
+
+
+@pytest.mark.parametrize("frames", [2, 9, 40])
+def test_grid_without_a_sample_count_inverts_to_its_frames(cfg, frames):
+    # the longest signal whose analysis gives those frames
+    rng = np.random.default_rng(frames)
+    data = rng.standard_normal((cfg.num_bins, frames)) + 0j
+    spec = Spectrogram(data, cfg)
+    assert spec.num_samples == frames * cfg.hop - cfg.head_pad
+    back = istft(spec)
+    assert len(back) == spec.num_samples
+    assert num_frames_for(len(back), cfg) == frames
+    assert stft(back, cfg).num_frames == frames
+
+
+@pytest.mark.parametrize("n, hop", [(512, 256), (8, 2)])
+@pytest.mark.parametrize("frames", [1, 2, 7])
+def test_overlap_add_equals_per_frame_loop(n, hop, frames):
+    rng = np.random.default_rng(n + frames)
+    x = rng.standard_normal((frames, n))
+    ref = np.zeros((frames - 1) * hop + n)
+    for t in range(frames):
+        ref[t * hop:t * hop + n] += x[t]
+    out = overlap_add(x, hop)
+    if n // hop == 2:
+        # two terms per sample: the same sum in either order
+        assert np.array_equal(out, ref)
+    else:
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
 
 
 def test_parseval_energy_bounds(cfg):
@@ -124,7 +152,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StftConfig(512, 96, g, g)  # hop must divide win_len
     dual = canonical_dual_window(g, 256)
-    assert StftConfig(512, 256, g, dual).is_perfect_reconstruction()
+    assert StftConfig(512, 256, g, dual).reconstruction_residual() <= 1e-10
 
 
 def test_signal_validation():

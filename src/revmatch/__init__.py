@@ -9,9 +9,9 @@ from .blind import (BlindConfig, BlindEstimate, InsufficientDecay,
 from .loss import (DegenerateGradNorm, LossConfig, LossReport, gradnorm_alpha,
                    loss_complex, loss_mag, rm_loss)
 from .metrics import MetricReport, evaluate, sisdr
-from .rir import (AcousticParams, DiracSampler, EdcAnalysis, PolackSampler,
-                  Rir, analyze_rir, edc, min_rir_length, read_rir, sample_rir,
-                  sigma_from_drr, tau_from_rt60, write_rir)
+from .rir import (AcousticParams, EdcAnalysis, Rir, analyze_rir, edc,
+                  min_rir_length, read_rir, sample_rir, sigma_from_drr,
+                  tau_from_rt60, write_rir)
 from .signals import (Signal, Spectrogram, StftConfig, default_stft_config,
                       istft, read_wav, stft, write_wav)
 from .solver import (DivergenceError, Passthrough, SolverConfig, SolveTrace,
@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcousticParams", "BlindConfig", "BlindEstimate", "ConvKernel",
-    "DegenerateGradNorm", "DiracSampler", "DivergenceError", "EdcAnalysis",
+    "DegenerateGradNorm", "DivergenceError", "EdcAnalysis",
     "ExactConv",
     "InsufficientDecay", "LossConfig", "LossReport", "MetricReport",
-    "Passthrough", "PolackSampler", "Rir", "Rt60Calibration", "Signal",
+    "Passthrough", "Rir", "Rt60Calibration", "Signal",
     "SolveTrace",
     "SolverConfig", "Spectrogram", "StftConfig", "analyze_blind",
     "analyze_rir", "apply", "apply_adjoint", "blind_drr", "build_kernel",

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tfconv
+from . import rir, tfconv
 from .loss import LossConfig
 from .records import format_records, read_records
-from .rir import NOISE_MODES, AcousticParams, PolackSampler
+from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 from .signals import istft, row_weights
 
@@ -39,6 +39,11 @@ class Rt60Calibration:
     c2: float
     n_pairs: int = 0
     residual: float = 0.0
+
+    def __post_init__(self):
+        for name in ("c0", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"calibration {name} must be finite")
 
     def map(self, raw):
         return self.c0 + self.c1 * raw + self.c2 * raw * raw
@@ -218,9 +223,12 @@ def blind_drr(spec, rt60, grid=None,
     The residual value of the matching loss itself is NOT a usable selection
     statistic here: for sign-symmetric tail draws its expectation is
     monotonically decreasing in candidate DRR (the anechoic trivial solution),
-    so the energy balance above is matched instead. Even so, per-sample DRR
-    evidence in this family is weak; expect grid-resolution accuracy near the
-    middle of the observed range, not sharp estimates.
+    so the energy balance above is matched instead. Measured, the pick
+    carries no DRR information: it is 0 dB on 18 of 18 files given the true
+    RT60 and on 27 of 27 given a calibrated RT60. It follows the default
+    step size of the inner solve instead: at 1e-1 it is -6 dB on all six
+    files of the ``blind`` benchmark's cycle 0, and the median SI-SDR change
+    of blind dereverberation on them falls from -0.43 to -4.01 dB.
 
     Returns
     -------
@@ -254,12 +262,12 @@ def blind_drr(spec, rt60, grid=None,
     for db in grid:
         params = AcousticParams(rt60=rt60, drr_db=db, sample_rate=sample_rate,
                                 noise_mode=noise_mode)
-        sampler = PolackSampler(params)
         energies = []
         l_c = []
         for i in range(draws_per_point):
-            rir = sampler.draw(derive_rng(seed, STREAM_DRR_GRID, 1, i))
-            yhat = tfconv.ExactConv(rir, spec.config).forward(x).data
+            h = rir.sample_rir(params,
+                               rng=derive_rng(seed, STREAM_DRR_GRID, 1, i))
+            yhat = tfconv.ExactConv(h, spec.config).forward(x).data
             energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
             l_c.append(float(np.sum(weights * np.abs(yhat - y_half) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))

@@ -254,8 +254,10 @@ def _report_value(kv, path, *keys):
 
 
 def cmd_eval(args):
+    if bool(args.true_params) != bool(args.est_report):
+        raise ValueError("eval takes --true-params and --est-report together")
     report = evaluate(_read_input_wav(args.est), _read_input_wav(args.ref))
-    if args.true_params and args.est_report:
+    if args.true_params:
         truth = params_from_file(args.true_params)
         kv = read_records(args.est_report)
         rt60_est = _report_value(kv, args.est_report, "rt60", "rt60_est")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tfconv
+from . import rir, tfconv
 from .seeding import STREAM_LOSS_DRAWS, derive_rng
 from .signals import Spectrogram, row_weights
 
@@ -166,10 +166,11 @@ def _draw_terms(y_data, yhat, weights, alpha_fallback, want_grad):
     return l_c, l_m, alpha, total, g_y
 
 
-def rm_loss(y, x, sampler, cfg, seed=0, want_grad=False,
+def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
             alpha_fallback=1.0, operators=None):
     """Reverberation-matching loss between an observed reverberant grid and a
-    real dry signal pushed through sampled RIRs.
+    real dry signal pushed through RIRs drawn from, or fixed by, the
+    acoustics.
 
     Each draw is the exact convolution with its RIR
     (:meth:`tfconv.ExactConv.forward`): the one-sided STFT of ``(h * x)``
@@ -183,8 +184,11 @@ def rm_loss(y, x, sampler, cfg, seed=0, want_grad=False,
         Observed reverberant STFT (full or one-sided) of ``len(x)`` samples.
     x : ndarray
         Real dry estimate, 1-D.
-    sampler : PolackSampler or DiracSampler
-        Source of RIR draws; must match y's sample rate.
+    acoustics : AcousticParams or Rir
+        AcousticParams give ``cfg.resolved_draws`` draws of
+        :func:`~revmatch.rir.sample_rir`; a known Rir is the single draw
+        (the expectation over a point mass is the single-draw loss); any
+        other type raises TypeError. Must match y's sample rate.
     cfg : LossConfig
     seed : int
         Draw i uses the stream (seed, STREAM_LOSS_DRAWS, i), so results do not
@@ -195,29 +199,28 @@ def rm_loss(y, x, sampler, cfg, seed=0, want_grad=False,
     alpha_fallback : float
         Weight used when the magnitude-loss gradient vanishes.
     operators : list of tfconv.ExactConv, optional
-        Pre-built operators to use instead of drawing (one per draw).
+        Pre-built operators to use instead of ``acoustics`` (one per draw).
 
     Returns
     -------
     (LossReport, ndarray or None)
     """
-    if operators is None and sampler is None:
-        raise ValueError("either a sampler or pre-built operators are required")
-    from .rir import DiracSampler
-    if operators is None and isinstance(sampler, DiracSampler):
-        # the expectation over a point mass is the single-draw loss
-        operators = [tfconv.ExactConv(sampler.rir, y.config)]
-    n_draws = cfg.resolved_draws if operators is None else len(operators)
+    if operators is None:
+        if isinstance(acoustics, rir.Rir):
+            draws = [acoustics]
+        elif isinstance(acoustics, rir.AcousticParams):
+            draws = [rir.sample_rir(acoustics,
+                                    rng=derive_rng(seed, STREAM_LOSS_DRAWS, i))
+                     for i in range(cfg.resolved_draws)]
+        else:
+            raise TypeError("acoustics must be AcousticParams or a Rir")
+        operators = [tfconv.ExactConv(h, y.config) for h in draws]
+    n_draws = len(operators)
     y_data = y.half().data
     weights = row_weights(y.config)
     per_draw = []
     backprop = []
-    for i in range(n_draws):
-        if operators is not None:
-            op = operators[i]
-        else:
-            rir = sampler.draw(derive_rng(seed, STREAM_LOSS_DRAWS, i))
-            op = tfconv.ExactConv(rir, y.config)
+    for op in operators:
         yhat = op.forward(x).data
         l_c, l_m, alpha, total, g_y = _draw_terms(
             y_data, yhat, weights, alpha_fallback, want_grad)

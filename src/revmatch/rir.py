@@ -29,6 +29,9 @@ class AcousticParams:
     noise_mode: str = "centered-gaussian"
 
     def __post_init__(self):
+        for name in ("rt60", "drr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rt60 <= 0:
             raise ValueError("rt60 must be positive")
         if self.n_d < 0:
@@ -206,40 +209,6 @@ def analyze_rir(rir, n_d=DEFAULT_DIRECT_DELAY):
     return EdcAnalysis(edc=curve, t5=t5, t25=t25, e_5_25=e_5_25,
                        rt60_est=rt60_est, sigma_est=sigma_est,
                        drr_est_db=drr_est_db)
-
-
-class PolackSampler:
-    """Stochastic RIR sampler for fixed acoustic parameters: ``draw(rng)``
-    is pure given the supplied generator and returns RIRs of the minimum
-    admissible length."""
-
-    def __init__(self, params):
-        self.params = params
-        self.rir_length = min_rir_length(params)
-
-    @property
-    def sample_rate(self):
-        return self.params.sample_rate
-
-    def draw(self, rng):
-        return sample_rir(self.params, self.rir_length, rng)
-
-
-class DiracSampler:
-    """Degenerate sampler returning one fixed RIR on every draw."""
-
-    def __init__(self, rir):
-        if not isinstance(rir, Rir):
-            raise TypeError("DiracSampler expects a Rir")
-        self.rir = rir
-        self.rir_length = len(rir)
-
-    @property
-    def sample_rate(self):
-        return self.rir.sample_rate
-
-    def draw(self, rng=None):
-        return self.rir
 
 
 def write_rir(path, rir):

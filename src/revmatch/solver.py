@@ -1,6 +1,6 @@
 """Training-less dereverberation: per-sample minimization of the
-reverberation-matching objective over the real dry signal, with probabilistic
-or degenerate (known-RIR) samplers."""
+reverberation-matching objective over the real dry signal, with RIRs drawn
+from acoustic parameters or one known RIR."""
 
 from dataclasses import dataclass, field
 
@@ -9,7 +9,7 @@ import numpy as np
 from . import blind, tfconv
 from .loss import LossConfig, rm_loss
 from .records import format_records
-from .rir import AcousticParams, DiracSampler, PolackSampler, Rir
+from .rir import AcousticParams, Rir
 from .seeding import STREAM_SOLVER_ITERS, as_path
 from .signals import (Signal, Spectrogram, default_stft_config, istft,
                       row_weights, stft)
@@ -79,24 +79,14 @@ class Passthrough:
         return format_records([("passthrough", self.cause)])
 
 
-def _as_sampler(params):
-    if isinstance(params, (PolackSampler, DiracSampler)):
-        return params
-    if isinstance(params, AcousticParams):
-        return PolackSampler(params)
-    if isinstance(params, Rir):
-        return DiracSampler(params)
-    raise TypeError("params must be AcousticParams, Rir, or a sampler")
-
-
 def trainingless_dereverb(y, params, cfg=None):
     """Minimize the reverberation-matching objective over the real dry signal.
 
     The iterate ``x`` has the observation's ``n = y.num_samples`` samples and
     starts from them; its model under an RIR ``h`` is the one-sided STFT of
     ``(h * x)[:n]`` (see :meth:`tfconv.ExactConv.forward`), scored against
-    ``y``'s first F // 2 + 1 rows. Iterates first-order updates with
-    per-iteration RIR resampling for probabilistic samplers, and returns the
+    ``y``'s first F // 2 + 1 rows. Iterates first-order updates, drawing
+    fresh RIRs from acoustic parameters on every iteration, and returns the
     one-sided STFT of the best-loss iterate, which ``istft`` turns back into
     that iterate.
 
@@ -105,8 +95,9 @@ def trainingless_dereverb(y, params, cfg=None):
     y : Spectrogram
         Observed reverberant STFT of a real signal of ``y.num_samples``
         samples; only its first F // 2 + 1 rows are read.
-    params : AcousticParams, Rir, PolackSampler or DiracSampler
-        Acoustic description; a Rir or DiracSampler pins the draw.
+    params : AcousticParams or Rir
+        Acoustic parameters to draw RIRs from, or the known RIR; any other
+        type raises TypeError (from :func:`~revmatch.loss.rm_loss`).
     cfg : SolverConfig, optional
 
     Returns
@@ -122,9 +113,6 @@ def trainingless_dereverb(y, params, cfg=None):
     """
     if cfg is None:
         cfg = SolverConfig()
-    sampler = _as_sampler(params)
-    if sampler.sample_rate <= 0:
-        raise ValueError("sampler sample rate invalid")
     if not np.all(np.isfinite(y.data)):
         raise ValueError("observation contains non-finite values")
 
@@ -139,9 +127,10 @@ def trainingless_dereverb(y, params, cfg=None):
     floor = 1e-14 * float(np.sum(row_weights(y.config)
                                  * np.abs(y_norm.data) ** 2))
 
+    # a known RIR's operator is built once, not once per iteration
     fixed_ops = None
-    if isinstance(sampler, DiracSampler):
-        fixed_ops = [tfconv.ExactConv(sampler.rir, y.config)]
+    if isinstance(params, Rir):
+        fixed_ops = [tfconv.ExactConv(params, y.config)]
 
     reports = []
     best_total = np.inf
@@ -153,7 +142,7 @@ def trainingless_dereverb(y, params, cfg=None):
 
     for it in range(cfg.max_iters):
         report, grad = rm_loss(
-            y_norm, x, sampler, cfg.loss_cfg,
+            y_norm, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
             want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops)
         alpha_prev = report.alpha

@@ -169,6 +169,19 @@ def test_true_params_without_drr_is_validation_error(tmp_path, capsys):
     assert f"{truth_path}: no drr_db record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--true-params", "--est-report"])
+def test_eval_takes_both_parameter_files_or_neither(tmp_path, capsys, flag):
+    # the named file need not exist: the pairing is checked first
+    sig_path = tmp_path / "x.wav"
+    write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", sig_path, "--ref", sig_path,
+               flag, tmp_path / "missing.txt", "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "--true-params and --est-report together" in err
+    assert not out.exists()
+
+
 def test_bench_monotone_and_deterministic(tmp_path):
     out1 = tmp_path / "bench1.txt"
     out2 = tmp_path / "bench2.txt"
@@ -244,6 +257,18 @@ def test_calibration_without_c2_is_validation_error(tmp_path, capsys):
                "-o", report) == 2
     assert f"{cal_path}: no c2 record" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["analyze-blind", "dereverb"])
+def test_non_finite_calibration_is_validation_error(tmp_path, capsys,
+                                                    command, value):
+    wet_path, cal_path = _blind_inputs(tmp_path, f"c0={value}\nc1=0\nc2=0\n")
+    out = tmp_path / "out.txt"
+    assert run(command, "--in", wet_path, "--calibration", cal_path,
+               "-o", out) == 2
+    assert "calibration c0 must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_requires_source(tmp_path):
@@ -384,6 +409,20 @@ def test_sample_rir_without_rt60_or_drr_is_validation_error(
     assert run("sample-rir", *given, "-o", out) == 2
     assert missing in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag, field", [("rt60", "rt60"), ("drr", "drr_db")])
+@pytest.mark.parametrize("command", ["sample-rir", "dereverb"])
+def test_non_finite_acoustic_parameter_is_validation_error(
+        tmp_path, capsys, command, flag, field, value):
+    given = {"rt60": "0.3", "drr": "0", flag: value}
+    inputs = ["--in", _short_wet(tmp_path)] if command == "dereverb" else []
+    out = tmp_path / "out.wav"
+    assert run(command, *inputs, "--rt60", given["rt60"], "--drr",
+               given["drr"], "-o", out) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_validation_error(tmp_path, capsys):

@@ -9,8 +9,7 @@ import revmatch.solver as solver
 from revmatch.blind import (BlindConfig, BlindEstimate, Rt60Calibration,
                             speech_like_noise)
 from revmatch.loss import rm_loss
-from revmatch.rir import (AcousticParams, DiracSampler, PolackSampler, Rir,
-                          sample_rir)
+from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.seeding import STREAM_SOLVER_ITERS, as_path
 from revmatch.signals import (Signal, Spectrogram, default_stft_config,
                               fft_convolve, istft, stft)
@@ -95,6 +94,12 @@ def test_non_finite_observation_rejected(cfg):
     with pytest.raises(ValueError, match="non-finite"):
         trainingless_dereverb(y, AcousticParams(rt60=0.2, drr_db=0.0),
                               SolverConfig(max_iters=3))
+
+
+def test_acoustics_of_another_type_rejected(cfg):
+    y = stft(speech_like_noise(FS // 2, FS, rng=4), cfg)
+    with pytest.raises(TypeError, match="AcousticParams or a Rir"):
+        trainingless_dereverb(y, (0.2, 0.0), SolverConfig(max_iters=3))
 
 
 def test_non_finite_loss_is_divergence(cfg, monkeypatch):
@@ -251,13 +256,13 @@ def test_blind_pipeline_solves_with_the_blind_noise_mode(monkeypatch):
 def test_loss_of_the_written_output_is_the_best_total(which):
     # the loss scores exactly the samples istft writes: recomputed from the
     # returned grid, on the solver's unit-RMS scale, it is the best total
-    y, samplers = known_and_polack_samplers()
+    y, acoustics = known_rir_and_params()
     scfg = SolverConfig(max_iters=15, stop_rel_tol=-np.inf, seed=5)
-    shat, trace = trainingless_dereverb(y, samplers[which], scfg)
+    shat, trace = trainingless_dereverb(y, acoustics[which], scfg)
     scale = np.sqrt(np.mean(istft(y.half()) ** 2))
     y_norm = Spectrogram(y.half().data / scale, y.config, y.num_samples)
     report, _ = rm_loss(
-        y_norm, istft(shat) / scale, samplers[which], scfg.loss_cfg,
+        y_norm, istft(shat) / scale, acoustics[which], scfg.loss_cfg,
         seed=(*as_path(scfg.seed), STREAM_SOLVER_ITERS, trace.best_index))
     best = trace.totals[trace.best_index]
     assert trace.best_index > 0
@@ -277,17 +282,17 @@ def test_cut_observation_output_has_no_zero_tail(cfg):
     assert np.all(out[-cfg.hop:] != 0.0)
 
 
-def known_and_polack_samplers():
+def known_rir_and_params():
     params = AcousticParams(rt60=0.3, drr_db=0.0, sample_rate=FS)
     h = sample_rir(params, rng=21)
     y = stft(fftconvolve(speech_like_noise(FS // 2, FS, rng=22), h.taps),
              default_stft_config())
-    return y, [DiracSampler(h), PolackSampler(params)]
+    return y, [h, params]
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["dirac", "polack"])
 def test_solve_runs_no_complex_fft(which, monkeypatch):
-    y, samplers = known_and_polack_samplers()
+    y, acoustics = known_rir_and_params()
     calls = []
     for name in ("fft", "ifft"):
         def counting(*args, _real=getattr(np.fft, name), _name=name,
@@ -295,7 +300,7 @@ def test_solve_runs_no_complex_fft(which, monkeypatch):
             calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counting)
-    _, trace = trainingless_dereverb(y, samplers[which],
+    _, trace = trainingless_dereverb(y, acoustics[which],
                                      SolverConfig(max_iters=5))
     assert trace.iterations_used >= 2
     assert calls == []

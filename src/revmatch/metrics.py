@@ -44,6 +44,8 @@ def sisdr(est, ref):
     ref_energy = float(np.dot(ref, ref))
     if ref_energy == 0.0:
         raise ValueError("zero reference")
+    if not np.any(est):
+        raise ValueError("zero estimate")
     scale = float(np.dot(est, ref)) / ref_energy
     target = scale * ref
     residual = est - target

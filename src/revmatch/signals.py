@@ -1,5 +1,5 @@
 """Time-domain signals, FFT convolution, STFT/iSTFT with a
-perfect-reconstruction window pair, and WAV file I/O.
+perfect-reconstruction window pair, and WAV file I/O, on numpy alone.
 
 Framing convention
 ------------------
@@ -10,11 +10,11 @@ full window coverage. This keeps the cross-band kernel index algebra on the
 pure lattice while making ``istft(stft(x)) == x`` hold to machine precision.
 """
 
+import functools
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.io import wavfile
 
 
 @dataclass(frozen=True)
@@ -254,50 +254,146 @@ def istft(spec, length=None):
     return out
 
 
+@functools.cache
+def next_fast_len(n, real):
+    """Smallest length ``m >= n`` whose prime factors are all in {2, 3, 5}
+    (``real``) or {2, 3, 5, 7, 11} (complex): the rule of
+    ``scipy.fft.next_fast_len``, which the FFT lengths of this package keep."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("FFT length must be positive")
+    # every such m is an odd factor times a power of two, and a power of two
+    # in [n, 2n) bounds the answer, so only odd factors below 2n are tried
+    odd = [1]
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        for k in odd[:]:
+            while (k := k * p) < 2 * n:
+                odd.append(k)
+    return min(k << (-(-n // k) - 1).bit_length() for k in odd)
+
+
 def fft_convolve(a, b):
     """Full linear convolution of two real 1-D numpy arrays.
 
-    The same steps as ``scipy.signal.fftconvolve(a, b)``, so the result is
-    bit-equal to it, without importing ``scipy.signal`` (about 1 s at start-up):
-    real FFTs padded to the next fast length, and a plain product when either
-    operand has one sample.
+    The same steps as ``scipy.signal.fftconvolve(a, b)`` on the same
+    pocketfft, so the result is bit-equal to it: real FFTs padded to
+    :func:`next_fast_len`, and a plain product when either operand has one
+    sample.
     """
     if len(a) == 1 or len(b) == 1:
         return a * b
     n_out = len(a) + len(b) - 1
     n = next_fast_len(n_out, True)
-    return irfft(rfft(a, n) * rfft(b, n), n)[:n_out]
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:n_out]
+
+
+_WAVE_PCM, _WAVE_IEEE_FLOAT, _WAVE_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# the last 12 bytes of a WAVE_FORMAT_EXTENSIBLE subformat GUID whose first
+# four hold a plain format tag
+_WAVE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bytes per sample) -> dtype read, divisor to full scale.
+# 24-bit PCM is widened to left-justified int32, as scipy.io.wavfile reads it.
+_WAV_SAMPLES = {
+    (_WAVE_PCM, 2): ("<i2", 32768.0),
+    (_WAVE_PCM, 3): ("V3", 2147483648.0),
+    (_WAVE_PCM, 4): ("<i4", 2147483648.0),
+    (_WAVE_IEEE_FLOAT, 4): ("<f4", None),
+    (_WAVE_IEEE_FLOAT, 8): ("<f8", None),
+}
+
+
+def _wav_format(fmt):
+    """(format tag, channels, rate, bytes per sample) of a ``fmt `` chunk's
+    body, with WAVE_FORMAT_EXTENSIBLE mapped to its subformat. A sample
+    layout outside :data:`_WAV_SAMPLES` (8-bit PCM, float of a width other
+    than its container) reads as 0 bytes per sample."""
+    if len(fmt) < 16:
+        raise ValueError("malformed WAV fmt chunk")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt)
+    if tag == _WAVE_EXTENSIBLE and fmt[28:40] == _WAVE_GUID_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    width = block_align // channels if channels else 0
+    if bits <= 8 or (tag == _WAVE_IEEE_FLOAT and bits != 8 * width):
+        width = 0
+    return tag, channels, rate, width
 
 
 def read_wav(path, expect_rate=None):
-    """Read a mono PCM16 or float32 WAV file into a Signal.
+    """Read a mono WAV file into a Signal.
 
-    16-bit samples are scaled by 2^-15; float data is passed through.
+    PCM 16, 24 and 32 bit are scaled to [-1, 1) (24-bit data as left-justified
+    32-bit words); IEEE float 32 and 64 bit data is passed through. Chunks
+    other than ``fmt `` and ``data`` are skipped. 8-bit PCM, compressed
+    formats and the RIFX and RF64 containers are refused.
     """
-    rate, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError("mono required")
-    if expect_rate is not None and rate != expect_rate:
-        raise ValueError(
-            f"unsupported sample rate: {rate} Hz (expected {expect_rate} Hz)")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    else:
-        raise ValueError(f"unsupported WAV sample format: {data.dtype}")
+    with open(path, "rb") as f:
+        head = f.read(12)
+        if len(head) < 12 or head[8:12] != b"WAVE":
+            raise ValueError("not a RIFF/WAVE file")
+        if head[:4] != b"RIFF":
+            raise ValueError("unsupported WAV sample format: "
+                             f"{head[:4]!r} container")
+        fmt = None
+        while True:
+            chunk = f.read(8)
+            if len(chunk) < 8:
+                raise ValueError("WAV file has no data chunk")
+            chunk_id, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
+            if chunk_id == b"data":
+                break
+            if chunk_id == b"fmt ":
+                fmt = f.read(size)
+                f.seek(size & 1, 1)
+            else:
+                f.seek(size + (size & 1), 1)
+        if fmt is None:
+            raise ValueError("WAV data chunk precedes its fmt chunk")
+        tag, channels, rate, width = _wav_format(fmt)
+        if channels != 1:
+            raise ValueError("mono required")
+        if expect_rate is not None and rate != expect_rate:
+            raise ValueError(
+                f"unsupported sample rate: {rate} Hz (expected {expect_rate} Hz)")
+        if (tag, width) not in _WAV_SAMPLES:
+            raise ValueError(f"unsupported WAV sample format: tag {tag:#06x}, "
+                             f"{width} bytes per sample")
+        dtype, full_scale = _WAV_SAMPLES[tag, width]
+        count = size // width
+        raw = np.fromfile(f, dtype=dtype, count=count)
+    if len(raw) < count:
+        raise ValueError("WAV data chunk is shorter than its declared size")
+    if width == 3:
+        words = np.zeros((count, 4), dtype=np.uint8)
+        words[:, 1:] = raw.view(np.uint8).reshape(count, 3)
+        raw = words.view("<i4")[:, 0]
+    samples = raw.astype(np.float64)
+    if full_scale is not None:
+        samples /= full_scale
     return Signal(samples, int(rate))
 
 
 def write_wav(path, sig, fmt="float32"):
-    """Write a Signal as mono WAV, IEEE float32 by default or PCM16."""
+    """Write a Signal as mono WAV, IEEE float32 by default or PCM16, with the
+    header ``scipy.io.wavfile.write`` gives: a 16-byte ``fmt `` chunk for
+    PCM, an 18-byte one and a ``fact`` chunk for float."""
     if fmt == "float32":
-        wavfile.write(path, sig.sample_rate, sig.samples.astype(np.float32))
+        data, tag = sig.samples.astype("<f4"), _WAVE_IEEE_FLOAT
     elif fmt == "pcm16":
         clipped = np.clip(sig.samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, sig.sample_rate,
-                      np.round(clipped * 32768.0).astype(np.int16))
+        data, tag = np.round(clipped * 32768.0).astype("<i2"), _WAVE_PCM
     else:
         raise ValueError(f"unknown WAV format: {fmt}")
+    width, rate = data.itemsize, sig.sample_rate
+    body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    chunks = b"fmt "
+    if tag == _WAVE_PCM:
+        chunks += struct.pack("<I", len(body)) + body
+    else:
+        chunks += (struct.pack("<I", len(body) + 2) + body + b"\x00\x00"
+                   + b"fact" + struct.pack("<II", 4, len(data)))
+    chunks += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as f:
+        f.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + data.nbytes)
+                + b"WAVE" + chunks)
+        f.write(data.data)

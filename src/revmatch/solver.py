@@ -39,8 +39,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
+        if np.isnan(self.stop_rel_tol):
+            raise ValueError("stop_rel_tol must not be NaN")
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"step_rule must be one of {STEP_RULES}")
 

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
 
 from .rir import Rir
-from .signals import Spectrogram, overlap_add, stft
+from .signals import Spectrogram, next_fast_len, overlap_add, stft
 
 
 def _phi_table(cfg):

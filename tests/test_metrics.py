@@ -38,6 +38,8 @@ def test_sisdr_errors():
         sisdr(np.ones(3), np.ones(4))
     with pytest.raises(ValueError, match="zero reference"):
         sisdr(np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match="zero estimate"):
+        sisdr(np.zeros(3), np.ones(3))
 
 
 def test_evaluate_report_lines():

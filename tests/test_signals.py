@@ -1,11 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
+from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from revmatch.signals import (Signal, Spectrogram, StftConfig,
                               canonical_dual_window, fft_convolve,
-                              hann_window, istft, num_frames_for, overlap_add,
-                              read_wav, stft, write_wav)
+                              hann_window, istft, next_fast_len,
+                              num_frames_for, overlap_add, read_wav, stft,
+                              write_wav)
 
 
 def test_default_config_is_perfect_reconstruction(cfg):
@@ -186,7 +191,6 @@ def test_wav_pcm16_quantization(tmp_path):
 
 
 def test_wav_rejects_stereo(tmp_path):
-    from scipy.io import wavfile
     path = tmp_path / "st.wav"
     wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="mono required"):
@@ -194,11 +198,98 @@ def test_wav_rejects_stereo(tmp_path):
 
 
 def test_wav_rejects_unexpected_rate(tmp_path):
-    from scipy.io import wavfile
     path = tmp_path / "hi.wav"
     wavfile.write(path, 44100, np.zeros(100, dtype=np.float32))
     with pytest.raises(ValueError, match="unsupported sample rate"):
         read_wav(path, expect_rate=16000)
+
+
+@pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+def test_write_wav_bytes_equal_scipy(tmp_path, fmt):
+    samples = np.random.default_rng(10).uniform(-1.2, 1.2, 1001)
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+    write_wav(ours, Signal(samples, 16000), fmt=fmt)
+    back = read_wav(ours).samples
+    data = (back.astype(np.float32) if fmt == "float32"
+            else (back * 32768.0).astype(np.int16))
+    wavfile.write(theirs, 16000, data)
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def _scipy_read(path):
+    """Rate and samples as read through scipy.io.wavfile, integer data
+    scaled to full scale by its container width: the reference reader."""
+    rate, data = wavfile.read(path)
+    scale = {np.dtype(np.int16): 32768.0,
+             np.dtype(np.int32): 2147483648.0}.get(data.dtype, 1.0)
+    return rate, data.astype(np.float64) / scale
+
+
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _fmt_chunk(tag, bits, width, extensible=False, channels=1, rate=16000):
+    body = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels,
+                       rate, rate * width * channels, width * channels, bits)
+    if extensible:
+        body += (struct.pack("<HHI", 22, bits, 4) + struct.pack("<I", tag)
+                 + _GUID_TAIL)
+    return b"fmt " + struct.pack("<I", len(body)) + body
+
+
+def _riff(fmt_chunk, payload, chunks=b""):
+    body = (b"WAVE" + fmt_chunk + chunks + b"data"
+            + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("tag, bits, width, dtype", [
+    (1, 16, 2, "<i2"), (1, 24, 3, "<i4"), (1, 32, 4, "<i4"),
+    (3, 32, 4, "<f4"), (3, 64, 8, "<f8")])
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize("chunks", [b"", b"LIST\x05\x00\x00\x00INFOx\x00"])
+def test_read_wav_equals_scipy(tmp_path, tag, bits, width, dtype, extensible,
+                               chunks):
+    rng = np.random.default_rng(bits + width)
+    values = (rng.uniform(-1, 1, 777) if tag == 3 else
+              rng.integers(-2 ** (bits - 1), 2 ** (bits - 1), 777)).astype(dtype)
+    # 24-bit samples keep the low three bytes of each little-endian word
+    payload = values.view(np.uint8).reshape(777, -1)[:, :width].tobytes()
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff(_fmt_chunk(tag, bits, width, extensible), payload,
+                           chunks))
+    rate, want = _scipy_read(path)
+    got = read_wav(path)
+    assert got.sample_rate == rate == 16000
+    assert np.array_equal(got.samples, want)
+
+
+def test_read_wav_rejects_uint8_truncated_and_other_containers(tmp_path):
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 16000, np.full(100, 128, dtype=np.uint8))
+    with pytest.raises(ValueError, match="unsupported WAV sample format"):
+        read_wav(path)
+    write_wav(path, Signal(np.zeros(100), 16000))
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-3])
+    with pytest.raises(ValueError, match="shorter than its declared size"):
+        read_wav(path)
+    for container in (b"RIFX", b"RF64"):
+        path.write_bytes(container + whole[4:])
+        with pytest.raises(ValueError, match="unsupported WAV sample format"):
+            read_wav(path)
+
+
+def test_next_fast_len_equals_scipy():
+    sizes = list(range(1, 20001)) + [
+        int(n) for n in np.random.default_rng(11).integers(1, 10 ** 7, 200)]
+    for real in (True, False):
+        assert ([next_fast_len(n, real) for n in sizes]
+                == [scipy_fft.next_fast_len(n, real) for n in sizes])
+    assert (next_fast_len(np.int64(1001), False)
+            == scipy_fft.next_fast_len(1001, False))
+    with pytest.raises(ValueError):
+        next_fast_len(0, True)
 
 
 @pytest.mark.parametrize("la, lb", [(48000, 9641), (16000, 1500), (64000, 8041),

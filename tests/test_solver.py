@@ -23,8 +23,12 @@ FS = 16000
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_size=0.0)
+    for step_size in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="step_size"):
+            SolverConfig(step_size=step_size)
+    with pytest.raises(ValueError, match="stop_rel_tol"):
+        SolverConfig(stop_rel_tol=np.nan)
+    SolverConfig(stop_rel_tol=-np.inf)
     with pytest.raises(ValueError):
         SolverConfig(step_rule="newton")
 

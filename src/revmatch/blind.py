@@ -303,6 +303,9 @@ def speech_shaped_noise(num_samples, sample_rate=16000, rng=None):
     """Stationary noise with a speech-like long-term spectral envelope:
     band-passed around the low hundreds of Hz with a gentle high-frequency
     roll-off. Unit RMS."""
+    if num_samples < 2:
+        # one sample holds only DC, which the envelope removes
+        raise ValueError("speech-shaped noise needs at least 2 samples")
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = derive_rng(0 if rng is None else int(rng), STREAM_SYNTH)
     white = rng.standard_normal(num_samples)

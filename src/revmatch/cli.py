@@ -140,6 +140,8 @@ def _manifest_pairs(manifest, cfg):
 def cmd_calibrate(args):
     # pairs are generated one at a time: calibrate_rt60 keeps one number each
     cfg = default_stft_config()
+    if not 0 < args.duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     if args.manifest:
         pairs = _manifest_pairs(args.manifest, cfg)
     elif args.synthetic:
@@ -270,6 +272,8 @@ def cmd_eval(args):
 
 def cmd_bench(args):
     radii = [r.strip() for r in args.band_radii.split(",") if r.strip()]
+    if not radii:
+        raise ValueError("bench requires at least one band radius")
     cfg = default_stft_config()
     rng = derive_rng(args.seed, STREAM_CLI_TASKS, 0)
     # 1500-tap decaying RIR keeps the full-band reference cheap

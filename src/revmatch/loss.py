@@ -144,13 +144,13 @@ def _weighted_sq_sum(x, weights):
     return float(weights[:, 0] @ np.vecdot(flat, flat))
 
 
-def _draw_terms(y_data, yhat, weights, alpha_fallback, want_grad):
+def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad):
     """Loss terms of one draw on one-sided grids, and the gradient with
-    respect to yhat."""
+    respect to yhat; ``log_mag_y`` is log(1 + |y_data|)."""
     _check_shapes(y_data, yhat)
     diff = yhat - y_data
     mag = np.abs(yhat)
-    err = np.log1p(np.abs(y_data)) - np.log1p(mag)
+    err = log_mag_y - np.log1p(mag)
     l_c = _weighted_sq_sum(diff, weights)
     l_m = _weighted_sq_sum(err, weights)
     g_m = _grad_mag(err, mag, yhat)
@@ -162,12 +162,17 @@ def _draw_terms(y_data, yhat, weights, alpha_fallback, want_grad):
     else:
         alpha = float(norm_c / norm_m)
     total = l_c + alpha * l_m
-    g_y = 2.0 * diff + alpha * g_m if want_grad else None
-    return l_c, l_m, alpha, total, g_y
+    if not want_grad:
+        return l_c, l_m, alpha, total, None
+    # 2 diff + alpha g_m, built in the two arrays this call owns
+    g_m *= alpha
+    diff *= 2.0
+    diff += g_m
+    return l_c, l_m, alpha, total, diff
 
 
 def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
-            alpha_fallback=1.0, operators=None):
+            alpha_fallback=1.0, operators=None, log_mag_y=None):
     """Reverberation-matching loss between an observed reverberant grid and a
     real dry signal pushed through RIRs drawn from, or fixed by, the
     acoustics.
@@ -200,6 +205,9 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
         Weight used when the magnitude-loss gradient vanishes.
     operators : list of tfconv.ExactConv, optional
         Pre-built operators to use instead of ``acoustics`` (one per draw).
+    log_mag_y : ndarray, optional
+        ``log1p(abs(y.half().data))``, for a caller that scores one
+        observation many times; computed here when not given.
 
     Returns
     -------
@@ -217,13 +225,15 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
         operators = [tfconv.ExactConv(h, y.config) for h in draws]
     n_draws = len(operators)
     y_data = y.half().data
+    if log_mag_y is None:
+        log_mag_y = np.log1p(np.abs(y_data))
     weights = row_weights(y.config)
     per_draw = []
     backprop = []
     for op in operators:
         yhat = op.forward(x).data
         l_c, l_m, alpha, total, g_y = _draw_terms(
-            y_data, yhat, weights, alpha_fallback, want_grad)
+            y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad)
         per_draw.append((l_c, l_m, alpha, total))
         backprop.append((op, g_y))
 

@@ -128,6 +128,7 @@ def trainingless_dereverb(y, params, cfg=None):
     y_norm = Spectrogram(y_half.data / scale, y.config, n)
     floor = 1e-14 * float(np.sum(row_weights(y.config)
                                  * np.abs(y_norm.data) ** 2))
+    log_mag_y = np.log1p(np.abs(y_norm.data))
 
     # a known RIR's operator is built once, not once per iteration
     fixed_ops = None
@@ -146,7 +147,8 @@ def trainingless_dereverb(y, params, cfg=None):
         report, grad = rm_loss(
             y_norm, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
-            want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops)
+            want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops,
+            log_mag_y=log_mag_y)
         alpha_prev = report.alpha
         reports.append(report)
         total = report.total
@@ -171,22 +173,32 @@ def trainingless_dereverb(y, params, cfg=None):
                 converged = True
                 break
 
+        # the step works in place on grad, which this iteration owns, and on
+        # the moments; x itself is replaced, as best_x may hold it
         if cfg.step_rule == "fixed":
             # the analysis multiplies a sample's curvature by up to the
             # window length, so the step is taken in units of it
-            x = x - (cfg.step_size / y.config.win_len) * grad
+            grad *= cfg.step_size / y.config.win_len
+            x = x - grad
         else:
             if moments is None:
                 moments = (np.zeros_like(grad), np.zeros_like(grad))
             m, v = moments
             b1, b2, eps = 0.9, 0.999, 1e-8
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad ** 2
-            moments = (m, v)
+            m *= b1
+            m += (1 - b1) * grad
+            np.square(grad, out=grad)
+            grad *= 1 - b2
+            v *= b2
+            v += grad
             tcorr = it + 1
             mhat = m / (1 - b1 ** tcorr)
-            vhat = v / (1 - b2 ** tcorr)
-            x = x - cfg.step_size * mhat / (np.sqrt(vhat) + eps)
+            vhat = np.divide(v, 1 - b2 ** tcorr, out=grad)
+            np.sqrt(vhat, out=vhat)
+            vhat += eps
+            mhat *= cfg.step_size
+            mhat /= vhat
+            x = x - mhat
 
     trace = SolveTrace(reports=reports, best_index=best_index,
                        iterations_used=len(reports), converged=converged)

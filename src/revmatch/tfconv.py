@@ -221,8 +221,8 @@ class ExactConv:
     ``forward_full`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up
     to rounding) for any complex grid ``s``.
 
-    The RIR's real spectrum is computed once per transform length and shared
-    by ``forward`` and ``adjoint``.
+    The RIR's real spectrum and its conjugate are computed once per transform
+    length and shared by every ``forward`` and ``adjoint`` call.
     """
 
     def __init__(self, h, cfg):
@@ -233,14 +233,14 @@ class ExactConv:
 
     def _spectrum(self, num_samples):
         """FFT length for a dry signal of ``num_samples`` samples, and the
-        RIR's real spectrum at it; long enough that neither map wraps
-        around."""
+        RIR's real spectrum at it with its conjugate; long enough that neither
+        map wraps around."""
         n_fft = next_fast_len(num_samples + len(self.taps) - 1, True)
-        h_f = self._spectra.get(n_fft)
-        if h_f is None:
+        spectra = self._spectra.get(n_fft)
+        if spectra is None:
             h_f = np.fft.rfft(self.taps, n=n_fft)
-            self._spectra[n_fft] = h_f
-        return n_fft, h_f
+            spectra = self._spectra[n_fft] = (h_f, np.conj(h_f))
+        return n_fft, spectra
 
     def _check(self, cfg):
         if not self.cfg.same_grid(cfg):
@@ -249,9 +249,10 @@ class ExactConv:
     def forward(self, x):
         """One-sided STFT of ``(h * x)[:len(x)]`` for a real dry signal."""
         n = len(x)
-        n_fft, h_f = self._spectrum(n)
-        wet = np.fft.irfft(np.fft.rfft(x, n=n_fft) * h_f, n=n_fft)[:n]
-        return stft(wet, self.cfg, one_sided=True)
+        n_fft, (h_f, _) = self._spectrum(n)
+        spec = np.fft.rfft(x, n=n_fft)
+        spec *= h_f
+        return stft(np.fft.irfft(spec, n=n_fft)[:n], self.cfg, one_sided=True)
 
     def adjoint(self, grid):
         """Adjoint of :meth:`forward`: a one-sided grid of the frames of
@@ -262,9 +263,10 @@ class ExactConv:
         frames = np.fft.irfft(grid.data.T, n=cfg.win_len, axis=1)
         frames *= cfg.win_len * cfg.analysis_window
         wet_adj = overlap_add(frames, cfg.hop)[cfg.head_pad:cfg.head_pad + n]
-        n_fft, h_f = self._spectrum(n)
-        return np.fft.irfft(np.fft.rfft(wet_adj, n=n_fft) * np.conj(h_f),
-                            n=n_fft)[:n]
+        n_fft, (_, h_f_conj) = self._spectrum(n)
+        spec = np.fft.rfft(wet_adj, n=n_fft)
+        spec *= h_f_conj
+        return np.fft.irfft(spec, n=n_fft)[:n]
 
     def forward_full(self, dry):
         """Reverberate a full complex grid: complex overlap-add synthesis (no

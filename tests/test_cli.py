@@ -285,6 +285,28 @@ def test_calibrate_requires_source(tmp_path):
     assert run("calibrate", "-o", tmp_path / "cal.txt") == 2
 
 
+@pytest.mark.parametrize("duration, message", [
+    ("inf", "duration must be positive and finite"),
+    ("-1", "duration must be positive and finite"),
+    ("0", "duration must be positive and finite"),
+    ("0.0001", "at least 2 samples")])
+def test_calibrate_rejects_a_bad_duration(tmp_path, capsys, duration,
+                                          message):
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--synthetic", 3, "--duration", duration,
+               "-o", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radii", [",", ""])
+def test_bench_rejects_an_empty_radius_list(tmp_path, capsys, radii):
+    out = tmp_path / "bench.txt"
+    assert run("bench", "--band-radii", radii, "-o", out) == 2
+    assert "at least one band radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dereverb_oracle_params(tmp_path):
     wet_path = tmp_path / "wet.wav"
     params = AcousticParams(rt60=0.25, drr_db=0.0, sample_rate=FS)

@@ -7,8 +7,9 @@ from revmatch.loss import (DegenerateGradNorm, LossConfig, grad_complex,
                            rm_loss)
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.seeding import STREAM_LOSS_DRAWS, derive_rng
-from revmatch.signals import (StftConfig, canonical_dual_window, hann_window,
-                              stft)
+from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
+                              hann_window, stft)
+from revmatch.tfconv import ExactConv
 from scipy.signal import fftconvolve
 
 FS = 16000
@@ -188,6 +189,42 @@ def test_rm_loss_gradient_matches_finite_differences():
         minus = reference_loss(y, x0 - step, h.taps, report.alpha)
         fd[k] = (plus - minus) / (2 * eps)
     assert np.linalg.norm(fd - grad) / np.linalg.norm(fd) <= 1e-5
+
+
+def test_rm_loss_gradient_is_the_adjoint_of_the_reference_grid_gradient(cfg):
+    # bit for bit: the gradient grid is assembled in place from the same
+    # operations as 2 (yhat - y) + alpha grad_mag(y, yhat)
+    h, s, wet = make_problem(seed=19)
+    y = stft(wet, cfg, one_sided=True)
+    x = padded(s, y) + 0.1 * np.random.default_rng(19).standard_normal(
+        y.num_samples)
+    report, grad = rm_loss(y, x, h, LossConfig(), want_grad=True)
+    op = ExactConv(h, cfg)
+    yhat = op.forward(x).data
+    g_y = 2.0 * (yhat - y.data) + report.alpha * grad_mag(y.data, yhat)
+    assert np.array_equal(grad, op.adjoint(Spectrogram(g_y, cfg, len(x))))
+
+
+@pytest.mark.parametrize("variant, draws", [
+    ("single", 1), ("average", 3), ("best", 3)])
+def test_rm_loss_leaves_its_inputs_unchanged(cfg, variant, draws):
+    params = AcousticParams(rt60=0.15, drr_db=0.0, sample_rate=FS)
+    rng = np.random.default_rng(20)
+    y = stft(fftconvolve(rng.standard_normal(4000),
+                         sample_rir(params, rng=3).taps), cfg)
+    x = rng.standard_normal(y.num_samples)
+    log_mag_y = np.log1p(np.abs(y.half().data))
+    before = [y.data.copy(), x.copy(), log_mag_y.copy()]
+    loss_cfg = LossConfig(variant=variant, num_draws=draws)
+    first = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
+    second = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
+    given = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True,
+                    log_mag_y=log_mag_y)
+    for arr, copy in zip([y.data, x, log_mag_y], before):
+        assert np.array_equal(arr, copy)
+    for report, grad in (second, given):
+        assert report == first[0]
+        assert np.array_equal(grad, first[1])
 
 
 def test_loss_config_validation():

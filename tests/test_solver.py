@@ -13,8 +13,8 @@ from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.seeding import STREAM_SOLVER_ITERS, as_path
 from revmatch.signals import (Signal, Spectrogram, default_stft_config,
                               fft_convolve, istft, stft)
-from revmatch.solver import (DivergenceError, Passthrough, SolverConfig,
-                             SolveTrace, dereverb_pipeline,
+from revmatch.solver import (STEP_RULES, DivergenceError, Passthrough,
+                             SolverConfig, SolveTrace, dereverb_pipeline,
                              trainingless_dereverb)
 
 FS = 16000
@@ -308,3 +308,16 @@ def test_solve_runs_no_complex_fft(which, monkeypatch):
                                      SolverConfig(max_iters=5))
     assert trace.iterations_used >= 2
     assert calls == []
+
+
+@pytest.mark.parametrize("step_rule", STEP_RULES)
+@pytest.mark.parametrize("which", [0, 1], ids=["dirac", "polack"])
+def test_solve_leaves_its_inputs_unchanged(which, step_rule):
+    # the step works in place on the gradient and the moments only
+    y, acoustics = known_rir_and_params()
+    before = y.data.copy()
+    taps = acoustics[0].taps.copy()
+    trainingless_dereverb(y, acoustics[which],
+                          SolverConfig(max_iters=5, step_rule=step_rule))
+    assert np.array_equal(y.data, before)
+    assert np.array_equal(acoustics[0].taps, taps)

@@ -24,6 +24,13 @@ from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 from .signals import istft, row_weights
 
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
+# a mapped RT60 below this (seconds) is anechoic: the DRR grid is skipped
+MIN_RT60 = 0.05
+# the shortest strictly-decreasing run of frames the decay statistic fits
+MIN_RUN = 3
+# bands whose mean energy sits more than this far (dB) below the loudest
+# band are left out of the decay statistic
+BAND_FLOOR_DB = 60.0
 
 
 class InsufficientDecay(ValueError):
@@ -75,15 +82,14 @@ class BlindEstimate:
 
 @dataclass(frozen=True)
 class BlindConfig:
-    """Knobs of the blind analyzer."""
+    """Knobs of the blind analyzer: the DRR grid search and the noise model
+    of its draws. The decay statistic's thresholds are the module constants
+    ``MIN_RT60``, ``MIN_RUN`` and ``BAND_FLOOR_DB``."""
 
     drr_grid: tuple = DEFAULT_DRR_GRID
     draws_per_point: int = 3
     k_inner: int = 18
     seed: int = 0
-    min_rt60: float = 0.05
-    min_run: int = 3
-    band_floor_db: float = 60.0
     noise_mode: str = "centered-gaussian"
 
     def __post_init__(self):
@@ -121,26 +127,21 @@ def _run_slopes(log_e, min_run):
     return np.concatenate(slopes) if slopes else np.empty(0)
 
 
-def raw_decay_estimate(spec, sample_rate=16000, min_run=BlindConfig.min_run,
-                       band_floor_db=BlindConfig.band_floor_db):
+def raw_decay_estimate(spec, sample_rate=16000):
     """Median per-run decay time (seconds) over all bands of a spectrogram.
 
-    The log-energies of the bands that pass ``band_floor_db`` form one
-    ``(bands, frames)`` matrix; one array pass finds the maximal
-    strictly-decreasing runs of at least ``min_run`` frames in every band and
-    fits each with a least-squares line (see ``_run_slopes``). Each negative
-    slope ``s`` (dB per frame) gives the decay time ``-60 * hop / (rate * s)``.
+    The log-energies of the bands whose mean energy is within
+    ``BAND_FLOOR_DB`` of the loudest band's form one ``(bands, frames)``
+    matrix; one array pass finds the maximal strictly-decreasing runs of at
+    least ``MIN_RUN`` frames in every band and fits each with a least-squares
+    line (see ``_run_slopes``). Each negative slope ``s`` (dB per frame)
+    gives the decay time ``-60 * hop / (rate * s)``.
 
     Parameters
     ----------
     spec : Spectrogram
         Must span at least 1 s of audio.
     sample_rate : int
-    min_run : int
-        Minimum strictly-decreasing run length, in frames.
-    band_floor_db : float
-        Bands whose mean energy sits more than this far below the loudest
-        band are skipped.
 
     Raises
     ------
@@ -154,9 +155,9 @@ def raw_decay_estimate(spec, sample_rate=16000, min_run=BlindConfig.min_run,
     peak = band_mean.max()
     if peak <= 0:
         raise InsufficientDecay("insufficient decay evidence")
-    keep = band_mean > peak * 10.0 ** (-band_floor_db / 10.0)
+    keep = band_mean > peak * 10.0 ** (-BAND_FLOOR_DB / 10.0)
     log_e = 10.0 * np.log10(energy + 1e-300)
-    slopes = _run_slopes(log_e[keep], min_run)
+    slopes = _run_slopes(log_e[keep], MIN_RUN)
     slopes = slopes[slopes < 0]
     if not slopes.size:
         raise InsufficientDecay("insufficient decay evidence")
@@ -189,8 +190,7 @@ def fit_rt60_polynomial(raw_values, rt60_values):
                            residual=resid)
 
 
-def calibrate_rt60(pairs, sample_rate=16000, min_run=BlindConfig.min_run,
-                   band_floor_db=BlindConfig.band_floor_db):
+def calibrate_rt60(pairs, sample_rate=16000):
     """Fit the calibration polynomial on (Spectrogram, rt60 seconds) pairs.
 
     ``pairs`` is read in one pass and may be any iterable: a generator holds
@@ -198,8 +198,7 @@ def calibrate_rt60(pairs, sample_rate=16000, min_run=BlindConfig.min_run,
     """
     raws, rt60s = [], []
     for spec, rt60 in pairs:
-        raws.append(raw_decay_estimate(spec, sample_rate, min_run,
-                                       band_floor_db))
+        raws.append(raw_decay_estimate(spec, sample_rate))
         rt60s.append(rt60)
     return fit_rt60_polynomial(raws, rt60s)
 
@@ -285,9 +284,9 @@ def analyze_blind(spec, cal, cfg=None, sample_rate=16000):
     """
     if cfg is None:
         cfg = BlindConfig()
-    raw = raw_decay_estimate(spec, sample_rate, cfg.min_run, cfg.band_floor_db)
+    raw = raw_decay_estimate(spec, sample_rate)
     rt60 = float(cal.map(raw))
-    if rt60 < cfg.min_rt60:
+    if rt60 < MIN_RT60:
         return BlindEstimate(rt60=rt60, drr_db=max(cfg.drr_grid),
                              raw_median_decay=raw,
                              rm_loss_at_estimate=math.nan, anechoic=True)

@@ -36,16 +36,17 @@ from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
 from .seeding import STREAM_CLI_TASKS, STREAM_SYNTH, derive_rng
 from .signals import (Signal, default_stft_config, fft_convolve, istft,
                       read_wav, stft, write_wav)
-from .solver import STEP_RULES, SolverConfig, dereverb_pipeline
+from .solver import SolverConfig, dereverb_pipeline
 # not called here; perfbench/spans.py wraps cli.trainingless_dereverb by name
 from .solver import trainingless_dereverb  # noqa: F401
 
 CLI_SAMPLE_RATE = 16000
 DOMAINS = ("time", "stft")
 
-# config keys that stay ignored: the files named on the command line (a
-# string default would break ``--in``'s append) and the subcommand itself
-_COMMAND_LINE_ONLY = ("command", "config", "input", "inputs", "output")
+# config keys that stay ignored: the files named on the command line, by
+# option name or destination (a string default would break ``--in``'s
+# append), and the subcommand itself
+_COMMAND_LINE_ONLY = ("command", "config", "in", "input", "inputs", "output")
 
 
 def _atomic_write(path, writer):
@@ -111,7 +112,7 @@ def cmd_reverberate(args):
         cfg = default_stft_config()
         wet = istft(tfconv.ExactConv(rir, cfg).forward_full(stft(dry, cfg)))
     sig = Signal(wet, dry.sample_rate)
-    _atomic_write(args.output, lambda tmp: write_wav(tmp, sig, fmt="float32"))
+    _atomic_write(args.output, lambda tmp: write_wav(tmp, sig))
     return 0
 
 
@@ -173,8 +174,8 @@ def cmd_analyze_blind(args):
 
 def _solver_config(args, seed):
     return SolverConfig(
-        max_iters=args.max_iters, step_rule=args.step_rule,
-        step_size=args.step_size, stop_rel_tol=args.stop_rel_tol,
+        max_iters=args.max_iters, step_size=args.step_size,
+        stop_rel_tol=args.stop_rel_tol,
         loss_cfg=LossConfig(variant=args.variant, num_draws=args.draws),
         seed=seed)
 
@@ -192,8 +193,7 @@ def _dereverb_one(path, out_path, trace_path, args, task_seed):
     result, trace = dereverb_pipeline(sig, acoustics,
                                       _solver_config(args, task_seed),
                                       _blind_config(args))
-    _atomic_write(out_path, lambda tmp: write_wav(
-        tmp, result, fmt="float32"))
+    _atomic_write(out_path, lambda tmp: write_wav(tmp, result))
     if trace_path:
         _write_text(trace_path, trace.to_lines())
     return 0
@@ -215,6 +215,9 @@ def cmd_dereverb(args):
         if os.path.isdir(out):
             raise ValueError(f"output {out} is a directory; a single input "
                              "takes an output file")
+        if trace_path and _same_file(out, trace_path):
+            raise ValueError(f"trace {trace_path} would overwrite output "
+                             f"{out}")
         outputs = [out, trace_path] if trace_path else [out]
     else:
         if trace_path:
@@ -248,10 +251,15 @@ def cmd_dereverb(args):
 
 
 def _report_value(kv, path, *keys):
-    """The value of the first of ``keys`` present in a report's records."""
+    """The finite value of the first of ``keys`` present in a report's
+    records."""
     for key in keys:
         if key in kv:
-            return float(kv[key])
+            val = float(kv[key])
+            if not math.isfinite(val):
+                raise ValueError(f"{path}: {key} must be finite, "
+                                 f"not {kv[key]}")
+            return val
     raise ValueError(f"{path}: report has no {' or '.join(keys)} record")
 
 
@@ -301,7 +309,8 @@ def build_parser(config=None):
     """The ``revmatch`` parser. ``config`` holds a config file's records,
     which become every subcommand's defaults (keys in ``_COMMAND_LINE_ONLY``
     aside), so argparse converts them with each option's type and explicit
-    flags still win."""
+    flags still win. A record that names no option of any subcommand is a
+    ``ValueError``."""
     parser = argparse.ArgumentParser(
         prog="revmatch",
         description="Model-based dereverberation via reverberation matching.")
@@ -352,8 +361,6 @@ def build_parser(config=None):
     p.add_argument("--drr", type=float, default=0.0)
     p.add_argument("--nd", type=int, default=DEFAULT_DIRECT_DELAY)
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    p.add_argument("--step-rule", choices=STEP_RULES,
-                   default=SolverConfig.step_rule)
     p.add_argument("--step-size", type=float, default=SolverConfig.step_size)
     p.add_argument("--stop-rel-tol", type=float,
                    default=SolverConfig.stop_rel_tol)
@@ -377,6 +384,11 @@ def build_parser(config=None):
     if config:
         defaults = {key: val for key, val in config.items()
                     if key not in _COMMAND_LINE_ONLY}
+        options = {action.dest for p in sub.choices.values()
+                   for action in p._actions}
+        unknown = sorted(defaults.keys() - options)
+        if unknown:
+            raise ValueError("unknown config key: " + ", ".join(unknown))
         for p in sub.choices.values():
             p.set_defaults(**defaults)
     return parser

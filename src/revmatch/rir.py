@@ -3,11 +3,11 @@ synthesis with an exponentially decaying noise tail, energy decay curves, and
 non-blind parameter recovery by decay-curve regression."""
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .records import format_records, read_records
+from .records import read_records
 from .signals import Signal, read_wav, write_wav
 
 LN10 = math.log(10.0)
@@ -179,6 +179,8 @@ def analyze_rir(rir, n_d=DEFAULT_DIRECT_DELAY):
     """
     if not isinstance(rir, Rir):
         raise TypeError("analyze_rir expects a Rir")
+    if n_d < 0:
+        raise ValueError("n_d must be nonnegative")
     fs = rir.sample_rate
     curve = edc(rir)
     ref_idx = n_d + 1
@@ -216,7 +218,7 @@ def write_rir(path, rir):
     chosen by file extension."""
     path = str(path)
     if path.endswith(".wav"):
-        write_wav(path, Signal(rir.taps, rir.sample_rate), fmt="float32")
+        write_wav(path, Signal(rir.taps, rir.sample_rate))
     else:
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# sample_rate={rir.sample_rate}\n")
@@ -224,13 +226,13 @@ def write_rir(path, rir):
                 f.write(f"{tap:.17g}\n")
 
 
-def read_rir(path, sample_rate=None):
+def read_rir(path):
     """Load an RIR written by :func:`write_rir`."""
     path = str(path)
     if path.endswith(".wav"):
         sig = read_wav(path)
         return Rir(sig.samples, sig.sample_rate)
-    rate = sample_rate
+    rate = None
     taps = []
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
@@ -245,12 +247,6 @@ def read_rir(path, sample_rate=None):
     if rate is None:
         raise ValueError("text RIR lacks a sample_rate header")
     return Rir(np.array(taps), rate)
-
-
-def params_to_file(path, params):
-    """Serialize AcousticParams as ``key=value`` records."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_records(asdict(params).items()))
 
 
 def params_from_file(path):

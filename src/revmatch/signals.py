@@ -123,11 +123,11 @@ class StftConfig:
                 and np.array_equal(self.synthesis_window, other.synthesis_window))
 
 
-def default_stft_config(win_len=512, hop=256):
+def default_stft_config():
     """512-sample Hann analysis window, 50% overlap, canonical dual synthesis."""
-    g_a = hann_window(win_len)
-    g_s = canonical_dual_window(g_a, hop)
-    return StftConfig(win_len=win_len, hop=hop,
+    g_a = hann_window(512)
+    g_s = canonical_dual_window(g_a, 256)
+    return StftConfig(win_len=512, hop=256,
                       analysis_window=g_a, synthesis_window=g_s)
 
 
@@ -373,26 +373,15 @@ def read_wav(path, expect_rate=None):
     return Signal(samples, int(rate))
 
 
-def write_wav(path, sig, fmt="float32"):
-    """Write a Signal as mono WAV, IEEE float32 by default or PCM16, with the
-    header ``scipy.io.wavfile.write`` gives: a 16-byte ``fmt `` chunk for
-    PCM, an 18-byte one and a ``fact`` chunk for float."""
-    if fmt == "float32":
-        data, tag = sig.samples.astype("<f4"), _WAVE_IEEE_FLOAT
-    elif fmt == "pcm16":
-        clipped = np.clip(sig.samples, -1.0, 32767.0 / 32768.0)
-        data, tag = np.round(clipped * 32768.0).astype("<i2"), _WAVE_PCM
-    else:
-        raise ValueError(f"unknown WAV format: {fmt}")
-    width, rate = data.itemsize, sig.sample_rate
-    body = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
-    chunks = b"fmt "
-    if tag == _WAVE_PCM:
-        chunks += struct.pack("<I", len(body)) + body
-    else:
-        chunks += (struct.pack("<I", len(body) + 2) + body + b"\x00\x00"
-                   + b"fact" + struct.pack("<II", 4, len(data)))
-    chunks += b"data" + struct.pack("<I", data.nbytes)
+def write_wav(path, sig):
+    """Write a Signal as mono IEEE float32 WAV, with the header
+    ``scipy.io.wavfile.write`` gives: an 18-byte ``fmt `` chunk and a
+    ``fact`` chunk."""
+    data, rate = sig.samples.astype("<f4"), sig.sample_rate
+    body = struct.pack("<HHIIHH", _WAVE_IEEE_FLOAT, 1, rate, rate * 4, 4, 32)
+    chunks = (b"fmt " + struct.pack("<I", len(body) + 2) + body + b"\x00\x00"
+              + b"fact" + struct.pack("<II", 4, len(data))
+              + b"data" + struct.pack("<I", data.nbytes))
     with open(path, "wb") as f:
         f.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + data.nbytes)
                 + b"WAVE" + chunks)

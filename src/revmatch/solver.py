@@ -14,8 +14,6 @@ from .seeding import STREAM_SOLVER_ITERS, as_path
 from .signals import (Signal, Spectrogram, default_stft_config, istft,
                       row_weights, stft)
 
-STEP_RULES = ("adam", "fixed")
-
 
 class DivergenceError(RuntimeError):
     """Objective exceeded the divergence guard during a solve."""
@@ -23,14 +21,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and step rule for the per-sample solver.
+    """Iteration budget and Adam step size for the per-sample solver.
 
     ``step_size`` is relative to the dry signal, which the solver normalizes
-    to unit RMS; the ``fixed`` rule divides it by the window length.
+    to unit RMS.
     """
 
     max_iters: int = 500
-    step_rule: str = "adam"
     step_size: float = 5e-2
     stop_rel_tol: float = 1e-4
     loss_cfg: LossConfig = field(default_factory=LossConfig)
@@ -43,8 +40,6 @@ class SolverConfig:
             raise ValueError("step_size must be positive and finite")
         if np.isnan(self.stop_rel_tol):
             raise ValueError("stop_rel_tol must not be NaN")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"step_rule must be one of {STEP_RULES}")
 
 
 @dataclass
@@ -173,32 +168,26 @@ def trainingless_dereverb(y, params, cfg=None):
                 converged = True
                 break
 
-        # the step works in place on grad, which this iteration owns, and on
-        # the moments; x itself is replaced, as best_x may hold it
-        if cfg.step_rule == "fixed":
-            # the analysis multiplies a sample's curvature by up to the
-            # window length, so the step is taken in units of it
-            grad *= cfg.step_size / y.config.win_len
-            x = x - grad
-        else:
-            if moments is None:
-                moments = (np.zeros_like(grad), np.zeros_like(grad))
-            m, v = moments
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            m *= b1
-            m += (1 - b1) * grad
-            np.square(grad, out=grad)
-            grad *= 1 - b2
-            v *= b2
-            v += grad
-            tcorr = it + 1
-            mhat = m / (1 - b1 ** tcorr)
-            vhat = np.divide(v, 1 - b2 ** tcorr, out=grad)
-            np.sqrt(vhat, out=vhat)
-            vhat += eps
-            mhat *= cfg.step_size
-            mhat /= vhat
-            x = x - mhat
+        # the Adam step works in place on grad, which this iteration owns,
+        # and on the moments; x itself is replaced, as best_x may hold it
+        if moments is None:
+            moments = (np.zeros_like(grad), np.zeros_like(grad))
+        m, v = moments
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        m *= b1
+        m += (1 - b1) * grad
+        np.square(grad, out=grad)
+        grad *= 1 - b2
+        v *= b2
+        v += grad
+        tcorr = it + 1
+        mhat = m / (1 - b1 ** tcorr)
+        vhat = np.divide(v, 1 - b2 ** tcorr, out=grad)
+        np.sqrt(vhat, out=vhat)
+        vhat += eps
+        mhat *= cfg.step_size
+        mhat /= vhat
+        x = x - mhat
 
     trace = SolveTrace(reports=reports, best_index=best_index,
                        iterations_used=len(reports), converged=converged)

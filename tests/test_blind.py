@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from revmatch.blind import (BlindConfig, InsufficientDecay, Rt60Calibration,
-                            _run_slopes, analyze_blind, blind_drr,
-                            calibrate_rt60, fit_rt60_polynomial,
+from revmatch.blind import (MIN_RUN, BlindConfig, InsufficientDecay,
+                            Rt60Calibration, _run_slopes, analyze_blind,
+                            blind_drr, calibrate_rt60, fit_rt60_polynomial,
                             raw_decay_estimate, speech_like_noise,
                             speech_shaped_noise)
 from revmatch.rir import AcousticParams, sample_rir, tau_from_rt60
@@ -170,8 +170,9 @@ def test_raw_decay_floor_cut_band_holding_the_only_runs(cfg):
     spec = Spectrogram(data + 0j, cfg, num_samples=frames * cfg.hop)
     with pytest.raises(InsufficientDecay):
         raw_decay_estimate(spec, FS)
-    # the runs are there: a floor that keeps the band finds them
-    assert raw_decay_estimate(spec, FS, band_floor_db=200.0) > 0
+    # the runs are there: the cut band's log-energy is one decaying run
+    slopes = _run_slopes(10.0 * np.log10(np.abs(data[5:6]) ** 2), MIN_RUN)
+    assert len(slopes) == 1 and slopes[0] < 0
 
 
 def test_fit_polynomial_exact_quadratic_relation():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import revmatch.blind as blind
 import revmatch.cli as cli
 from revmatch.cli import main
 from revmatch.blind import BlindConfig, Rt60Calibration, speech_like_noise
-from revmatch.records import read_records
-from revmatch.rir import AcousticParams, params_to_file, read_rir, sample_rir
+from revmatch.records import format_records, read_records
+from revmatch.rir import AcousticParams, read_rir, sample_rir
 from revmatch.signals import Signal, read_wav, stft, write_wav
 from revmatch.solver import SolverConfig
 
@@ -74,6 +75,16 @@ def test_sample_rir_analyze_roundtrip(tmp_path):
     assert abs(float(kv["drr_est_db"])) <= 2.5
 
 
+def test_analyze_rir_rejects_a_negative_direct_delay(tmp_path, capsys):
+    rir_path = tmp_path / "h.wav"
+    assert run("sample-rir", "--rt60", 0.4, "--drr", 0, "-o", rir_path) == 0
+    report = tmp_path / "report.txt"
+    assert run("analyze-rir", "--in", rir_path, "--nd", -1,
+               "-o", report) == 2
+    assert "n_d must be nonnegative" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_reverberate_paths_agree(tmp_path):
     dry_path = tmp_path / "dry.wav"
     rir_path = tmp_path / "h.wav"
@@ -126,11 +137,15 @@ def test_eval_zero_estimate_is_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _write_params(path, params):
+    path.write_text(format_records(asdict(params).items()))
+
+
 def test_eval_param_errors(tmp_path):
     sig_path = tmp_path / "x.wav"
     write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
     truth_path = tmp_path / "truth.txt"
-    params_to_file(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
+    _write_params(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
     est_report = tmp_path / "est.txt"
     out = tmp_path / "eval.txt"
     # blind (analyze-blind) and non-blind (analyze-rir) report keys
@@ -152,7 +167,7 @@ def test_eval_est_report_missing_key_is_validation_error(tmp_path, capsys,
     sig_path = tmp_path / "x.wav"
     write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
     truth_path = tmp_path / "truth.txt"
-    params_to_file(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
+    _write_params(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
     est_report = tmp_path / "est.txt"
     est_report.write_text(records)
     out = tmp_path / "eval.txt"
@@ -162,6 +177,26 @@ def test_eval_est_report_missing_key_is_validation_error(tmp_path, capsys,
     assert not out.exists()
     missing = "drr_db" if records.startswith("rt60=") else "rt60"
     assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("records", ["rt60=nan\ndrr_db=0.0\n",
+                                     "rt60_est=0.6\ndrr_est_db=inf\n"],
+                         ids=["nan-rt60", "inf-drr"])
+def test_eval_est_report_non_finite_value_is_validation_error(
+        tmp_path, capsys, records):
+    sig_path = tmp_path / "x.wav"
+    write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
+    truth_path = tmp_path / "truth.txt"
+    _write_params(truth_path, AcousticParams(rt60=0.5, drr_db=2.0))
+    est_report = tmp_path / "est.txt"
+    est_report.write_text(records)
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", sig_path, "--ref", sig_path,
+               "--true-params", truth_path, "--est-report", est_report,
+               "-o", out) == 2
+    assert not out.exists()
+    key = "rt60" if records.startswith("rt60=") else "drr_est_db"
+    assert f"{est_report}: {key} must be finite" in capsys.readouterr().err
 
 
 def test_true_params_without_drr_is_validation_error(tmp_path, capsys):
@@ -349,7 +384,7 @@ def test_dereverb_passthrough_writes_its_cause(tmp_path):
     params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
     wet = fftconvolve(speech_like_noise(FS, FS, rng=14),
                       sample_rir(params, rng=15).taps)[:FS]
-    write_wav(wet_path, Signal(wet, FS), fmt="float32")
+    write_wav(wet_path, Signal(wet, FS))
     cal = tmp_path / "cal.txt"
     cal.write_text("c0=0\nc1=0\nc2=0\n")
     trace = tmp_path / "t.txt"
@@ -540,13 +575,29 @@ def test_config_keys_naming_command_line_files_are_ignored(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(f"in={tmp_path / 'nope.wav'}\n"
                       f"inputs={tmp_path / 'nope.wav'}\n"
-                      f"output={tmp_path / 'other.wav'}\ncommand=eval\n")
+                      f"output={tmp_path / 'other.wav'}\ncommand=eval\n"
+                      # keys of other subcommands: one file may serve several
+                      "domain=stft\nband_radii=1,2\n")
     base = ["dereverb", "--in", wet_path, "--rt60", 0.25, "--drr", 0,
             "--max-iters", 2]
     assert run(*base, "--config", config, "-o", tmp_path / "a.wav") == 0
     assert run(*base, "-o", tmp_path / "b.wav") == 0
     assert file_bytes(tmp_path / "a.wav") == file_bytes(tmp_path / "b.wav")
     assert not (tmp_path / "other.wav").exists()
+
+
+@pytest.mark.parametrize("record", ["max_iter=2", "step_rule=fixed"])
+def test_config_key_naming_no_option_is_a_usage_error(tmp_path, capsys,
+                                                      record):
+    wet_path = _short_wet(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"max_iters=2\n{record}\n")
+    out = tmp_path / "a.wav"
+    assert run("dereverb", "--in", wet_path, "--rt60", 0.25, "--drr", 0,
+               "--config", config, "-o", out) == 2
+    key = record.split("=")[0]
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_file_is_validation_error(tmp_path):
@@ -626,6 +677,19 @@ def test_dereverb_refuses_to_overwrite_an_input(tmp_path, monkeypatch):
     assert [file_bytes(x0), file_bytes(x1)] == before
     assert sorted(os.listdir(d)) == ["x0.wav", "x1.wav"]
     assert not (tmp_path / "o.wav").exists()
+
+
+def test_dereverb_refuses_a_trace_naming_the_output(tmp_path, monkeypatch,
+                                                    capsys):
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "o.wav"
+    for trace in (out, tmp_path / "." / "o.wav"):
+        assert run("dereverb", "--in", x0, "--rt60", 0.3, "--drr", 0,
+                   "--max-iters", 2, "--trace", trace, "-o", out) == 2
+        assert "would overwrite output" in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
 
 
 def test_dereverb_single_input_to_directory_is_validation_error(

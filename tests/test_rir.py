@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from revmatch.records import format_records
 from revmatch.rir import (AcousticParams, Rir, analyze_rir, edc,
-                          min_rir_length, params_from_file, params_to_file,
-                          read_rir, reverberant_energy, sample_rir,
-                          sigma_from_drr, tau_from_rt60, write_rir)
+                          min_rir_length, params_from_file, read_rir,
+                          reverberant_energy, sample_rir, sigma_from_drr,
+                          tau_from_rt60, write_rir)
 
 FS = 16000
 
@@ -165,7 +167,7 @@ def test_params_file_roundtrip(tmp_path):
     params = AcousticParams(rt60=0.37, drr_db=-2.5, n_d=40, sample_rate=FS,
                             noise_mode="half-normal")
     path = tmp_path / "params.txt"
-    params_to_file(path, params)
+    path.write_text(format_records(dataclasses.asdict(params).items()))
     back = params_from_file(path)
     assert back == params
 

@@ -95,6 +95,8 @@ class BlindConfig:
     def __post_init__(self):
         if self.draws_per_point < 1:
             raise ValueError("draws_per_point must be >= 1")
+        if self.k_inner < 1:
+            raise ValueError("k_inner must be >= 1")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
 
@@ -256,6 +258,7 @@ def blind_drr(spec, rt60, grid=None,
     y_half = spec.half().data
     weights = row_weights(spec.config)
     y_energy = float(np.sum(weights * np.abs(y_half) ** 2))
+    scratch = tfconv.Scratch(len(x), spec.config)
     scores = []
     rm_values = []
     for db in grid:
@@ -266,7 +269,7 @@ def blind_drr(spec, rt60, grid=None,
         for i in range(draws_per_point):
             h = rir.sample_rir(params,
                                rng=derive_rng(seed, STREAM_DRR_GRID, 1, i))
-            yhat = tfconv.ExactConv(h, spec.config).forward(x).data
+            yhat = tfconv.ExactConv(h, spec.config).forward(x, scratch).data
             energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
             l_c.append(float(np.sum(weights * np.abs(yhat - y_half) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))

@@ -103,15 +103,25 @@ def grad_complex(y, yhat):
 def grad_mag(y, yhat):
     """Gradient of loss_mag with respect to yhat; zero where |yhat| vanishes."""
     mag = np.abs(yhat)
-    return _grad_mag(np.log1p(np.abs(y)) - np.log1p(mag), mag, yhat)
+    err = np.log1p(np.abs(y)) - np.log1p(mag)
+    return _grad_mag(err, mag, yhat, np.empty_like(mag),
+                     np.empty(mag.shape, dtype=bool),
+                     np.empty(mag.shape, dtype=np.result_type(yhat, err)))
 
 
-def _grad_mag(err, mag, yhat):
-    """grad_mag from the log-magnitude error and |yhat|."""
-    denom = np.maximum(mag, _TINY) * (1.0 + mag)
-    grad = (-2.0 * err / denom) * yhat
-    grad[mag <= 0.0] = 0.0
-    return grad
+def _grad_mag(err, mag, yhat, denom, zero, out):
+    """grad_mag from the log-magnitude error and |yhat|, written to ``out``;
+    ``err`` and ``mag`` are overwritten, ``denom`` and ``zero`` are work
+    arrays of their shape."""
+    np.less_equal(mag, 0.0, out=zero)
+    np.maximum(mag, _TINY, out=denom)
+    mag += 1.0
+    denom *= mag
+    err *= -2.0
+    err /= denom
+    np.multiply(err, yhat, out=out)
+    np.copyto(out, 0.0, where=zero)
+    return out
 
 
 def gradnorm_alpha(y, yhat):
@@ -144,16 +154,21 @@ def _weighted_sq_sum(x, weights):
     return float(weights[:, 0] @ np.vecdot(flat, flat))
 
 
-def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad):
-    """Loss terms of one draw on one-sided grids, and the gradient with
-    respect to yhat; ``log_mag_y`` is log(1 + |y_data|)."""
+def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
+                scratch):
+    """Loss terms of one draw on one-sided grids, in the arrays of a
+    :class:`~revmatch.tfconv.Scratch`: (l_c, l_m, alpha, total, g_y), with
+    g_y (``scratch.diff``) the gradient with respect to yhat when
+    ``want_grad``; ``log_mag_y`` is log(1 + |y_data|)."""
     _check_shapes(y_data, yhat)
-    diff = yhat - y_data
-    mag = np.abs(yhat)
-    err = log_mag_y - np.log1p(mag)
+    diff = np.subtract(yhat, y_data, out=scratch.diff)
+    mag = np.abs(yhat, out=scratch.mag)
+    err = np.subtract(log_mag_y, np.log1p(mag, out=scratch.err),
+                      out=scratch.err)
     l_c = _weighted_sq_sum(diff, weights)
     l_m = _weighted_sq_sum(err, weights)
-    g_m = _grad_mag(err, mag, yhat)
+    g_m = _grad_mag(err, mag, yhat, scratch.denom, scratch.zero,
+                    scratch.g_m)
     # doubling is exact, so ||2 diff|| is 2 sqrt(l_c) to the last bit
     norm_c = 2.0 * np.sqrt(l_c)
     norm_m = np.sqrt(_weighted_sq_sum(g_m, weights))
@@ -164,7 +179,7 @@ def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad):
     total = l_c + alpha * l_m
     if not want_grad:
         return l_c, l_m, alpha, total, None
-    # 2 diff + alpha g_m, built in the two arrays this call owns
+    # 2 diff + alpha g_m, built in place
     g_m *= alpha
     diff *= 2.0
     diff += g_m
@@ -172,7 +187,7 @@ def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad):
 
 
 def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
-            alpha_fallback=1.0, operators=None, log_mag_y=None):
+            alpha_fallback=1.0, operators=None, log_mag_y=None, scratch=None):
     """Reverberation-matching loss between an observed reverberant grid and a
     real dry signal pushed through RIRs drawn from, or fixed by, the
     acoustics.
@@ -208,6 +223,10 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
     log_mag_y : ndarray, optional
         ``log1p(abs(y.half().data))``, for a caller that scores one
         observation many times; computed here when not given.
+    scratch : tfconv.Scratch, optional
+        Work arrays for ``len(x)`` samples under ``y.config``, for a caller
+        that scores many times; the gradient returned is then the scratch's
+        and its next use overwrites it. A fresh one is made when not given.
 
     Returns
     -------
@@ -227,21 +246,35 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
     y_data = y.half().data
     if log_mag_y is None:
         log_mag_y = np.log1p(np.abs(y_data))
+    if scratch is None:
+        scratch = tfconv.Scratch(len(x), y.config)
     weights = row_weights(y.config)
+
+    def backprop(op, g_y):
+        return op.adjoint(Spectrogram(g_y, y.config, len(x)), scratch)
+
+    # the next draw overwrites the scratch: the average sums its gradients
+    # in draw order as it goes, and each grid another variant may
+    # backpropagate later is copied out
+    summing = want_grad and cfg.variant == "average" and n_draws > 1
     per_draw = []
-    backprop = []
-    for op in operators:
-        yhat = op.forward(x).data
+    grids = []
+    for i, op in enumerate(operators):
+        yhat = op.forward(x, scratch).data
         l_c, l_m, alpha, total, g_y = _draw_terms(
-            y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad)
+            y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
+            scratch)
         per_draw.append((l_c, l_m, alpha, total))
-        backprop.append((op, g_y))
+        if summing:
+            if i == 0:
+                np.copyto(scratch.grad_sum, backprop(op, g_y))
+            else:
+                scratch.grad_sum += backprop(op, g_y)
+        elif want_grad:
+            grids.append(g_y if n_draws == 1 else g_y.copy())
 
     def grad_of(i):
-        if not want_grad:
-            return None
-        op, g_y = backprop[i]
-        return op.adjoint(Spectrogram(g_y, y.config, len(x)))
+        return backprop(operators[i], grids[i]) if want_grad else None
 
     if cfg.variant in ("single",) or n_draws == 1:
         l_c, l_m, alpha, total = per_draw[0]
@@ -257,7 +290,9 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
             np.mean([d[2] for d in per_draw]))
         grad = None
         if want_grad:
-            grad = np.mean([grad_of(i) for i in range(n_draws)], axis=0)
+            # the division of np.mean after its sum in draw order
+            grad = scratch.grad_sum
+            grad /= n_draws
         return LossReport(l_c, l_m, alpha, total, selected_draw=None,
                           per_draw=per_draw), grad
     # best: backpropagate only through the lowest-loss draw with its own weight

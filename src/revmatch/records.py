@@ -8,15 +8,17 @@ significant digits, so they read back exactly, and bools as ``0``/``1``.
 
 
 def read_records(path, required=()):
-    """``{key: value string}`` of a record file; a missing ``required`` key
-    is a ``ValueError`` naming the file."""
+    """``{key: value string}`` of a record file; a repeated key, or a missing
+    ``required`` one, is a ``ValueError`` naming the file and the key."""
     records = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
             line = line.strip()
             if line and not line.startswith("#") and "=" in line:
-                key, val = line.split("=", 1)
-                records[key.strip()] = val.strip()
+                key, val = (side.strip() for side in line.split("=", 1))
+                if key in records:
+                    raise ValueError(f"{path}: repeated {key} record")
+                records[key] = val
     for key in required:
         if key not in records:
             raise ValueError(f"{path}: no {key} record")

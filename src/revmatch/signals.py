@@ -224,16 +224,21 @@ def stft(x, cfg, one_sided=False):
     return Spectrogram(np.ascontiguousarray(spec), cfg, num_samples=n_samp)
 
 
-def overlap_add(frames, hop):
+def overlap_add(frames, hop, out=None):
     """Sum (T, N) frames placed at multiples of ``hop`` into one buffer of
-    (T - 1) * hop + N samples: the overlap-add of istft and of tfconv."""
+    (T - 1) * hop + N samples, ``out`` when given: the overlap-add of istft
+    and of tfconv."""
     t_frames, n = frames.shape
     k = n // hop
     blocks = frames.reshape(t_frames, k, hop)
-    buf = np.zeros((t_frames + k - 1, hop), dtype=frames.dtype)
+    if out is None:
+        out = np.zeros((t_frames + k - 1) * hop, dtype=frames.dtype)
+    else:
+        out.fill(0)
+    buf = out.reshape(t_frames + k - 1, hop)
     for j in range(k):
         buf[j:j + t_frames] += blocks[:, j]
-    return buf.reshape(-1)
+    return out
 
 
 def istft(spec, length=None):

@@ -130,12 +130,14 @@ def trainingless_dereverb(y, params, cfg=None):
     if isinstance(params, Rir):
         fixed_ops = [tfconv.ExactConv(params, y.config)]
 
+    # the iteration's arrays live in one scratch per solve; best_x is a
+    # copy, as x is updated in place
+    scratch = tfconv.Scratch(n, y.config)
     reports = []
     best_total = np.inf
-    best_x = x
+    best_x = np.empty_like(x)
     best_index = 0
     alpha_prev = 1.0
-    moments = None
     converged = False
 
     for it in range(cfg.max_iters):
@@ -143,7 +145,7 @@ def trainingless_dereverb(y, params, cfg=None):
             y_norm, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
             want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops,
-            log_mag_y=log_mag_y)
+            log_mag_y=log_mag_y, scratch=scratch)
         alpha_prev = report.alpha
         reports.append(report)
         total = report.total
@@ -151,7 +153,7 @@ def trainingless_dereverb(y, params, cfg=None):
             raise DivergenceError(f"non-finite loss at iteration {it}")
         if total < best_total:
             best_total = total
-            best_x = x
+            np.copyto(best_x, x)
             best_index = it
         if it == 0:
             initial = total
@@ -168,26 +170,25 @@ def trainingless_dereverb(y, params, cfg=None):
                 converged = True
                 break
 
-        # the Adam step works in place on grad, which this iteration owns,
-        # and on the moments; x itself is replaced, as best_x may hold it
-        if moments is None:
-            moments = (np.zeros_like(grad), np.zeros_like(grad))
-        m, v = moments
+        # Adam: the moments and its two temporaries are the scratch's, and
+        # grad, which the scratch owns too, is only read
+        m, v = scratch.m, scratch.v
+        step, denom = scratch.adam_step, scratch.adam_denom
         b1, b2, eps = 0.9, 0.999, 1e-8
         m *= b1
-        m += (1 - b1) * grad
-        np.square(grad, out=grad)
-        grad *= 1 - b2
+        m += np.multiply(grad, 1 - b1, out=step)
+        np.square(grad, out=denom)
+        denom *= 1 - b2
         v *= b2
-        v += grad
+        v += denom
         tcorr = it + 1
-        mhat = m / (1 - b1 ** tcorr)
-        vhat = np.divide(v, 1 - b2 ** tcorr, out=grad)
-        np.sqrt(vhat, out=vhat)
-        vhat += eps
-        mhat *= cfg.step_size
-        mhat /= vhat
-        x = x - mhat
+        np.divide(m, 1 - b1 ** tcorr, out=step)
+        np.divide(v, 1 - b2 ** tcorr, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= cfg.step_size
+        step /= denom
+        x -= step
 
     trace = SolveTrace(reports=reports, best_index=best_index,
                        iterations_used=len(reports), converged=converged)

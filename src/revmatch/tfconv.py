@@ -9,6 +9,7 @@ analyzer and ``reverberate --domain stft``, applied matrix-free:
   analysis. It is the analysis that made an ``n``-sample observation, so no
   frame count depends on the RIR. ``adjoint`` maps a one-sided grid back to
   ``n`` samples (analysis adjoint, overlap-add, correlation with h, crop).
+  Both write only into a :class:`Scratch`, the work arrays of one solve.
 - ``forward_full(s)`` reverberates a full complex grid: overlap-add synthesis
   with g_s, complex FFT convolution, analysis of every frame the convolution
   covers. Only ``reverberate --domain stft`` uses it.
@@ -42,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .rir import Rir
-from .signals import Spectrogram, next_fast_len, overlap_add, stft
+from .signals import Spectrogram, next_fast_len, num_frames_for, overlap_add
 
 
 def _phi_table(cfg):
@@ -209,6 +210,75 @@ def _frames(x, n, hop, num_frames):
     return sliding_window_view(x[:span], n)[::hop]
 
 
+class Scratch:
+    """Work arrays of one solve: the signal- and grid-sized arrays that an
+    iteration of :func:`~revmatch.solver.trainingless_dereverb` writes, for
+    signals of ``num_samples`` samples under one STFT config.
+
+    - :class:`ExactConv`: the real-FFT buffers ``spec``/``time`` at the
+      transform length and the RIR's spectrum ``h_f`` with its conjugate
+      ``h_f_conj`` of the operator ``spectrum_of``, the buffers made again
+      only when the length changes; the STFT
+      pad buffer ``pad``, the ``frames`` (windowed by ``forward``,
+      synthesized by ``adjoint``), the one-sided ``grid`` and the
+      overlap-add buffer ``ola``;
+    - :func:`~revmatch.loss.rm_loss`: ``diff``, ``mag``, ``err``, ``denom``,
+      the ``zero`` mask, ``g_m`` and the ``average`` variant's gradient sum
+      ``grad_sum``;
+    - the solver's Adam step: the moments ``m``, ``v`` and the temporaries
+      ``adam_step``, ``adam_denom``.
+
+    An array that a call given a scratch returns is the scratch's, and its
+    next use overwrites it. A call given none makes a fresh one, so its
+    caller owns what it returns. A scratch refuses another signal length or
+    STFT config with ``ValueError``, and is never shared between threads.
+    """
+
+    def __init__(self, num_samples, cfg):
+        n = num_samples
+        t_frames = num_frames_for(n, cfg)
+        grid = (cfg.half_bins, t_frames)
+        self.num_samples, self.cfg = n, cfg
+        self.n_fft = None
+        self.spectrum_of = None
+        self.pad = np.zeros((t_frames - 1) * cfg.hop + cfg.win_len)
+        self.frames = np.empty((t_frames, cfg.win_len))
+        self.grid = np.empty(grid, dtype=np.complex128)
+        self.ola = np.empty(len(self.pad))
+        self.diff = np.empty(grid, dtype=np.complex128)
+        self.g_m = np.empty(grid, dtype=np.complex128)
+        self.mag, self.err, self.denom = (np.empty(grid) for _ in range(3))
+        self.zero = np.empty(grid, dtype=bool)
+        self.grad_sum = np.empty(n)
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self.adam_step, self.adam_denom = np.empty(n), np.empty(n)
+
+    def check(self, num_samples, cfg):
+        """Refuse a signal length or STFT config the scratch is not sized
+        for."""
+        if num_samples != self.num_samples:
+            raise ValueError(f"scratch is sized for {self.num_samples} "
+                             f"samples, not {num_samples}")
+        if not self.cfg.same_grid(cfg):
+            raise ValueError("scratch is sized for another STFT config")
+
+    def fft_length(self, n_fft):
+        """Size the real-FFT buffers for an ``n_fft``-point transform."""
+        if n_fft != self.n_fft:
+            bins = n_fft // 2 + 1
+            self.n_fft, self.spectrum_of = n_fft, None
+            self.time = np.empty(n_fft)
+            self.spec, self.h_f, self.h_f_conj = (
+                np.empty(bins, dtype=np.complex128) for _ in range(3))
+
+
+def _scratch_for(scratch, num_samples, cfg):
+    if scratch is None:
+        return Scratch(num_samples, cfg)
+    scratch.check(num_samples, cfg)
+    return scratch
+
+
 class ExactConv:
     """Exact STFT-domain convolution with one RIR, applied matrix-free.
 
@@ -221,52 +291,72 @@ class ExactConv:
     ``forward_full`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up
     to rounding) for any complex grid ``s``.
 
-    The RIR's real spectrum and its conjugate are computed once per transform
-    length and shared by every ``forward`` and ``adjoint`` call.
+    ``forward`` and ``adjoint`` work in a :class:`Scratch`, which holds the
+    RIR's real spectrum and its conjugate: they are computed when another
+    operator or transform length used the scratch last, so a solve with one
+    known RIR computes them once. The operator itself holds no buffers.
     """
 
     def __init__(self, h, cfg):
         self.taps = _rir_taps(h)
         self.cfg = cfg
         self.t_h = kernel_frames(len(self.taps), cfg)
-        self._spectra = {}
 
-    def _spectrum(self, num_samples):
-        """FFT length for a dry signal of ``num_samples`` samples, and the
-        RIR's real spectrum at it with its conjugate; long enough that neither
-        map wraps around."""
-        n_fft = next_fast_len(num_samples + len(self.taps) - 1, True)
-        spectra = self._spectra.get(n_fft)
-        if spectra is None:
-            h_f = np.fft.rfft(self.taps, n=n_fft)
-            spectra = self._spectra[n_fft] = (h_f, np.conj(h_f))
-        return n_fft, spectra
+    def _spectrum(self, scratch):
+        """FFT length for the scratch's signal length, long enough that
+        neither map wraps around, with the RIR's real spectrum at it and its
+        conjugate in ``scratch.h_f`` and ``scratch.h_f_conj``."""
+        n_fft = next_fast_len(scratch.num_samples + len(self.taps) - 1, True)
+        scratch.fft_length(n_fft)
+        if scratch.spectrum_of is not self:
+            np.fft.rfft(self.taps, n=n_fft, out=scratch.h_f)
+            np.conj(scratch.h_f, out=scratch.h_f_conj)
+            scratch.spectrum_of = self
+        return n_fft
 
     def _check(self, cfg):
         if not self.cfg.same_grid(cfg):
             raise ValueError("spectrogram config does not match operator config")
 
-    def forward(self, x):
-        """One-sided STFT of ``(h * x)[:len(x)]`` for a real dry signal."""
+    def forward(self, x, scratch=None):
+        """One-sided STFT of ``(h * x)[:len(x)]`` for a real dry signal,
+        computed in ``scratch`` (see :class:`Scratch`)."""
+        if np.ndim(x) != 1 or len(x) == 0:
+            raise ValueError("forward input must be a non-empty 1-D signal")
+        cfg = self.cfg
         n = len(x)
-        n_fft, (h_f, _) = self._spectrum(n)
-        spec = np.fft.rfft(x, n=n_fft)
-        spec *= h_f
-        return stft(np.fft.irfft(spec, n=n_fft)[:n], self.cfg, one_sided=True)
+        s = _scratch_for(scratch, n, cfg)
+        n_fft = self._spectrum(s)
+        np.fft.rfft(x, n=n_fft, out=s.spec)
+        s.spec *= s.h_f
+        np.fft.irfft(s.spec, n=n_fft, out=s.time)
+        # signals.stft(one_sided=True) of time[:n], on the scratch's buffers
+        s.pad[cfg.head_pad:cfg.head_pad + n] = s.time[:n]
+        frames = sliding_window_view(s.pad, cfg.win_len)[::cfg.hop]
+        np.multiply(frames, cfg.analysis_window, out=s.frames)
+        np.fft.rfft(s.frames, axis=1, out=s.grid.T)
+        return Spectrogram(s.grid, cfg, n)
 
-    def adjoint(self, grid):
-        """Adjoint of :meth:`forward`: a one-sided grid of the frames of
-        ``grid.num_samples`` samples back to a real signal of that length."""
+    def adjoint(self, grid, scratch=None):
+        """Adjoint of :meth:`forward`: the one-sided grid of the frames of
+        ``grid.num_samples`` samples back to a real signal of that length,
+        computed in ``scratch`` (see :class:`Scratch`)."""
         self._check(grid.config)
         cfg = self.cfg
         n = grid.num_samples
-        frames = np.fft.irfft(grid.data.T, n=cfg.win_len, axis=1)
-        frames *= cfg.win_len * cfg.analysis_window
-        wet_adj = overlap_add(frames, cfg.hop)[cfg.head_pad:cfg.head_pad + n]
-        n_fft, (_, h_f_conj) = self._spectrum(n)
-        spec = np.fft.rfft(wet_adj, n=n_fft)
-        spec *= h_f_conj
-        return np.fft.irfft(spec, n=n_fft)[:n]
+        s = _scratch_for(scratch, n, cfg)
+        if grid.data.shape != s.grid.shape:
+            raise ValueError(f"grid of shape {grid.data.shape} is not the "
+                             f"one-sided grid of {n} samples, "
+                             f"{s.grid.shape}")
+        np.fft.irfft(grid.data.T, n=cfg.win_len, axis=1, out=s.frames)
+        s.frames *= cfg.win_len * cfg.analysis_window
+        wet_adj = overlap_add(s.frames, cfg.hop, out=s.ola)[
+            cfg.head_pad:cfg.head_pad + n]
+        n_fft = self._spectrum(s)
+        np.fft.rfft(wet_adj, n=n_fft, out=s.spec)
+        s.spec *= s.h_f_conj
+        return np.fft.irfft(s.spec, n=n_fft, out=s.time)[:n]
 
     def forward_full(self, dry):
         """Reverberate a full complex grid: complex overlap-add synthesis (no

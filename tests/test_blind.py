@@ -334,3 +334,8 @@ def test_speech_like_noise_properties():
     # bursts and pauses: a noticeable fraction of near-silent samples
     frac_quiet = np.mean(np.abs(x) < 0.05)
     assert 0.1 < frac_quiet < 0.9
+
+
+def test_blind_config_rejects_an_inner_budget_below_one():
+    with pytest.raises(ValueError, match="k_inner must be >= 1"):
+        BlindConfig(k_inner=0)

@@ -295,6 +295,18 @@ def test_analyze_blind_rejects_zero_draws(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze-blind", "dereverb"])
+def test_zero_inner_budget_is_validation_error_naming_k_inner(tmp_path,
+                                                             capsys, command):
+    wet_path, cal_path = _blind_inputs(tmp_path, "c0=0.5\nc1=0\nc2=0\n")
+    out = tmp_path / "out"
+    assert run(command, "--in", wet_path, "--calibration", cal_path,
+               "--k-inner", 0, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "k_inner must be >= 1" in err and "max_iters" not in err
+    assert not out.exists()
+
+
 def test_calibration_without_c2_is_validation_error(tmp_path, capsys):
     wet_path, cal_path = _blind_inputs(tmp_path, "c0=0.5\nc1=0\n")
     report = tmp_path / "blind.txt"
@@ -537,6 +549,16 @@ def test_dereverb_config_file_equals_the_same_flags(tmp_path):
         outs[name] = (file_bytes(out), file_bytes(trace))
     assert outs["config"] == outs["flags"]
     assert len(outs["flags"][1].splitlines()) == 3
+
+
+def test_config_with_a_repeated_key_is_validation_error(tmp_path, capsys):
+    # the last of the two values is not taken without a word
+    config = tmp_path / "c.cfg"
+    config.write_text("rt60=0.5\nrt60=0.7\n")
+    out = tmp_path / "h.wav"
+    assert run("sample-rir", "--config", config, "--drr", 0, "-o", out) == 2
+    assert f"{config}: repeated rt60 record" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from revmatch.rir import AcousticParams, sample_rir
 from revmatch.seeding import STREAM_LOSS_DRAWS, derive_rng
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, stft)
-from revmatch.tfconv import ExactConv
+from revmatch.tfconv import ExactConv, Scratch
 from scipy.signal import fftconvolve
 
 FS = 16000
@@ -225,6 +225,68 @@ def test_rm_loss_leaves_its_inputs_unchanged(cfg, variant, draws):
     for report, grad in (second, given):
         assert report == first[0]
         assert np.array_equal(grad, first[1])
+
+
+SCRATCH_CASES = [("single", 1), ("average", 1), ("average", 3), ("best", 1),
+                 ("best", 3)]
+
+
+def scratch_problem(cfg):
+    params = AcousticParams(rt60=0.15, drr_db=0.0, sample_rate=FS)
+    rng = np.random.default_rng(21)
+    y = stft(fftconvolve(rng.standard_normal(4000),
+                         sample_rir(params, rng=3).taps), cfg)
+    return y, rng.standard_normal(y.num_samples), params
+
+
+@pytest.mark.parametrize("variant, draws", SCRATCH_CASES)
+def test_rm_loss_in_a_shared_scratch_equals_a_fresh_one(cfg, variant, draws):
+    # a scratch that earlier calls used, under a longer known RIR and at
+    # another estimate, gives the bits of a call that makes its own; both
+    # give the bits of the per-draw gradients, summed in draw order by the
+    # average, and of the selected draw's (draw 1 of 3) by the best
+    y, x, params = scratch_problem(cfg)
+    loss_cfg = LossConfig(variant=variant, num_draws=draws)
+    fresh = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
+    singles = [rm_loss(y, x, sample_rir(
+        params, rng=derive_rng(6, STREAM_LOSS_DRAWS, i)), LossConfig(),
+        want_grad=True)[1] for i in range(draws)]
+    if variant == "average":
+        expected = np.mean(singles, axis=0)
+    else:
+        expected = singles[fresh[0].selected_draw or 0]
+    assert fresh[0].selected_draw == (1 if (variant, draws) == ("best", 3)
+                                      else None)
+    assert np.array_equal(fresh[1], expected)
+    scratch = Scratch(len(x), cfg)
+    longer = sample_rir(AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS),
+                        rng=4)
+    rm_loss(y, 2.0 * x, longer, LossConfig(), want_grad=True,
+            scratch=scratch)
+    rm_loss(y, x[::-1].copy(), params, loss_cfg, seed=7, want_grad=True,
+            scratch=scratch)
+    shared = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True,
+                     scratch=scratch)
+    assert shared[0] == fresh[0]
+    assert np.array_equal(shared[1], fresh[1])
+
+
+@pytest.mark.parametrize("variant, draws", SCRATCH_CASES)
+def test_rm_loss_gradient_without_a_scratch_is_the_callers(cfg, variant,
+                                                          draws):
+    y, x, params = scratch_problem(cfg)
+    loss_cfg = LossConfig(variant=variant, num_draws=draws)
+    _, grad = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
+    kept = grad.copy()
+    rm_loss(y, 2.0 * x, params, loss_cfg, seed=7, want_grad=True)
+    assert np.array_equal(grad, kept)
+
+
+def test_rm_loss_refuses_a_scratch_of_another_length(cfg):
+    y, x, params = scratch_problem(cfg)
+    with pytest.raises(ValueError, match="samples, not"):
+        rm_loss(y, x, params, LossConfig(), want_grad=True,
+                scratch=Scratch(len(x) + 1, cfg))
 
 
 def test_loss_config_validation():

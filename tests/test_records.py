@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from revmatch.records import format_records, read_records
 
 
@@ -12,3 +16,11 @@ def test_records_roundtrip_and_skipped_lines(tmp_path):
                                   "n": "7", "mode": "half-normal",
                                   "url": "x=y"}
     assert float(read_records(path)["a"]) == 0.1
+
+
+def test_repeated_key_is_an_error_naming_the_file_and_key(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("rt60=0.5\ndrr_db=0\n rt60 = 0.7\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: repeated rt60 record")):
+        read_records(path)

@@ -257,6 +257,38 @@ def test_loss_of_the_written_output_is_the_best_total(which):
     assert abs(report.total - best) <= 1e-12 * best
 
 
+def test_best_iterate_is_not_overwritten_by_later_iterates():
+    # the solver steps x in place and keeps a copy of the best iterate:
+    # with later iterates after it, the returned grid still re-scores to
+    # the best total under the RIR drawn at best_index
+    y, acoustics = known_rir_and_params()
+    params = acoustics[1]
+    scfg = SolverConfig(max_iters=15, stop_rel_tol=-np.inf, seed=1)
+    shat, trace = trainingless_dereverb(y, params, scfg)
+    assert trace.best_index < trace.iterations_used - 1
+    scale = np.sqrt(np.mean(istft(y.half()) ** 2))
+    y_norm = Spectrogram(y.half().data / scale, y.config, y.num_samples)
+    report, _ = rm_loss(
+        y_norm, istft(shat) / scale, params, scfg.loss_cfg,
+        seed=(*as_path(scfg.seed), STREAM_SOLVER_ITERS, trace.best_index))
+    best = trace.totals[trace.best_index]
+    assert abs(report.total - best) <= 1e-9 * best
+
+
+def test_a_solve_of_another_length_in_between_changes_nothing(cfg):
+    # every solve sizes its own scratch: a solve of another length between
+    # two equal solves leaves the second bit-equal to the first
+    y, acoustics = known_rir_and_params()
+    other = stft(speech_like_noise(FS // 3, FS, rng=23), cfg)
+    scfg = SolverConfig(max_iters=4, seed=2)
+    for acoustic in acoustics:
+        first, first_trace = trainingless_dereverb(y, acoustic, scfg)
+        trainingless_dereverb(other, acoustic, scfg)
+        again, again_trace = trainingless_dereverb(y, acoustic, scfg)
+        assert np.array_equal(again.data, first.data)
+        assert again_trace.to_lines() == first_trace.to_lines()
+
+
 def test_cut_observation_output_has_no_zero_tail(cfg):
     # a recording is cut at its own length: every output sample is
     # estimated, up to the last one
@@ -296,7 +328,7 @@ def test_solve_runs_no_complex_fft(which, monkeypatch):
 
 @pytest.mark.parametrize("which", [0, 1], ids=["dirac", "polack"])
 def test_solve_leaves_its_inputs_unchanged(which):
-    # the step works in place on the gradient and the moments only
+    # the step works in place on the scratch's arrays and the iterate only
     y, acoustics = known_rir_and_params()
     before = y.data.copy()
     taps = acoustics[0].taps.copy()

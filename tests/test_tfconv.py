@@ -6,8 +6,8 @@ from conftest import rel_frame_error
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, row_weights, stft)
-from revmatch.tfconv import (ExactConv, apply, apply_adjoint, build_kernel,
-                             kernel_frames)
+from revmatch.tfconv import (ExactConv, Scratch, apply, apply_adjoint,
+                             build_kernel, kernel_frames)
 
 FS = 16000
 
@@ -224,3 +224,39 @@ def test_one_sided_adjoint_identity(n, hop):
         rhs = np.dot(x, x_adj)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     assert worst <= 1e-10
+
+
+def test_operator_in_a_shared_scratch_equals_fresh_calls(cfg):
+    # one scratch for operators of two RIR lengths, used in turn, gives the
+    # bits of calls that make their own
+    rng = np.random.default_rng(27)
+    n = 4000
+    ops = [ExactConv(rng.standard_normal(k), cfg) for k in (300, 1300)]
+    scratch = Scratch(n, cfg)
+    for op in ops + ops[::-1]:
+        x = rng.standard_normal(n)
+        y = op.forward(x)
+        g = Spectrogram(random_grid(rng, y.data.shape), cfg, n)
+        x_adj = op.adjoint(g)
+        assert np.array_equal(op.forward(x, scratch).data, y.data)
+        assert np.array_equal(op.adjoint(g, scratch), x_adj)
+
+
+def test_scratch_refuses_another_length_config_or_grid(cfg):
+    op = ExactConv(np.ones(5), cfg)
+    scratch = Scratch(4000, cfg)
+    with pytest.raises(ValueError, match="4000 samples, not 4001"):
+        op.forward(np.zeros(4001), scratch)
+    with pytest.raises(ValueError, match="4000 samples, not 4001"):
+        op.adjoint(op.forward(np.zeros(4001)), scratch)
+    other = ExactConv(np.ones(5), small_cfg(512, 128))
+    with pytest.raises(ValueError, match="another STFT config"):
+        other.forward(np.zeros(4000), scratch)
+    for x in (np.zeros(0), np.zeros((2, 4000))):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            op.forward(x, scratch)
+    y = op.forward(np.zeros(4000))
+    for data in (np.zeros((cfg.num_bins, y.num_frames)),
+                 np.zeros((cfg.half_bins, y.num_frames + 1))):
+        with pytest.raises(ValueError, match="not the one-sided grid"):
+            op.adjoint(Spectrogram(data, cfg, 4000), scratch)

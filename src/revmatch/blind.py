@@ -21,7 +21,7 @@ from .loss import LossConfig
 from .records import format_records, read_records
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
-from .signals import istft, row_weights
+from .signals import istft, row_weights, stft
 
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
 # a mapped RT60 below this (seconds) is anechoic: the DRR grid is skipped
@@ -217,9 +217,18 @@ def blind_drr(spec, rt60, grid=None,
     ``draws_per_point`` Monte-Carlo draws, matches the observed energy. The
     draws share one seed stream across points (common random numbers), so the
     comparison is deterministic for a fixed seed; exact ties resolve to the
-    lowest dB. Every draw of every point convolves the reference signal
-    directly, and the one-sided grids are scored with the energies summed
-    under :func:`~revmatch.signals.row_weights`.
+    lowest dB. The one-sided grids are scored with the energies summed under
+    :func:`~revmatch.signals.row_weights`.
+
+    Draw ``i`` at DRR ``d`` is the direct tap plus ``sigma(d) / sigma(d0)``
+    times draw ``i``'s tail at the first grid point ``d0`` (the tail noise
+    scales with ``sigma``, see :func:`~revmatch.rir.sigma_from_drr`), and the
+    forward operator is linear in the taps. So its model is
+    ``A + (sigma(d) / sigma(d0)) B_i``, with ``A`` the reference's one-sided
+    STFT and ``B_i`` the forward of draw ``i``'s tail, and every point's mean
+    energy and mean residual follow from three weighted sums per draw. The
+    search costs one reference solve plus ``draws_per_point`` forwards, and
+    does not grow with the grid.
 
     The residual value of the matching loss itself is NOT a usable selection
     statistic here: for sign-symmetric tail draws its expectation is
@@ -258,24 +267,31 @@ def blind_drr(spec, rt60, grid=None,
     y_half = spec.half().data
     weights = row_weights(spec.config)
     y_energy = float(np.sum(weights * np.abs(y_half) ** 2))
+    a = stft(x, spec.config, one_sided=True).data
+    resid = a - y_half
+    a_energy = float(np.sum(weights * np.abs(a) ** 2))
+    resid_energy = float(np.sum(weights * np.abs(resid) ** 2))
+    # per draw: ||B||^2, Re<A, B> and Re<A - Y, B> under the row weights
+    sums = np.empty((draws_per_point, 3))
     scratch = tfconv.Scratch(len(x), spec.config)
-    scores = []
-    rm_values = []
-    for db in grid:
-        params = AcousticParams(rt60=rt60, drr_db=db, sample_rate=sample_rate,
-                                noise_mode=noise_mode)
-        energies = []
-        l_c = []
-        for i in range(draws_per_point):
-            h = rir.sample_rir(params,
-                               rng=derive_rng(seed, STREAM_DRR_GRID, 1, i))
-            yhat = tfconv.ExactConv(h, spec.config).forward(x, scratch).data
-            energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
-            l_c.append(float(np.sum(weights * np.abs(yhat - y_half) ** 2)))
-        scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))
-        rm_values.append(float(np.mean(l_c)))
+    for i in range(draws_per_point):
+        tail = rir.sample_rir(
+            ref_params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i)).taps
+        tail[0] = 0.0  # the draw without its direct tap
+        b = tfconv.ExactConv(tail, spec.config).forward(x, scratch).data
+        b_w = weights * b
+        sums[i] = [np.vdot(b_w, b).real, np.vdot(b_w, a).real,
+                   np.vdot(b_w, resid).real]
+    bb, ab, rb = sums.mean(axis=0)
+    tau = rir.tau_from_rt60(rt60, sample_rate)
+    sigmas = np.array([rir.sigma_from_drr(db, tau, ref_params.n_d)
+                       for db in grid])
+    scale = sigmas / sigmas[0]
+    energies = a_energy + 2.0 * scale * ab + scale ** 2 * bb
+    scores = np.abs(np.log(energies) - math.log(y_energy))
     best = int(np.argmin(scores))
-    return grid[best], rm_values[best]
+    rm_value = resid_energy + 2.0 * scale[best] * rb + scale[best] ** 2 * bb
+    return grid[best], float(rm_value)
 
 
 def analyze_blind(spec, cal, cfg=None, sample_rate=16000):

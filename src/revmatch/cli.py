@@ -129,13 +129,28 @@ def _synthetic_pair(seed, index, duration, cfg):
 
 
 def _manifest_pairs(manifest, cfg):
+    """(Spectrogram, RT60) per ``PATH RT60`` line of a manifest; blank lines
+    and ``#`` comments are skipped, and a bad label names its line."""
     with open(manifest, "r", encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            path, rt60 = line.rsplit(None, 1)
-            yield stft(_read_input_wav(path), cfg), float(rt60)
+            where = f"{manifest}:{number}"
+            fields = line.rsplit(None, 1)
+            if len(fields) != 2:
+                raise ValueError(
+                    f"{where}: expected 'PATH RT60', got {line!r}")
+            path, label = fields
+            try:
+                rt60 = float(label)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: RT60 label {label!r} is not a number") from None
+            if not 0 < rt60 < math.inf:
+                raise ValueError(f"{where}: RT60 label {label!r} must be "
+                                 "positive and finite")
+            yield stft(_read_input_wav(path), cfg), rt60
 
 
 def cmd_calibrate(args):
@@ -143,9 +158,12 @@ def cmd_calibrate(args):
     cfg = default_stft_config()
     if not 0 < args.duration < math.inf:
         raise ValueError("duration must be positive and finite")
-    if args.manifest:
+    if args.manifest is not None and args.synthetic is not None:
+        raise ValueError("calibrate takes one source: --manifest or "
+                         "--synthetic N, not both")
+    if args.manifest is not None:
         pairs = _manifest_pairs(args.manifest, cfg)
-    elif args.synthetic:
+    elif args.synthetic is not None:
         if args.synthetic < 3:
             raise ValueError("insufficient calibration data: need >= 3 pairs")
         pairs = (_synthetic_pair(args.seed, i, args.duration, cfg)

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from revmatch.blind import (MIN_RUN, BlindConfig, InsufficientDecay,
-                            Rt60Calibration, _run_slopes, analyze_blind,
-                            blind_drr, calibrate_rt60, fit_rt60_polynomial,
-                            raw_decay_estimate, speech_like_noise,
-                            speech_shaped_noise)
-from revmatch.rir import AcousticParams, sample_rir, tau_from_rt60
-from revmatch.seeding import STREAM_SYNTH, derive_rng
-from revmatch.signals import Spectrogram, stft
+import revmatch.rir as rir
+from revmatch.blind import (DEFAULT_DRR_GRID, MIN_RUN, BlindConfig,
+                            InsufficientDecay, Rt60Calibration, _run_slopes,
+                            analyze_blind, blind_drr, calibrate_rt60,
+                            fit_rt60_polynomial, raw_decay_estimate,
+                            speech_like_noise, speech_shaped_noise)
+from revmatch.loss import LossConfig
+from revmatch.rir import NOISE_MODES, AcousticParams, sample_rir, tau_from_rt60
+from revmatch.seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
+from revmatch.signals import Spectrogram, istft, row_weights, stft
+from revmatch.solver import SolverConfig, trainingless_dereverb
+from revmatch.tfconv import ExactConv, Scratch
 
 FS = 16000
 
@@ -339,3 +343,71 @@ def test_speech_like_noise_properties():
 def test_blind_config_rejects_an_inner_budget_below_one():
     with pytest.raises(ValueError, match="k_inner must be >= 1"):
         BlindConfig(k_inner=0)
+
+
+def _per_draw_blind_drr(spec, rt60, grid, draws_per_point, k_inner, seed,
+                        noise_mode):
+    """The grid search with one forward per (grid point, draw): every draw
+    of every point convolves the reference signal directly."""
+    grid = sorted(float(g) for g in grid)
+    ref_params = AcousticParams(rt60=rt60, drr_db=grid[0], sample_rate=FS,
+                                noise_mode=noise_mode)
+    ref_seed = int(derive_rng(seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
+    solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
+                              loss_cfg=LossConfig())
+    shat, _ = trainingless_dereverb(spec, ref_params, solver_cfg)
+    x = istft(shat)
+
+    y_half = spec.half().data
+    weights = row_weights(spec.config)
+    y_energy = float(np.sum(weights * np.abs(y_half) ** 2))
+    scratch = Scratch(len(x), spec.config)
+    scores = []
+    rm_values = []
+    for db in grid:
+        params = AcousticParams(rt60=rt60, drr_db=db, sample_rate=FS,
+                                noise_mode=noise_mode)
+        energies = []
+        l_c = []
+        for i in range(draws_per_point):
+            h = sample_rir(params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i))
+            yhat = ExactConv(h, spec.config).forward(x, scratch).data
+            energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
+            l_c.append(float(np.sum(weights * np.abs(yhat - y_half) ** 2)))
+        scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))
+        rm_values.append(float(np.mean(l_c)))
+    best = int(np.argmin(scores))
+    return grid[best], rm_values[best]
+
+
+@pytest.mark.parametrize("grid", [BlindConfig.drr_grid, (0.0, 6.0),
+                                  (0.0, 0.0, 6.0)])
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("noise_mode", NOISE_MODES)
+def test_blind_drr_closed_form_matches_per_draw_forwards(cfg, noise_mode,
+                                                         draws, grid):
+    # an input whose centered-gaussian pick lies inside the default grid
+    spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
+    args = dict(grid=grid, draws_per_point=draws, k_inner=6, seed=9,
+                noise_mode=noise_mode)
+    db, loss_val = blind_drr(spec, 0.6, sample_rate=FS, **args)
+    want_db, want_loss = _per_draw_blind_drr(spec, 0.6, **args)
+    assert db == want_db
+    assert loss_val == pytest.approx(want_loss, rel=1e-12)
+
+
+def test_blind_drr_draws_one_tail_per_draw(cfg, monkeypatch):
+    # the inner solve draws one RIR per iteration; the grid draws each tail
+    # once, not once per grid point
+    spec = make_reverberant(0.3, 0.0, 33, 34, duration=0.75, cfg=cfg)
+    calls = []
+
+    def counting(*args, _real=rir.sample_rir, **kwargs):
+        calls.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(rir, "sample_rir", counting)
+    blind_drr(spec, 0.3, draws_per_point=3, k_inner=4, seed=2,
+              sample_rate=FS)
+    assert len(DEFAULT_DRR_GRID) > 1
+    assert len(calls) == 4 + 3

@@ -15,7 +15,8 @@ from revmatch.cli import main
 from revmatch.blind import BlindConfig, Rt60Calibration, speech_like_noise
 from revmatch.records import format_records, read_records
 from revmatch.rir import AcousticParams, read_rir, sample_rir
-from revmatch.signals import Signal, read_wav, stft, write_wav
+from revmatch.signals import (Signal, default_stft_config, read_wav, stft,
+                              write_wav)
 from revmatch.solver import SolverConfig
 
 FS = 16000
@@ -328,8 +329,67 @@ def test_non_finite_calibration_is_validation_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_calibrate_requires_source(tmp_path):
-    assert run("calibrate", "-o", tmp_path / "cal.txt") == 2
+def test_calibrate_requires_source(tmp_path, capsys):
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "-o", out) == 2
+    assert "requires --manifest or --synthetic N" in capsys.readouterr().err
+    # --synthetic 0 is a source with too few pairs, not a missing source
+    assert run("calibrate", "--synthetic", 0, "-o", out) == 2
+    assert "need >= 3 pairs" in capsys.readouterr().err
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("")
+    assert run("calibrate", "--manifest", manifest, "--synthetic", 5,
+               "-o", out) == 2
+    assert "one source" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _manifest_wavs(tmp_path):
+    """Three 1.25 s reverberant wavs with their RT60 labels."""
+    labels = []
+    for i, rt60 in enumerate((0.3, 0.6, 0.9)):
+        params = AcousticParams(rt60=rt60, drr_db=0.0, sample_rate=FS)
+        wet = fftconvolve(speech_like_noise(FS * 5 // 4, FS, rng=40 + i),
+                          sample_rir(params, rng=50 + i).taps)[:FS * 5 // 4]
+        path = tmp_path / f"wet{i}.wav"
+        write_wav(path, Signal(wet, FS))
+        labels.append((path, rt60))
+    return labels
+
+
+def test_calibrate_manifest_matches_the_library_fit(tmp_path):
+    labels = _manifest_wavs(tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# path rt60\n\n" + "".join(
+        f"{path} {rt60}\n" for path, rt60 in labels))
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--manifest", manifest, "-o", out) == 0
+    cfg = default_stft_config()
+    want = tmp_path / "want.txt"
+    blind.calibrate_rt60([(stft(read_wav(path), cfg), rt60)
+                          for path, rt60 in labels], FS).to_file(want)
+    assert file_bytes(out) == file_bytes(want)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("{path}", "expected 'PATH RT60'"),
+    ("{path} slow", "'slow' is not a number"),
+    ("{path} inf", "'inf' must be positive and finite"),
+    ("{path} nan", "'nan' must be positive and finite"),
+    ("{path} 0", "'0' must be positive and finite"),
+    ("{path} -0.5", "'-0.5' must be positive and finite")])
+def test_calibrate_manifest_rejects_a_bad_label(tmp_path, capsys, bad,
+                                                message):
+    labels = _manifest_wavs(tmp_path)
+    lines = [f"{path} {rt60}" for path, rt60 in labels]
+    lines[1] = bad.format(path=labels[1][0])
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# path rt60\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--manifest", manifest, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:3: " in err and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("duration, message", [

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rir, tfconv
 from .loss import LossConfig
-from .records import format_records, read_records
+from .records import format_records, read_records, record_number
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 from .signals import istft, row_weights, stft
@@ -64,9 +64,9 @@ class Rt60Calibration:
     @classmethod
     def from_file(cls, path):
         kv = read_records(path, required=("c0", "c1", "c2"))
-        return cls(c0=float(kv["c0"]), c1=float(kv["c1"]), c2=float(kv["c2"]),
-                   residual=float(kv.get("residual", 0.0)),
-                   n_pairs=int(kv.get("n_pairs", 0)))
+        return cls(*(record_number(kv, path, k) for k in ("c0", "c1", "c2")),
+                   residual=record_number(kv, path, "residual", 0.0),
+                   n_pairs=record_number(kv, path, "n_pairs", 0, int))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .blind import (BlindConfig, Rt60Calibration, analyze_blind,
                     calibrate_rt60, speech_like_noise)
 from .loss import VARIANTS, LossConfig, _align_frames
 from .metrics import evaluate
-from .records import format_records, read_records
+from .records import format_records, read_records, record_number
 from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
                   analyze_rir, params_from_file, read_rir, sample_rir,
                   write_rir)
@@ -198,16 +198,8 @@ def _solver_config(args, seed):
         seed=seed)
 
 
-def _dereverb_one(path, out_path, trace_path, args, task_seed):
+def _dereverb_one(path, out_path, trace_path, acoustics, args, task_seed):
     sig = _read_input_wav(path)
-    if args.rt60 is not None:
-        acoustics = AcousticParams(
-            rt60=args.rt60, drr_db=args.drr, n_d=args.nd,
-            sample_rate=sig.sample_rate, noise_mode=args.noise_mode)
-    elif args.calibration:
-        acoustics = Rt60Calibration.from_file(args.calibration)
-    else:
-        raise ValueError("dereverb requires --calibration or --rt60/--drr")
     result, trace = dereverb_pipeline(sig, acoustics,
                                       _solver_config(args, task_seed),
                                       _blind_config(args))
@@ -229,6 +221,18 @@ def cmd_dereverb(args):
     inputs, out, trace_path = args.inputs, args.output, args.trace
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
+    # flags and config records alike; inputs are read at CLI_SAMPLE_RATE
+    if args.rt60 is not None and args.calibration:
+        raise ValueError("dereverb takes one source: --calibration or "
+                         "--rt60/--drr, not both")
+    if args.rt60 is not None:
+        acoustics = AcousticParams(
+            rt60=args.rt60, drr_db=args.drr, n_d=args.nd,
+            sample_rate=CLI_SAMPLE_RATE, noise_mode=args.noise_mode)
+    elif args.calibration:
+        acoustics = Rt60Calibration.from_file(args.calibration)
+    else:
+        raise ValueError("dereverb requires --calibration or --rt60/--drr")
     if len(inputs) == 1:
         if os.path.isdir(out):
             raise ValueError(f"output {out} is a directory; a single input "
@@ -236,7 +240,7 @@ def cmd_dereverb(args):
         if trace_path and _same_file(out, trace_path):
             raise ValueError(f"trace {trace_path} would overwrite output "
                              f"{out}")
-        outputs = [out, trace_path] if trace_path else [out]
+        outputs = [out]
     else:
         if trace_path:
             raise ValueError("--trace takes a single input")
@@ -248,14 +252,16 @@ def cmd_dereverb(args):
             raise ValueError("inputs would write the same output file: "
                              + ", ".join(clashes))
         outputs = [os.path.join(out, name) for name in names]
-    for path in outputs:
+    for path in outputs + ([trace_path] if trace_path else []):
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"directory {parent} of {path} does not exist")
         for src in inputs:
             if _same_file(path, src):
                 raise ValueError(f"output {path} would overwrite input {src}")
-    if len(inputs) == 1:
-        return _dereverb_one(inputs[0], out, trace_path, args,
-                             (args.seed, STREAM_CLI_TASKS, 0))
-    tasks = [(path, out_path, None, args, (args.seed, STREAM_CLI_TASKS, i))
+    # a batch has no trace: it was refused above
+    tasks = [(path, out_path, trace_path, acoustics, args,
+              (args.seed, STREAM_CLI_TASKS, i))
              for i, (path, out_path) in enumerate(zip(inputs, outputs))]
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -273,7 +279,7 @@ def _report_value(kv, path, *keys):
     records."""
     for key in keys:
         if key in kv:
-            val = float(kv[key])
+            val = record_number(kv, path, key)
             if not math.isfinite(val):
                 raise ValueError(f"{path}: {key} must be finite, "
                                  f"not {kv[key]}")

@@ -187,16 +187,16 @@ def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
 
 
 def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
-            alpha_fallback=1.0, operators=None, log_mag_y=None, scratch=None):
+            alpha_fallback=1.0, log_mag_y=None, scratch=None):
     """Reverberation-matching loss between an observed reverberant grid and a
     real dry signal pushed through RIRs drawn from, or fixed by, the
     acoustics.
 
-    Each draw is the exact convolution with its RIR
-    (:meth:`tfconv.ExactConv.forward`): the one-sided STFT of ``(h * x)``
-    cut to ``len(x)`` samples, scored against ``y``'s first F // 2 + 1 rows
-    with row-weighted sums, so the loss values and the weight equal those of
-    the Hermitian full grids to rounding.
+    Each draw is the exact convolution with its RIR, by one
+    :class:`tfconv.ExactConv` per draw and call: the one-sided STFT of
+    ``(h * x)`` cut to ``len(x)`` samples, scored against ``y``'s first
+    F // 2 + 1 rows with row-weighted sums, so the loss values and the weight
+    equal those of the Hermitian full grids to rounding.
 
     Parameters
     ----------
@@ -218,31 +218,30 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
         length).
     alpha_fallback : float
         Weight used when the magnitude-loss gradient vanishes.
-    operators : list of tfconv.ExactConv, optional
-        Pre-built operators to use instead of ``acoustics`` (one per draw).
     log_mag_y : ndarray, optional
         ``log1p(abs(y.half().data))``, for a caller that scores one
         observation many times; computed here when not given.
     scratch : tfconv.Scratch, optional
         Work arrays for ``len(x)`` samples under ``y.config``, for a caller
-        that scores many times; the gradient returned is then the scratch's
-        and its next use overwrites it. A fresh one is made when not given.
+        that scores many times; it keys the RIR's spectrum on the taps
+        array, so a known Rir's is computed once per scratch. The gradient
+        returned is then the scratch's and its next use overwrites it. A
+        fresh one is made when not given.
 
     Returns
     -------
     (LossReport, ndarray or None)
     """
-    if operators is None:
-        if isinstance(acoustics, rir.Rir):
-            draws = [acoustics]
-        elif isinstance(acoustics, rir.AcousticParams):
-            draws = [rir.sample_rir(acoustics,
-                                    rng=derive_rng(seed, STREAM_LOSS_DRAWS, i))
-                     for i in range(cfg.resolved_draws)]
-        else:
-            raise TypeError("acoustics must be AcousticParams or a Rir")
-        operators = [tfconv.ExactConv(h, y.config) for h in draws]
-    n_draws = len(operators)
+    if isinstance(acoustics, rir.Rir):
+        draws = [acoustics]
+    elif isinstance(acoustics, rir.AcousticParams):
+        draws = [rir.sample_rir(acoustics,
+                                rng=derive_rng(seed, STREAM_LOSS_DRAWS, i))
+                 for i in range(cfg.resolved_draws)]
+    else:
+        raise TypeError("acoustics must be AcousticParams or a Rir")
+    ops = [tfconv.ExactConv(h, y.config) for h in draws]
+    n_draws = len(ops)
     y_data = y.half().data
     if log_mag_y is None:
         log_mag_y = np.log1p(np.abs(y_data))
@@ -259,7 +258,7 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
     summing = want_grad and cfg.variant == "average" and n_draws > 1
     per_draw = []
     grids = []
-    for i, op in enumerate(operators):
+    for i, op in enumerate(ops):
         yhat = op.forward(x, scratch).data
         l_c, l_m, alpha, total, g_y = _draw_terms(
             y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
@@ -274,7 +273,7 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
             grids.append(g_y if n_draws == 1 else g_y.copy())
 
     def grad_of(i):
-        return backprop(operators[i], grids[i]) if want_grad else None
+        return backprop(ops[i], grids[i]) if want_grad else None
 
     if cfg.variant in ("single",) or n_draws == 1:
         l_c, l_m, alpha, total = per_draw[0]

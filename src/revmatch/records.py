@@ -25,6 +25,16 @@ def read_records(path, required=()):
     return records
 
 
+def record_number(records, path, key, default=None, kind=float):
+    """``kind`` of the ``key`` record, or ``default`` without one; a value
+    ``kind`` cannot convert is a ``ValueError`` naming the file and key."""
+    try:
+        return kind(records[key]) if key in records else default
+    except ValueError:
+        raise ValueError(f"{path}: {key} record {records[key]!r} is not a "
+                         f"valid {kind.__name__}") from None
+
+
 def format_records(pairs):
     """Newline-terminated record lines for ``(key, value)`` pairs."""
     return "".join(f"{key}={_format(val)}\n" for key, val in pairs)

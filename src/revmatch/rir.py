@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import read_records
+from .records import read_records, record_number
 from .signals import Signal, read_wav, write_wav
 
 LN10 = math.log(10.0)
@@ -252,9 +252,9 @@ def read_rir(path):
 def params_from_file(path):
     kv = read_records(path, required=("rt60", "drr_db"))
     return AcousticParams(
-        rt60=float(kv["rt60"]),
-        drr_db=float(kv["drr_db"]),
-        n_d=int(kv.get("n_d", DEFAULT_DIRECT_DELAY)),
-        sample_rate=int(kv.get("sample_rate", 16000)),
+        rt60=record_number(kv, path, "rt60"),
+        drr_db=record_number(kv, path, "drr_db"),
+        n_d=record_number(kv, path, "n_d", DEFAULT_DIRECT_DELAY, int),
+        sample_rate=record_number(kv, path, "sample_rate", 16000, int),
         noise_mode=kv.get("noise_mode", "centered-gaussian"),
     )

@@ -9,7 +9,7 @@ import numpy as np
 from . import blind, tfconv
 from .loss import LossConfig, rm_loss
 from .records import format_records
-from .rir import AcousticParams, Rir
+from .rir import AcousticParams
 from .seeding import STREAM_SOLVER_ITERS, as_path
 from .signals import (Signal, Spectrogram, default_stft_config, istft,
                       row_weights, stft)
@@ -125,14 +125,11 @@ def trainingless_dereverb(y, params, cfg=None):
                                  * np.abs(y_norm.data) ** 2))
     log_mag_y = np.log1p(np.abs(y_norm.data))
 
-    # a known RIR's operator is built once, not once per iteration
-    fixed_ops = None
-    if isinstance(params, Rir):
-        fixed_ops = [tfconv.ExactConv(params, y.config)]
-
-    # the iteration's arrays live in one scratch per solve; best_x is a
-    # copy, as x is updated in place
+    # the operator's and the loss's arrays live in one scratch per solve,
+    # Adam's here; best_x is a copy, as x is updated in place
     scratch = tfconv.Scratch(n, y.config)
+    m, v = np.zeros(n), np.zeros(n)
+    step, denom = np.empty(n), np.empty(n)
     reports = []
     best_total = np.inf
     best_x = np.empty_like(x)
@@ -144,8 +141,8 @@ def trainingless_dereverb(y, params, cfg=None):
         report, grad = rm_loss(
             y_norm, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
-            want_grad=True, alpha_fallback=alpha_prev, operators=fixed_ops,
-            log_mag_y=log_mag_y, scratch=scratch)
+            want_grad=True, alpha_fallback=alpha_prev, log_mag_y=log_mag_y,
+            scratch=scratch)
         alpha_prev = report.alpha
         reports.append(report)
         total = report.total
@@ -170,10 +167,7 @@ def trainingless_dereverb(y, params, cfg=None):
                 converged = True
                 break
 
-        # Adam: the moments and its two temporaries are the scratch's, and
-        # grad, which the scratch owns too, is only read
-        m, v = scratch.m, scratch.v
-        step, denom = scratch.adam_step, scratch.adam_denom
+        # Adam, in place; grad is the scratch's and only read
         b1, b2, eps = 0.9, 0.999, 1e-8
         m *= b1
         m += np.multiply(grad, 1 - b1, out=step)

@@ -216,17 +216,14 @@ class Scratch:
     signals of ``num_samples`` samples under one STFT config.
 
     - :class:`ExactConv`: the real-FFT buffers ``spec``/``time`` at the
-      transform length and the RIR's spectrum ``h_f`` with its conjugate
-      ``h_f_conj`` of the operator ``spectrum_of``, the buffers made again
-      only when the length changes; the STFT
-      pad buffer ``pad``, the ``frames`` (windowed by ``forward``,
+      transform length ``n_fft`` and the spectrum ``h_f`` with its conjugate
+      ``h_f_conj`` of the taps array ``spectrum_of`` (see :meth:`spectrum`);
+      the STFT pad buffer ``pad``, the ``frames`` (windowed by ``forward``,
       synthesized by ``adjoint``), the one-sided ``grid`` and the
       overlap-add buffer ``ola``;
     - :func:`~revmatch.loss.rm_loss`: ``diff``, ``mag``, ``err``, ``denom``,
       the ``zero`` mask, ``g_m`` and the ``average`` variant's gradient sum
-      ``grad_sum``;
-    - the solver's Adam step: the moments ``m``, ``v`` and the temporaries
-      ``adam_step``, ``adam_denom``.
+      ``grad_sum``.
 
     An array that a call given a scratch returns is the scratch's, and its
     next use overwrites it. A call given none makes a fresh one, so its
@@ -250,32 +247,38 @@ class Scratch:
         self.mag, self.err, self.denom = (np.empty(grid) for _ in range(3))
         self.zero = np.empty(grid, dtype=bool)
         self.grad_sum = np.empty(n)
-        self.m, self.v = np.zeros(n), np.zeros(n)
-        self.adam_step, self.adam_denom = np.empty(n), np.empty(n)
 
-    def check(self, num_samples, cfg):
-        """Refuse a signal length or STFT config the scratch is not sized
-        for."""
-        if num_samples != self.num_samples:
-            raise ValueError(f"scratch is sized for {self.num_samples} "
-                             f"samples, not {num_samples}")
-        if not self.cfg.same_grid(cfg):
-            raise ValueError("scratch is sized for another STFT config")
-
-    def fft_length(self, n_fft):
-        """Size the real-FFT buffers for an ``n_fft``-point transform."""
-        if n_fft != self.n_fft:
-            bins = n_fft // 2 + 1
-            self.n_fft, self.spectrum_of = n_fft, None
-            self.time = np.empty(n_fft)
-            self.spec, self.h_f, self.h_f_conj = (
-                np.empty(bins, dtype=np.complex128) for _ in range(3))
+    def spectrum(self, taps):
+        """The transform length for an RIR of ``taps``, long enough that
+        neither map of :class:`ExactConv` wraps around, with the real-FFT
+        buffers sized for it and the spectrum of ``taps`` and its conjugate
+        in ``h_f`` and ``h_f_conj``. These are computed only when another
+        taps array was given last: the scratch keeps that array alive, so
+        no other array can take its id."""
+        if taps is not self.spectrum_of:
+            n_fft = next_fast_len(self.num_samples + len(taps) - 1, True)
+            if n_fft != self.n_fft:
+                self.n_fft = n_fft
+                self.time = np.empty(n_fft)
+                self.spec, self.h_f, self.h_f_conj = (
+                    np.empty(n_fft // 2 + 1, dtype=np.complex128)
+                    for _ in range(3))
+            np.fft.rfft(taps, n=n_fft, out=self.h_f)
+            np.conj(self.h_f, out=self.h_f_conj)
+            self.spectrum_of = taps
+        return self.n_fft
 
 
 def _scratch_for(scratch, num_samples, cfg):
+    """``scratch``, refused if sized for another signal length or STFT
+    config, or a fresh one when it is None."""
     if scratch is None:
         return Scratch(num_samples, cfg)
-    scratch.check(num_samples, cfg)
+    if num_samples != scratch.num_samples:
+        raise ValueError(f"scratch is sized for {scratch.num_samples} "
+                         f"samples, not {num_samples}")
+    if not scratch.cfg.same_grid(cfg):
+        raise ValueError("scratch is sized for another STFT config")
     return scratch
 
 
@@ -291,28 +294,15 @@ class ExactConv:
     ``forward_full`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up
     to rounding) for any complex grid ``s``.
 
-    ``forward`` and ``adjoint`` work in a :class:`Scratch`, which holds the
-    RIR's real spectrum and its conjugate: they are computed when another
-    operator or transform length used the scratch last, so a solve with one
-    known RIR computes them once. The operator itself holds no buffers.
+    ``forward`` and ``adjoint`` work in a :class:`Scratch`, which keys the
+    RIR's real spectrum on the taps array: every operator made from one
+    known ``Rir`` shares it, so a solve with that RIR computes it once. The
+    operator holds only its taps and config.
     """
 
     def __init__(self, h, cfg):
         self.taps = _rir_taps(h)
         self.cfg = cfg
-        self.t_h = kernel_frames(len(self.taps), cfg)
-
-    def _spectrum(self, scratch):
-        """FFT length for the scratch's signal length, long enough that
-        neither map wraps around, with the RIR's real spectrum at it and its
-        conjugate in ``scratch.h_f`` and ``scratch.h_f_conj``."""
-        n_fft = next_fast_len(scratch.num_samples + len(self.taps) - 1, True)
-        scratch.fft_length(n_fft)
-        if scratch.spectrum_of is not self:
-            np.fft.rfft(self.taps, n=n_fft, out=scratch.h_f)
-            np.conj(scratch.h_f, out=scratch.h_f_conj)
-            scratch.spectrum_of = self
-        return n_fft
 
     def _check(self, cfg):
         if not self.cfg.same_grid(cfg):
@@ -326,7 +316,7 @@ class ExactConv:
         cfg = self.cfg
         n = len(x)
         s = _scratch_for(scratch, n, cfg)
-        n_fft = self._spectrum(s)
+        n_fft = s.spectrum(self.taps)
         np.fft.rfft(x, n=n_fft, out=s.spec)
         s.spec *= s.h_f
         np.fft.irfft(s.spec, n=n_fft, out=s.time)
@@ -353,7 +343,7 @@ class ExactConv:
         s.frames *= cfg.win_len * cfg.analysis_window
         wet_adj = overlap_add(s.frames, cfg.hop, out=s.ola)[
             cfg.head_pad:cfg.head_pad + n]
-        n_fft = self._spectrum(s)
+        n_fft = s.spectrum(self.taps)
         np.fft.rfft(wet_adj, n=n_fft, out=s.spec)
         s.spec *= s.h_f_conj
         return np.fft.irfft(s.spec, n=n_fft, out=s.time)[:n]
@@ -370,8 +360,8 @@ class ExactConv:
         n_fft = next_fast_len(wet_len, False)
         wet = np.fft.ifft(np.fft.fft(signal, n=n_fft)
                           * np.fft.fft(self.taps, n=n_fft), n=n_fft)[:wet_len]
-        frames = _frames(wet, cfg.win_len, cfg.hop,
-                         dry.num_frames + self.t_h - 1)
+        t_h = kernel_frames(len(self.taps), cfg)
+        frames = _frames(wet, cfg.win_len, cfg.hop, dry.num_frames + t_h - 1)
         y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
         return Spectrogram(np.ascontiguousarray(y), cfg,
                            dry.num_samples + len(self.taps) - 1)

@@ -800,3 +800,62 @@ def test_dereverb_rejects_workers_below_one(tmp_path, monkeypatch, workers):
     assert reads == []
     assert os.listdir(out) == []
     assert not (tmp_path / "single.wav").exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_dereverb_refuses_rt60_and_a_calibration_together(tmp_path,
+                                                          monkeypatch, capsys,
+                                                          source):
+    # a calibration next to --rt60 used to be ignored without a word
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"calibration={cal}\n")
+    extra = (["--calibration", cal] if source == "flags"
+             else ["--config", config])
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "o.wav"
+    assert run("dereverb", "--in", x0, "--rt60", 0.3, "--max-iters", 2,
+               *extra, "-o", out) == 2
+    assert ("dereverb takes one source: --calibration or --rt60/--drr, "
+            "not both") in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["output", "trace"])
+def test_dereverb_missing_output_directory_is_found_before_the_solve(
+        tmp_path, monkeypatch, capsys, missing):
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    nodir = tmp_path / "nodir"
+    out = nodir / "o.wav" if missing == "output" else tmp_path / "o.wav"
+    trace = nodir / "t.txt" if missing == "trace" else tmp_path / "t.txt"
+    before = sorted(os.listdir(tmp_path))
+    reads = _recording_reads(monkeypatch)
+    assert run("dereverb", "--in", x0, "--rt60", 0.3, "--drr", 0,
+               "--max-iters", 2, "--trace", trace, "-o", out) == 2
+    assert f"directory {nodir} of" in capsys.readouterr().err
+    assert reads == []
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("bad", ["true-params", "est-report"])
+def test_eval_non_numeric_record_names_its_file_and_key(tmp_path, capsys,
+                                                        bad):
+    sig_path = tmp_path / "x.wav"
+    write_wav(sig_path, Signal(speech_like_noise(FS // 4, FS, rng=3), FS))
+    truth_path = tmp_path / "truth.txt"
+    truth_path.write_text("rt60=0.5\ndrr_db="
+                          + ("x" if bad == "true-params" else "2") + "\n")
+    est_report = tmp_path / "est.txt"
+    est_report.write_text("rt60=0.6\ndrr_db="
+                          + ("x" if bad == "est-report" else "-1") + "\n")
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", sig_path, "--ref", sig_path,
+               "--true-params", truth_path, "--est-report", est_report,
+               "-o", out) == 2
+    path = truth_path if bad == "true-params" else est_report
+    assert (f"{path}: drr_db record 'x' is not a valid float"
+            in capsys.readouterr().err)
+    assert not out.exists()

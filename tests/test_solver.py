@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 import revmatch.blind as blind
+import revmatch.rir as rir
 import revmatch.solver as solver
 from revmatch.blind import (BlindConfig, BlindEstimate, Rt60Calibration,
                             speech_like_noise)
@@ -336,3 +337,39 @@ def test_solve_leaves_its_inputs_unchanged(which):
                           SolverConfig(max_iters=5))
     assert np.array_equal(y.data, before)
     assert np.array_equal(acoustics[0].taps, taps)
+
+
+def test_an_rir_spectrum_is_computed_once_per_taps_array(monkeypatch):
+    # the scratch keys the RIR's spectrum on its taps array, not on the
+    # operator, which rm_loss makes anew on every call: a known RIR's
+    # spectrum is computed once per solve, a drawn RIR's once in its draw
+    y, (h, params) = known_rir_and_params()
+    drawn = []
+    sample = rir.sample_rir
+
+    def recording(*args, **kwargs):
+        drawn.append(sample(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(rir, "sample_rir", recording)
+    inputs = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        inputs.append(a)
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+
+    def spectra(taps):
+        return sum(a is taps for a in inputs)
+
+    scfg = SolverConfig(max_iters=7, stop_rel_tol=-np.inf)
+    _, trace = trainingless_dereverb(y, h, scfg)
+    assert trace.iterations_used == 7
+    assert spectra(h.taps) == 1
+    assert drawn == []
+    inputs.clear()
+    _, trace = trainingless_dereverb(y, params, scfg)
+    assert trace.iterations_used == len(drawn) == 7
+    assert [spectra(d.taps) for d in drawn] == [1] * 7

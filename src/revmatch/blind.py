@@ -23,7 +23,9 @@ from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 from .signals import istft, row_weights, stft
 
+# the DRR search's candidates (dB, ascending) and its tail draws
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
+DRR_DRAWS = 3
 # a mapped RT60 below this (seconds) is anechoic: the DRR grid is skipped
 MIN_RT60 = 0.05
 # the shortest strictly-decreasing run of frames the decay statistic fits
@@ -71,30 +73,28 @@ class Rt60Calibration:
 
 @dataclass
 class BlindEstimate:
-    """Output of the blind analyzer."""
+    """Output of the blind analyzer: the mapped RT60, the picked DRR (the
+    grid's maximum when ``anechoic``), and the raw decay statistic."""
 
     rt60: float
     drr_db: float
     raw_median_decay: float
-    rm_loss_at_estimate: float
     anechoic: bool = False
 
 
 @dataclass(frozen=True)
 class BlindConfig:
-    """Knobs of the blind analyzer: the DRR grid search and the noise model
-    of its draws. The decay statistic's thresholds are the module constants
-    ``MIN_RT60``, ``MIN_RUN`` and ``BAND_FLOOR_DB``."""
+    """Knobs of the blind analyzer: the inner solve budget of the DRR search,
+    its seed and the noise model of its draws. The search's grid and draw
+    count are the module constants ``DEFAULT_DRR_GRID`` and ``DRR_DRAWS``;
+    the decay statistic's thresholds are ``MIN_RT60``, ``MIN_RUN`` and
+    ``BAND_FLOOR_DB``."""
 
-    drr_grid: tuple = DEFAULT_DRR_GRID
-    draws_per_point: int = 3
     k_inner: int = 18
     seed: int = 0
     noise_mode: str = "centered-gaussian"
 
     def __post_init__(self):
-        if self.draws_per_point < 1:
-            raise ValueError("draws_per_point must be >= 1")
         if self.k_inner < 1:
             raise ValueError("k_inner must be >= 1")
         if self.noise_mode not in NOISE_MODES:
@@ -205,58 +205,46 @@ def calibrate_rt60(pairs, sample_rate=16000):
     return fit_rt60_polynomial(raws, rt60s)
 
 
-def blind_drr(spec, rt60, grid=None,
-              draws_per_point=BlindConfig.draws_per_point,
-              k_inner=BlindConfig.k_inner, seed=0, sample_rate=16000,
-              noise_mode=BlindConfig.noise_mode):
-    """Pick a DRR grid point by reverberation matching at a fixed RT60.
+def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
+              sample_rate=16000, noise_mode=BlindConfig.noise_mode):
+    """Pick a DRR from ``DEFAULT_DRR_GRID`` by energy matching at a fixed
+    RT60.
 
-    One cheap training-less solve (budget ``k_inner``) at the most reverberant
-    grid point produces a shared dry reference; each grid point is then scored
-    by how closely the expected energy of the re-reverberated reference, over
-    ``draws_per_point`` Monte-Carlo draws, matches the observed energy. The
-    draws share one seed stream across points (common random numbers), so the
+    One cheap training-less solve (budget ``k_inner``) at the grid's lowest
+    point produces a shared dry reference; each grid point is then scored by
+    how closely the expected energy of the re-reverberated reference, over
+    ``DRR_DRAWS`` Monte-Carlo draws, matches the observed energy. The draws
+    share one seed stream across points (common random numbers), so the
     comparison is deterministic for a fixed seed; exact ties resolve to the
     lowest dB. The one-sided grids are scored with the energies summed under
     :func:`~revmatch.signals.row_weights`.
 
     Draw ``i`` at DRR ``d`` is the direct tap plus ``sigma(d) / sigma(d0)``
-    times draw ``i``'s tail at the first grid point ``d0`` (the tail noise
-    scales with ``sigma``, see :func:`~revmatch.rir.sigma_from_drr`), and the
+    times draw ``i``'s tail at the lowest point ``d0`` (the tail noise scales
+    with ``sigma``, see :func:`~revmatch.rir.sigma_from_drr`), and the
     forward operator is linear in the taps. So its model is
     ``A + (sigma(d) / sigma(d0)) B_i``, with ``A`` the reference's one-sided
     STFT and ``B_i`` the forward of draw ``i``'s tail, and every point's mean
-    energy and mean residual follow from three weighted sums per draw. The
-    search costs one reference solve plus ``draws_per_point`` forwards, and
-    does not grow with the grid.
+    energy follows from two weighted sums per draw. The search costs one
+    reference solve plus ``DRR_DRAWS`` forwards.
 
-    The residual value of the matching loss itself is NOT a usable selection
-    statistic here: for sign-symmetric tail draws its expectation is
-    monotonically decreasing in candidate DRR (the anechoic trivial solution),
-    so the energy balance above is matched instead. Measured, the pick
-    carries no DRR information: it is 0 dB on 18 of 18 files given the true
-    RT60 and on 27 of 27 given a calibrated RT60. It follows the default
-    step size of the inner solve instead: at 1e-1 it is -6 dB on all six
-    files of the ``blind`` benchmark's cycle 0, and the median SI-SDR change
-    of blind dereverberation on them falls from -0.43 to -4.01 dB.
+    The matching residual is not a usable selection statistic here: for
+    sign-symmetric tail draws its expectation is monotonically decreasing in
+    candidate DRR (the anechoic trivial solution), so the energy balance
+    above is matched instead. Measured, the pick carries no DRR information:
+    it is 0 dB on 18 of 18 files given the true RT60 and on 27 of 27 given a
+    calibrated RT60. It follows the default step size of the inner solve
+    instead: at 1e-1 it is -6 dB on all six files of the ``blind``
+    benchmark's cycle 0, and the median SI-SDR change of blind
+    dereverberation on them falls from -0.43 to -4.01 dB.
 
     Returns
     -------
-    (drr_db, loss) : the selected grid value and the reverberation-matching
-    complex term evaluated at the reference estimate under the selected
-    parameters.
+    float : the picked grid value (dB).
     """
     from .solver import SolverConfig, trainingless_dereverb
 
-    if grid is None:
-        grid = DEFAULT_DRR_GRID
-    grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise ValueError("DRR grid must be non-empty")
-    if len(grid) == 1:
-        return grid[0], math.nan
-
-    ref_params = AcousticParams(rt60=rt60, drr_db=grid[0],
+    ref_params = AcousticParams(rt60=rt60, drr_db=DEFAULT_DRR_GRID[0],
                                 sample_rate=sample_rate, noise_mode=noise_mode)
     ref_seed = int(derive_rng(seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
     solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
@@ -264,57 +252,47 @@ def blind_drr(spec, rt60, grid=None,
     shat, _ = trainingless_dereverb(spec, ref_params, solver_cfg)
     x = istft(shat)
 
-    y_half = spec.half().data
     weights = row_weights(spec.config)
-    y_energy = float(np.sum(weights * np.abs(y_half) ** 2))
+    y_energy = float(np.sum(weights * np.abs(spec.half().data) ** 2))
     a = stft(x, spec.config, one_sided=True).data
-    resid = a - y_half
     a_energy = float(np.sum(weights * np.abs(a) ** 2))
-    resid_energy = float(np.sum(weights * np.abs(resid) ** 2))
-    # per draw: ||B||^2, Re<A, B> and Re<A - Y, B> under the row weights
-    sums = np.empty((draws_per_point, 3))
+    # per draw: ||B||^2 and Re<A, B> under the row weights
+    sums = np.empty((DRR_DRAWS, 2))
     scratch = tfconv.Scratch(len(x), spec.config)
-    for i in range(draws_per_point):
+    for i in range(DRR_DRAWS):
         tail = rir.sample_rir(
             ref_params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i)).taps
         tail[0] = 0.0  # the draw without its direct tap
         b = tfconv.ExactConv(tail, spec.config).forward(x, scratch).data
         b_w = weights * b
-        sums[i] = [np.vdot(b_w, b).real, np.vdot(b_w, a).real,
-                   np.vdot(b_w, resid).real]
-    bb, ab, rb = sums.mean(axis=0)
+        sums[i] = [np.vdot(b_w, b).real, np.vdot(b_w, a).real]
+    bb, ab = sums.mean(axis=0)
     tau = rir.tau_from_rt60(rt60, sample_rate)
     sigmas = np.array([rir.sigma_from_drr(db, tau, ref_params.n_d)
-                       for db in grid])
+                       for db in DEFAULT_DRR_GRID])
     scale = sigmas / sigmas[0]
     energies = a_energy + 2.0 * scale * ab + scale ** 2 * bb
     scores = np.abs(np.log(energies) - math.log(y_energy))
-    best = int(np.argmin(scores))
-    rm_value = resid_energy + 2.0 * scale[best] * rb + scale[best] ** 2 * bb
-    return grid[best], float(rm_value)
+    return DEFAULT_DRR_GRID[int(np.argmin(scores))]
 
 
 def analyze_blind(spec, cal, cfg=None, sample_rate=16000):
     """Blind estimate of (RT60, DRR) from a reverberant spectrogram.
 
     Composes the raw decay statistic, the calibration polynomial, and the DRR
-    grid search. A mapped RT60 below the anechoic floor short-circuits the
-    grid search and flags the estimate.
+    search. A mapped RT60 below the anechoic floor short-circuits the search
+    and flags the estimate, with the grid's maximum as its DRR.
     """
     if cfg is None:
         cfg = BlindConfig()
     raw = raw_decay_estimate(spec, sample_rate)
     rt60 = float(cal.map(raw))
     if rt60 < MIN_RT60:
-        return BlindEstimate(rt60=rt60, drr_db=max(cfg.drr_grid),
-                             raw_median_decay=raw,
-                             rm_loss_at_estimate=math.nan, anechoic=True)
-    drr_db, loss_val = blind_drr(
-        spec, rt60, grid=cfg.drr_grid, draws_per_point=cfg.draws_per_point,
-        k_inner=cfg.k_inner, seed=cfg.seed,
-        sample_rate=sample_rate, noise_mode=cfg.noise_mode)
-    return BlindEstimate(rt60=rt60, drr_db=drr_db, raw_median_decay=raw,
-                         rm_loss_at_estimate=loss_val)
+        return BlindEstimate(rt60=rt60, drr_db=max(DEFAULT_DRR_GRID),
+                             raw_median_decay=raw, anechoic=True)
+    drr_db = blind_drr(spec, rt60, k_inner=cfg.k_inner, seed=cfg.seed,
+                       sample_rate=sample_rate, noise_mode=cfg.noise_mode)
+    return BlindEstimate(rt60=rt60, drr_db=drr_db, raw_median_decay=raw)
 
 
 def speech_shaped_noise(num_samples, sample_rate=16000, rng=None):

@@ -175,16 +175,16 @@ def cmd_calibrate(args):
     return 0
 
 
-def _blind_config(args, draws_per_point=BlindConfig.draws_per_point):
-    return BlindConfig(draws_per_point=draws_per_point, k_inner=args.k_inner,
-                       seed=args.seed, noise_mode=args.noise_mode)
+def _blind_config(args):
+    return BlindConfig(k_inner=args.k_inner, seed=args.seed,
+                       noise_mode=args.noise_mode)
 
 
 def cmd_analyze_blind(args):
     sig = _read_input_wav(args.input)
     cal = Rt60Calibration.from_file(args.calibration)
     spec = stft(sig, default_stft_config())
-    est = analyze_blind(spec, cal, _blind_config(args, args.draws),
+    est = analyze_blind(spec, cal, _blind_config(args),
                         sample_rate=sig.sample_rate)
     _write_text(args.output, format_records(asdict(est).items()))
     return 0
@@ -373,7 +373,6 @@ def build_parser(config=None):
     p = command("analyze-blind", "blind acoustic analysis of a wav")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--calibration", required=True)
-    p.add_argument("--draws", type=int, default=BlindConfig.draws_per_point)
     p.add_argument("--k-inner", type=int, default=BlindConfig.k_inner)
     p.add_argument("--noise-mode", choices=NOISE_MODES,
                    default=BlindConfig.noise_mode)
@@ -436,6 +435,12 @@ def main(argv=None):
         if args.config:
             # parse again with the file's records as the defaults
             args = build_parser(read_records(args.config)).parse_args(argv)
+        # before any work: the temp file beside the output would be refused
+        # only after it, naming that hidden file
+        parent = os.path.dirname(args.output)
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"directory {parent} of {args.output} does not "
+                             "exist")
         return _HANDLERS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

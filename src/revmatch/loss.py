@@ -105,23 +105,20 @@ def grad_mag(y, yhat):
     mag = np.abs(yhat)
     err = np.log1p(np.abs(y)) - np.log1p(mag)
     return _grad_mag(err, mag, yhat, np.empty_like(mag),
-                     np.empty(mag.shape, dtype=bool),
                      np.empty(mag.shape, dtype=np.result_type(yhat, err)))
 
 
-def _grad_mag(err, mag, yhat, denom, zero, out):
+def _grad_mag(err, mag, yhat, denom, out):
     """grad_mag from the log-magnitude error and |yhat|, written to ``out``;
-    ``err`` and ``mag`` are overwritten, ``denom`` and ``zero`` are work
-    arrays of their shape."""
-    np.less_equal(mag, 0.0, out=zero)
+    ``err`` and ``mag`` are overwritten, ``denom`` is a work array of their
+    shape. Where |yhat| is 0 the quotient stays finite (the denominator is at
+    least ``_TINY``), so its product with yhat is a signed zero."""
     np.maximum(mag, _TINY, out=denom)
     mag += 1.0
     denom *= mag
     err *= -2.0
     err /= denom
-    np.multiply(err, yhat, out=out)
-    np.copyto(out, 0.0, where=zero)
-    return out
+    return np.multiply(err, yhat, out=out)
 
 
 def gradnorm_alpha(y, yhat):
@@ -167,8 +164,7 @@ def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
                       out=scratch.err)
     l_c = _weighted_sq_sum(diff, weights)
     l_m = _weighted_sq_sum(err, weights)
-    g_m = _grad_mag(err, mag, yhat, scratch.denom, scratch.zero,
-                    scratch.g_m)
+    g_m = _grad_mag(err, mag, yhat, scratch.denom, scratch.g_m)
     # doubling is exact, so ||2 diff|| is 2 sqrt(l_c) to the last bit
     norm_c = 2.0 * np.sqrt(l_c)
     norm_m = np.sqrt(_weighted_sq_sum(g_m, weights))

@@ -138,11 +138,14 @@ def trainingless_dereverb(y, params, cfg=None):
     converged = False
 
     for it in range(cfg.max_iters):
+        # nothing reads x after the last capped iteration: no gradient, no
+        # step
+        last = it == cfg.max_iters - 1
         report, grad = rm_loss(
             y_norm, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
-            want_grad=True, alpha_fallback=alpha_prev, log_mag_y=log_mag_y,
-            scratch=scratch)
+            want_grad=not last, alpha_fallback=alpha_prev,
+            log_mag_y=log_mag_y, scratch=scratch)
         alpha_prev = report.alpha
         reports.append(report)
         total = report.total
@@ -166,6 +169,8 @@ def trainingless_dereverb(y, params, cfg=None):
             if (prev - total) / max(prev, 1e-300) < cfg.stop_rel_tol:
                 converged = True
                 break
+        if last:
+            break
 
         # Adam, in place; grad is the scratch's and only read
         b1, b2, eps = 0.9, 0.999, 1e-8

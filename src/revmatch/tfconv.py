@@ -222,8 +222,7 @@ class Scratch:
       synthesized by ``adjoint``), the one-sided ``grid`` and the
       overlap-add buffer ``ola``;
     - :func:`~revmatch.loss.rm_loss`: ``diff``, ``mag``, ``err``, ``denom``,
-      the ``zero`` mask, ``g_m`` and the ``average`` variant's gradient sum
-      ``grad_sum``.
+      ``g_m`` and the ``average`` variant's gradient sum ``grad_sum``.
 
     An array that a call given a scratch returns is the scratch's, and its
     next use overwrites it. A call given none makes a fresh one, so its
@@ -245,7 +244,6 @@ class Scratch:
         self.diff = np.empty(grid, dtype=np.complex128)
         self.g_m = np.empty(grid, dtype=np.complex128)
         self.mag, self.err, self.denom = (np.empty(grid) for _ in range(3))
-        self.zero = np.empty(grid, dtype=bool)
         self.grad_sum = np.empty(n)
 
     def spectrum(self, taps):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+import revmatch.blind as blind
 import revmatch.rir as rir
 from revmatch.blind import (DEFAULT_DRR_GRID, DRR_DRAWS, MIN_RUN,
                             BlindConfig, InsufficientDecay, Rt60Calibration,
@@ -320,11 +321,12 @@ def test_blind_config_rejects_an_inner_budget_below_one():
         BlindConfig(k_inner=0)
 
 
-def _per_draw_blind_drr(spec, rt60, k_inner, seed, noise_mode):
+def _per_draw_blind_drr(spec, rt60, k_inner, seed, noise_mode,
+                        grid=DEFAULT_DRR_GRID, draws=DRR_DRAWS):
     """The search with one forward per (grid point, draw): every draw of
     every point convolves the reference signal directly."""
-    ref_params = AcousticParams(rt60=rt60, drr_db=DEFAULT_DRR_GRID[0],
-                                sample_rate=FS, noise_mode=noise_mode)
+    ref_params = AcousticParams(rt60=rt60, drr_db=grid[0], sample_rate=FS,
+                                noise_mode=noise_mode)
     ref_seed = int(derive_rng(seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
     solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
                               loss_cfg=LossConfig())
@@ -335,22 +337,39 @@ def _per_draw_blind_drr(spec, rt60, k_inner, seed, noise_mode):
     y_energy = float(np.sum(weights * np.abs(spec.half().data) ** 2))
     scratch = Scratch(len(x), spec.config)
     scores = []
-    for db in DEFAULT_DRR_GRID:
+    for db in grid:
         params = AcousticParams(rt60=rt60, drr_db=db, sample_rate=FS,
                                 noise_mode=noise_mode)
         energies = []
-        for i in range(DRR_DRAWS):
+        for i in range(draws):
             h = sample_rir(params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i))
             yhat = ExactConv(h, spec.config).forward(x, scratch).data
             energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))
-    return DEFAULT_DRR_GRID[int(np.argmin(scores))]
+    return grid[int(np.argmin(scores))]
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_DRR_GRID, (0.0, 6.0),
+                                  (0.0, 0.0, 6.0)])
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("noise_mode", NOISE_MODES)
+def test_blind_drr_closed_form_matches_per_draw_forwards(cfg, monkeypatch,
+                                                         noise_mode, draws,
+                                                         grid):
+    # the closed form holds for any ascending grid and draw count, not only
+    # the module's; a duplicate point ties to the first
+    monkeypatch.setattr(blind, "DEFAULT_DRR_GRID", grid)
+    monkeypatch.setattr(blind, "DRR_DRAWS", draws)
+    spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
+    args = dict(k_inner=6, seed=9, noise_mode=noise_mode)
+    assert (blind_drr(spec, 0.6, sample_rate=FS, **args)
+            == _per_draw_blind_drr(spec, 0.6, grid=grid, draws=draws, **args))
 
 
 @pytest.mark.parametrize("seed", [9, 10, 11])
 @pytest.mark.parametrize("noise_mode", NOISE_MODES)
-def test_blind_drr_closed_form_matches_per_draw_forwards(cfg, noise_mode,
-                                                         seed):
+def test_blind_drr_closed_form_matches_per_draw_forwards_across_seeds(
+        cfg, noise_mode, seed):
     # at seeds 9 and 11 the centered-gaussian pick lies inside the grid
     spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
     args = dict(k_inner=6, seed=seed, noise_mode=noise_mode)

@@ -16,14 +16,13 @@ from .signals import (Signal, Spectrogram, StftConfig, default_stft_config,
                       istft, read_wav, stft, write_wav)
 from .solver import (DivergenceError, Passthrough, SolverConfig, SolveTrace,
                      dereverb_pipeline, trainingless_dereverb)
-from .tfconv import ConvKernel, ExactConv, apply, apply_adjoint, build_kernel
+from .tfconv import ConvKernel, apply, apply_adjoint, build_kernel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcousticParams", "BlindConfig", "BlindEstimate", "ConvKernel",
     "DegenerateGradNorm", "DivergenceError", "EdcAnalysis",
-    "ExactConv",
     "InsufficientDecay", "LossConfig", "LossReport", "MetricReport",
     "Passthrough", "Rir", "Rt60Calibration", "Signal",
     "SolveTrace",

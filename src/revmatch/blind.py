@@ -263,7 +263,7 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
         tail = rir.sample_rir(
             ref_params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i)).taps
         tail[0] = 0.0  # the draw without its direct tap
-        b = tfconv.ExactConv(tail, spec.config).forward(x, scratch).data
+        b = tfconv.forward(tail, x, scratch)
         b_w = weights * b
         sums[i] = [np.vdot(b_w, b).real, np.vdot(b_w, a).real]
     bb, ab = sums.mean(axis=0)

@@ -110,7 +110,7 @@ def cmd_reverberate(args):
         wet = fft_convolve(dry.samples, rir.taps)
     else:
         cfg = default_stft_config()
-        wet = istft(tfconv.ExactConv(rir, cfg).forward_full(stft(dry, cfg)))
+        wet = istft(tfconv.forward_full(rir.taps, stft(dry, cfg)))
     sig = Signal(wet, dry.sample_rate)
     _atomic_write(args.output, lambda tmp: write_wav(tmp, sig))
     return 0
@@ -234,9 +234,6 @@ def cmd_dereverb(args):
     else:
         raise ValueError("dereverb requires --calibration or --rt60/--drr")
     if len(inputs) == 1:
-        if os.path.isdir(out):
-            raise ValueError(f"output {out} is a directory; a single input "
-                             "takes an output file")
         if trace_path and _same_file(out, trace_path):
             raise ValueError(f"trace {trace_path} would overwrite output "
                              f"{out}")
@@ -253,9 +250,6 @@ def cmd_dereverb(args):
                              + ", ".join(clashes))
         outputs = [os.path.join(out, name) for name in names]
     for path in outputs + ([trace_path] if trace_path else []):
-        parent = os.path.dirname(path)
-        if parent and not os.path.isdir(parent):
-            raise ValueError(f"directory {parent} of {path} does not exist")
         for src in inputs:
             if _same_file(path, src):
                 raise ValueError(f"output {path} would overwrite input {src}")
@@ -435,14 +429,22 @@ def main(argv=None):
         if args.config:
             # parse again with the file's records as the defaults
             args = build_parser(read_records(args.config)).parse_args(argv)
-        # before any work: the temp file beside the output would be refused
-        # only after it, naming that hidden file
-        parent = os.path.dirname(args.output)
-        if parent and not os.path.isdir(parent):
-            raise ValueError(f"directory {parent} of {args.output} does not "
-                             "exist")
+        # before any work: the temp file beside an output would be refused
+        # only after it, naming that hidden file; batch dereverb writes into
+        # its -o directory
+        batch = args.command == "dereverb" and len(args.inputs) > 1
+        for path, name in ((args.output, "output"),
+                           (getattr(args, "trace", None), "trace")):
+            if not path:
+                continue
+            parent = os.path.dirname(path)
+            if parent and not os.path.isdir(parent):
+                raise ValueError(f"directory {parent} of {path} does not "
+                                 "exist")
+            if os.path.isdir(path) and not (batch and name == "output"):
+                raise ValueError(f"{name} {path} is a directory, not a file")
         return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -188,11 +188,13 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
     real dry signal pushed through RIRs drawn from, or fixed by, the
     acoustics.
 
-    Each draw is the exact convolution with its RIR, by one
-    :class:`tfconv.ExactConv` per draw and call: the one-sided STFT of
-    ``(h * x)`` cut to ``len(x)`` samples, scored against ``y``'s first
-    F // 2 + 1 rows with row-weighted sums, so the loss values and the weight
-    equal those of the Hermitian full grids to rounding.
+    Each draw is the exact convolution with its RIR, :func:`tfconv.forward`:
+    the one-sided STFT of ``(h * x)`` cut to ``len(x)`` samples, scored
+    against ``y``'s first F // 2 + 1 rows with row-weighted sums, so the loss
+    values and the weight equal those of the Hermitian full grids to
+    rounding. The gradient goes back through :func:`tfconv.adjoint`: once
+    per draw for the ``average``, summed in draw order, and once for the
+    selected draw of the ``best``, the first of the lowest total.
 
     Parameters
     ----------
@@ -222,7 +224,8 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
         that scores many times; it keys the RIR's spectrum on the taps
         array, so a known Rir's is computed once per scratch. The gradient
         returned is then the scratch's and its next use overwrites it. A
-        fresh one is made when not given.
+        scratch of another STFT config or length is refused with
+        ValueError; a fresh one is made when not given.
 
     Returns
     -------
@@ -236,47 +239,43 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
                  for i in range(cfg.resolved_draws)]
     else:
         raise TypeError("acoustics must be AcousticParams or a Rir")
-    ops = [tfconv.ExactConv(h, y.config) for h in draws]
-    n_draws = len(ops)
+    n_draws = len(draws)
     y_data = y.half().data
     if log_mag_y is None:
         log_mag_y = np.log1p(np.abs(y_data))
     if scratch is None:
         scratch = tfconv.Scratch(len(x), y.config)
+    elif not scratch.cfg.same_grid(y.config):
+        raise ValueError("scratch is sized for another STFT config")
     weights = row_weights(y.config)
 
-    def backprop(op, g_y):
-        return op.adjoint(Spectrogram(g_y, y.config, len(x)), scratch)
-
     # the next draw overwrites the scratch: the average sums its gradients
-    # in draw order as it goes, and each grid another variant may
-    # backpropagate later is copied out
+    # in draw order as it goes, and the best keeps a copy of the grid of
+    # its lowest-loss draw so far
     summing = want_grad and cfg.variant == "average" and n_draws > 1
+    keeping = want_grad and cfg.variant == "best" and n_draws > 1
+    g_best = np.empty_like(scratch.diff) if keeping else None
     per_draw = []
-    grids = []
-    for i, op in enumerate(ops):
-        yhat = op.forward(x, scratch).data
+    best = 0
+    for i, h in enumerate(draws):
+        yhat = tfconv.forward(h.taps, x, scratch)
         l_c, l_m, alpha, total, g_y = _draw_terms(
             y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
             scratch)
         per_draw.append((l_c, l_m, alpha, total))
         if summing:
+            g_x = tfconv.adjoint(h.taps, g_y, scratch)
             if i == 0:
-                np.copyto(scratch.grad_sum, backprop(op, g_y))
+                np.copyto(scratch.grad_sum, g_x)
             else:
-                scratch.grad_sum += backprop(op, g_y)
-        elif want_grad:
-            grids.append(g_y if n_draws == 1 else g_y.copy())
+                scratch.grad_sum += g_x
+        # strict: the first of equal totals, as argmin picks
+        elif i == 0 or total < per_draw[best][3]:
+            best = i
+            if keeping:
+                np.copyto(g_best, g_y)
 
-    def grad_of(i):
-        return backprop(ops[i], grids[i]) if want_grad else None
-
-    if cfg.variant in ("single",) or n_draws == 1:
-        l_c, l_m, alpha, total = per_draw[0]
-        report = LossReport(l_c, l_m, alpha, total, selected_draw=None,
-                            per_draw=per_draw)
-        return report, grad_of(0)
-    if cfg.variant == "average":
+    if cfg.variant == "average" and n_draws > 1:
         l_c = float(np.mean([d[0] for d in per_draw]))
         l_m = float(np.mean([d[1] for d in per_draw]))
         total = float(np.mean([d[3] for d in per_draw]))
@@ -290,8 +289,12 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
             grad /= n_draws
         return LossReport(l_c, l_m, alpha, total, selected_draw=None,
                           per_draw=per_draw), grad
-    # best: backpropagate only through the lowest-loss draw with its own weight
-    best = int(np.argmin([d[3] for d in per_draw]))
+    # one draw, or the best's lowest-loss draw with its own weight
     l_c, l_m, alpha, total = per_draw[best]
-    return LossReport(l_c, l_m, alpha, total, selected_draw=best,
-                      per_draw=per_draw), grad_of(best)
+    grad = None
+    if want_grad:
+        grad = tfconv.adjoint(draws[best].taps, g_best if keeping else g_y,
+                              scratch)
+    selected = best if cfg.variant == "best" and n_draws > 1 else None
+    return LossReport(l_c, l_m, alpha, total, selected_draw=selected,
+                      per_draw=per_draw), grad

@@ -81,7 +81,7 @@ def trainingless_dereverb(y, params, cfg=None):
 
     The iterate ``x`` has the observation's ``n = y.num_samples`` samples and
     starts from them; its model under an RIR ``h`` is the one-sided STFT of
-    ``(h * x)[:n]`` (see :meth:`tfconv.ExactConv.forward`), scored against
+    ``(h * x)[:n]`` (see :func:`tfconv.forward`), scored against
     ``y``'s first F // 2 + 1 rows. Iterates first-order updates, drawing
     fresh RIRs from acoustic parameters on every iteration, and returns the
     one-sided STFT of the best-loss iterate, which ``istft`` turns back into

@@ -1,18 +1,21 @@
 """Exact STFT-domain convolution with a time-domain RIR, and its cross-band
 kernel reference.
 
-:class:`ExactConv` is the operator of the solver, the loss, the blind
-analyzer and ``reverberate --domain stft``, applied matrix-free:
+The exact operator of the solver, the loss, the blind analyzer and
+``reverberate --domain stft`` is three functions of an RIR's taps, applied
+matrix-free:
 
-- ``forward(x)`` models a real dry signal ``x`` of ``n`` samples: the
-  one-sided STFT of ``(h * x)[:n]``, by a real FFT convolution and ``rfft``
-  analysis. It is the analysis that made an ``n``-sample observation, so no
-  frame count depends on the RIR. ``adjoint`` maps a one-sided grid back to
-  ``n`` samples (analysis adjoint, overlap-add, correlation with h, crop).
-  Both write only into a :class:`Scratch`, the work arrays of one solve.
-- ``forward_full(s)`` reverberates a full complex grid: overlap-add synthesis
-  with g_s, complex FFT convolution, analysis of every frame the convolution
-  covers. Only ``reverberate --domain stft`` uses it.
+- ``forward(taps, x, scratch)`` models a real dry signal ``x`` of ``n``
+  samples: the one-sided STFT of ``(h * x)[:n]``, by a real FFT convolution
+  and ``rfft`` analysis. It is the analysis that made an ``n``-sample
+  observation, so no frame count depends on the RIR. ``adjoint(taps, grid,
+  scratch)`` maps a one-sided grid back to ``n`` samples (analysis adjoint,
+  overlap-add, correlation with h, crop). Both work in a :class:`Scratch`,
+  the work arrays and STFT config of one solve, which keys the RIR's
+  spectrum on the taps array.
+- ``forward_full(taps, s)`` reverberates a full complex grid: overlap-add
+  synthesis with g_s, complex FFT convolution, analysis of every frame the
+  convolution covers. Only ``reverberate --domain stft`` uses it.
 
 Both overlap-adds are :func:`~revmatch.signals.overlap_add`, as in ``istft``.
 
@@ -213,21 +216,20 @@ def _frames(x, n, hop, num_frames):
 class Scratch:
     """Work arrays of one solve: the signal- and grid-sized arrays that an
     iteration of :func:`~revmatch.solver.trainingless_dereverb` writes, for
-    signals of ``num_samples`` samples under one STFT config.
+    signals of ``num_samples`` samples under the STFT config ``cfg``.
 
-    - :class:`ExactConv`: the real-FFT buffers ``spec``/``time`` at the
-      transform length ``n_fft`` and the spectrum ``h_f`` with its conjugate
-      ``h_f_conj`` of the taps array ``spectrum_of`` (see :meth:`spectrum`);
-      the STFT pad buffer ``pad``, the ``frames`` (windowed by ``forward``,
-      synthesized by ``adjoint``), the one-sided ``grid`` and the
-      overlap-add buffer ``ola``;
+    - :func:`forward` and :func:`adjoint`: the real-FFT buffers
+      ``spec``/``time`` at the transform length ``n_fft`` and the spectrum
+      ``h_f`` with its conjugate ``h_f_conj`` of the taps array
+      ``spectrum_of`` (see :meth:`spectrum`); the STFT pad buffer ``pad``,
+      the ``frames`` (windowed by ``forward``, synthesized by ``adjoint``),
+      the one-sided ``grid`` and the overlap-add buffer ``ola``;
     - :func:`~revmatch.loss.rm_loss`: ``diff``, ``mag``, ``err``, ``denom``,
       ``g_m`` and the ``average`` variant's gradient sum ``grad_sum``.
 
-    An array that a call given a scratch returns is the scratch's, and its
-    next use overwrites it. A call given none makes a fresh one, so its
-    caller owns what it returns. A scratch refuses another signal length or
-    STFT config with ``ValueError``, and is never shared between threads.
+    An array that a call returns is the scratch's, and its next use
+    overwrites it. A scratch refuses a signal or grid of another size with
+    ``ValueError``, and is never shared between threads.
     """
 
     def __init__(self, num_samples, cfg):
@@ -248,11 +250,11 @@ class Scratch:
 
     def spectrum(self, taps):
         """The transform length for an RIR of ``taps``, long enough that
-        neither map of :class:`ExactConv` wraps around, with the real-FFT
-        buffers sized for it and the spectrum of ``taps`` and its conjugate
-        in ``h_f`` and ``h_f_conj``. These are computed only when another
-        taps array was given last: the scratch keeps that array alive, so
-        no other array can take its id."""
+        neither :func:`forward` nor :func:`adjoint` wraps around, with the
+        real-FFT buffers sized for it and the spectrum of ``taps`` and its
+        conjugate in ``h_f`` and ``h_f_conj``. These are computed only when
+        another taps array was given last: the scratch keeps that array
+        alive, so no other array can take its id."""
         if taps is not self.spectrum_of:
             n_fft = next_fast_len(self.num_samples + len(taps) - 1, True)
             if n_fft != self.n_fft:
@@ -267,99 +269,62 @@ class Scratch:
         return self.n_fft
 
 
-def _scratch_for(scratch, num_samples, cfg):
-    """``scratch``, refused if sized for another signal length or STFT
-    config, or a fresh one when it is None."""
-    if scratch is None:
-        return Scratch(num_samples, cfg)
-    if num_samples != scratch.num_samples:
-        raise ValueError(f"scratch is sized for {scratch.num_samples} "
-                         f"samples, not {num_samples}")
-    if not scratch.cfg.same_grid(cfg):
-        raise ValueError("scratch is sized for another STFT config")
-    return scratch
+def forward(taps, x, scratch):
+    """One-sided STFT of ``(h * x)[:n]`` for an RIR of ``taps`` and a real
+    dry signal ``x`` of the scratch's ``n`` samples: ``scratch.grid``."""
+    s, cfg = scratch, scratch.cfg
+    n = s.num_samples
+    if np.ndim(x) != 1 or len(x) != n:
+        raise ValueError(f"scratch is sized for 1-D signals of {n} samples, "
+                         f"not shape {np.shape(x)}")
+    n_fft = s.spectrum(taps)
+    np.fft.rfft(x, n=n_fft, out=s.spec)
+    s.spec *= s.h_f
+    np.fft.irfft(s.spec, n=n_fft, out=s.time)
+    # signals.stft(one_sided=True) of time[:n], on the scratch's buffers
+    s.pad[cfg.head_pad:cfg.head_pad + n] = s.time[:n]
+    frames = sliding_window_view(s.pad, cfg.win_len)[::cfg.hop]
+    np.multiply(frames, cfg.analysis_window, out=s.frames)
+    np.fft.rfft(s.frames, axis=1, out=s.grid.T)
+    return s.grid
 
 
-class ExactConv:
-    """Exact STFT-domain convolution with one RIR, applied matrix-free.
+def adjoint(taps, grid, scratch):
+    """Adjoint of :func:`forward` under <A, B> = sum_f w_f Re(A conj B), with
+    the row weights of :func:`~revmatch.signals.row_weights` (the full-grid
+    inner product of the Hermitian grids), and the dot product on signals:
+    a one-sided grid of the scratch's shape back to a real signal of its
+    ``n`` samples (analysis adjoint, overlap-add, correlation with h, crop)."""
+    s, cfg = scratch, scratch.cfg
+    n = s.num_samples
+    if np.shape(grid) != s.grid.shape:
+        raise ValueError(f"grid of shape {np.shape(grid)} is not the "
+                         f"one-sided grid of {n} samples, {s.grid.shape}")
+    np.fft.irfft(grid.T, n=cfg.win_len, axis=1, out=s.frames)
+    s.frames *= cfg.win_len * cfg.analysis_window
+    wet_adj = overlap_add(s.frames, cfg.hop, out=s.ola)[
+        cfg.head_pad:cfg.head_pad + n]
+    n_fft = s.spectrum(taps)
+    np.fft.rfft(wet_adj, n=n_fft, out=s.spec)
+    s.spec *= s.h_f_conj
+    return np.fft.irfft(s.spec, n=n_fft, out=s.time)[:n]
 
-    ``forward`` maps a real dry signal of ``n`` samples to the one-sided STFT
-    of its reverberation cut to ``n`` samples, and ``adjoint`` is its adjoint
-    under <A, B> = sum_f w_f Re(A conj B) with the row weights of
-    :func:`~revmatch.signals.row_weights` (the full-grid inner product of
-    the Hermitian grids), and the dot product on signals.
 
-    ``forward_full`` equals ``apply(build_kernel(h, cfg, "full"), s)`` (up
-    to rounding) for any complex grid ``s``.
-
-    ``forward`` and ``adjoint`` work in a :class:`Scratch`, which keys the
-    RIR's real spectrum on the taps array: every operator made from one
-    known ``Rir`` shares it, so a solve with that RIR computes it once. The
-    operator holds only its taps and config.
-    """
-
-    def __init__(self, h, cfg):
-        self.taps = _rir_taps(h)
-        self.cfg = cfg
-
-    def _check(self, cfg):
-        if not self.cfg.same_grid(cfg):
-            raise ValueError("spectrogram config does not match operator config")
-
-    def forward(self, x, scratch=None):
-        """One-sided STFT of ``(h * x)[:len(x)]`` for a real dry signal,
-        computed in ``scratch`` (see :class:`Scratch`)."""
-        if np.ndim(x) != 1 or len(x) == 0:
-            raise ValueError("forward input must be a non-empty 1-D signal")
-        cfg = self.cfg
-        n = len(x)
-        s = _scratch_for(scratch, n, cfg)
-        n_fft = s.spectrum(self.taps)
-        np.fft.rfft(x, n=n_fft, out=s.spec)
-        s.spec *= s.h_f
-        np.fft.irfft(s.spec, n=n_fft, out=s.time)
-        # signals.stft(one_sided=True) of time[:n], on the scratch's buffers
-        s.pad[cfg.head_pad:cfg.head_pad + n] = s.time[:n]
-        frames = sliding_window_view(s.pad, cfg.win_len)[::cfg.hop]
-        np.multiply(frames, cfg.analysis_window, out=s.frames)
-        np.fft.rfft(s.frames, axis=1, out=s.grid.T)
-        return Spectrogram(s.grid, cfg, n)
-
-    def adjoint(self, grid, scratch=None):
-        """Adjoint of :meth:`forward`: the one-sided grid of the frames of
-        ``grid.num_samples`` samples back to a real signal of that length,
-        computed in ``scratch`` (see :class:`Scratch`)."""
-        self._check(grid.config)
-        cfg = self.cfg
-        n = grid.num_samples
-        s = _scratch_for(scratch, n, cfg)
-        if grid.data.shape != s.grid.shape:
-            raise ValueError(f"grid of shape {grid.data.shape} is not the "
-                             f"one-sided grid of {n} samples, "
-                             f"{s.grid.shape}")
-        np.fft.irfft(grid.data.T, n=cfg.win_len, axis=1, out=s.frames)
-        s.frames *= cfg.win_len * cfg.analysis_window
-        wet_adj = overlap_add(s.frames, cfg.hop, out=s.ola)[
-            cfg.head_pad:cfg.head_pad + n]
-        n_fft = s.spectrum(self.taps)
-        np.fft.rfft(wet_adj, n=n_fft, out=s.spec)
-        s.spec *= s.h_f_conj
-        return np.fft.irfft(s.spec, n=n_fft, out=s.time)[:n]
-
-    def forward_full(self, dry):
-        """Reverberate a full complex grid: complex overlap-add synthesis (no
-        real part taken, so an inconsistent grid maps exactly), convolution,
-        and analysis of all T_s + t_h - 1 frames the convolution covers."""
-        self._check(dry.config)
-        cfg = self.cfg
-        frames = np.fft.ifft(dry.data.T, n=cfg.win_len, axis=1)
-        signal = overlap_add(frames * cfg.synthesis_window, cfg.hop)
-        wet_len = len(signal) + len(self.taps) - 1
-        n_fft = next_fast_len(wet_len, False)
-        wet = np.fft.ifft(np.fft.fft(signal, n=n_fft)
-                          * np.fft.fft(self.taps, n=n_fft), n=n_fft)[:wet_len]
-        t_h = kernel_frames(len(self.taps), cfg)
-        frames = _frames(wet, cfg.win_len, cfg.hop, dry.num_frames + t_h - 1)
-        y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
-        return Spectrogram(np.ascontiguousarray(y), cfg,
-                           dry.num_samples + len(self.taps) - 1)
+def forward_full(taps, dry):
+    """Reverberate a full complex grid with an RIR of ``taps``: complex
+    overlap-add synthesis (no real part taken, so an inconsistent grid maps
+    exactly), convolution, and analysis of all T_s + t_h - 1 frames the
+    convolution covers. Equals ``apply(build_kernel(taps, dry.config,
+    "full"), dry)`` to rounding."""
+    cfg = dry.config
+    frames = np.fft.ifft(dry.data.T, n=cfg.win_len, axis=1)
+    signal = overlap_add(frames * cfg.synthesis_window, cfg.hop)
+    wet_len = len(signal) + len(taps) - 1
+    n_fft = next_fast_len(wet_len, False)
+    wet = np.fft.ifft(np.fft.fft(signal, n=n_fft)
+                      * np.fft.fft(taps, n=n_fft), n=n_fft)[:wet_len]
+    t_h = kernel_frames(len(taps), cfg)
+    frames = _frames(wet, cfg.win_len, cfg.hop, dry.num_frames + t_h - 1)
+    y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
+    return Spectrogram(np.ascontiguousarray(y), cfg,
+                       dry.num_samples + len(taps) - 1)

@@ -17,7 +17,7 @@ from revmatch.rir import NOISE_MODES, AcousticParams, sample_rir, tau_from_rt60
 from revmatch.seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
 from revmatch.signals import Spectrogram, istft, row_weights, stft
 from revmatch.solver import SolverConfig, trainingless_dereverb
-from revmatch.tfconv import ExactConv, Scratch
+from revmatch.tfconv import Scratch, forward
 
 FS = 16000
 
@@ -343,7 +343,7 @@ def _per_draw_blind_drr(spec, rt60, k_inner, seed, noise_mode,
         energies = []
         for i in range(draws):
             h = sample_rir(params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i))
-            yhat = ExactConv(h, spec.config).forward(x, scratch).data
+            yhat = forward(h.taps, x, scratch)
             energies.append(float(np.sum(weights * np.abs(yhat) ** 2)))
         scores.append(abs(math.log(np.mean(energies)) - math.log(y_energy)))
     return grid[int(np.argmin(scores))]

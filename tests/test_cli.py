@@ -492,8 +492,11 @@ def test_dereverb_requires_params_or_calibration(tmp_path):
     assert run("dereverb", "--in", wet_path, "-o", tmp_path / "d.wav") == 2
 
 
-def test_dereverb_workers_reproducible(tmp_path):
-    # two inputs, serial vs two workers: byte-identical outputs
+def _dereverb_serial_and_parallel(tmp_path, *extra):
+    """Outputs, as bytes, of dereverbing two reverberant inputs made in
+    ``tmp_path`` with one worker and with two: {workers: [bytes of wet0,
+    bytes of wet1]}."""
+    tmp_path.mkdir(exist_ok=True)
     params = AcousticParams(rt60=0.25, drr_db=0.0, sample_rate=FS)
     inputs = []
     for i in range(2):
@@ -502,17 +505,35 @@ def test_dereverb_workers_reproducible(tmp_path):
         path = tmp_path / f"wet{i}.wav"
         write_wav(path, Signal(fftconvolve(s, h.taps), FS))
         inputs.append(path)
-    out_serial = tmp_path / "serial"
-    out_parallel = tmp_path / "parallel"
-    out_serial.mkdir()
-    out_parallel.mkdir()
     base = ["dereverb", "--in", inputs[0], "--in", inputs[1],
-            "--rt60", 0.25, "--drr", 0, "--max-iters", 6, "--seed", 11]
-    assert run(*base, "--workers", 1, "-o", out_serial) == 0
-    assert run(*base, "--workers", 2, "-o", out_parallel) == 0
-    for i in range(2):
-        name = f"wet{i}.wav"
-        assert file_bytes(out_serial / name) == file_bytes(out_parallel / name)
+            "--rt60", 0.25, "--drr", 0, "--max-iters", 6, "--seed", 11,
+            *extra]
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        out.mkdir()
+        assert run(*base, "--workers", workers, "-o", out) == 0
+        outputs[workers] = [file_bytes(out / p.name) for p in inputs]
+    return outputs
+
+
+def test_dereverb_workers_reproducible(tmp_path):
+    # two inputs, serial vs two workers: byte-identical outputs
+    outputs = _dereverb_serial_and_parallel(tmp_path)
+    assert outputs[1] == outputs[2]
+
+
+def test_dereverb_multi_draw_variants_reproducible_across_workers(tmp_path):
+    # the average sums its draws' gradients in draw order and the best
+    # backpropagates a kept copy of its lowest-loss draw's: both give the
+    # same bytes with one worker and with two, and differ from each other
+    by_variant = {
+        variant: _dereverb_serial_and_parallel(
+            tmp_path / variant, "--variant", variant, "--draws", 3)
+        for variant in ("average", "best")}
+    for outputs in by_variant.values():
+        assert outputs[1] == outputs[2]
+    assert by_variant["average"][1] != by_variant["best"][1]
 
 
 def test_config_file_with_cli_override(tmp_path):
@@ -882,3 +903,68 @@ def test_missing_output_directory_is_found_before_the_work(
     assert f"directory {nodir} of" in capsys.readouterr().err
     assert fits == []
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", sorted(_MISSING_DIR_ARGS))
+def test_output_naming_a_directory_is_refused_before_the_work(
+        tmp_path, monkeypatch, capsys, command):
+    # the rename onto a directory used to fail only after the work, with
+    # exit 1
+    (wav,) = _noise_wavs(tmp_path, "x.wav")
+    files = {"wav": wav, "rir": tmp_path / "h.wav",
+             "cal": tmp_path / "cal.txt"}
+    assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
+               "-o", files["rir"]) == 0
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(files["cal"])
+    fits = []
+    monkeypatch.setattr(cli, "calibrate_rt60",
+                        lambda *a, **k: fits.append(a))
+    reads = _recording_reads(monkeypatch)
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    args = [str(a).format(**files) for a in _MISSING_DIR_ARGS[command]]
+    assert run(command, *args, "-o", outdir) == 2
+    assert (f"output {outdir} is a directory, not a file"
+            in capsys.readouterr().err)
+    assert fits == [] and reads == []
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(outdir) == []
+
+
+def test_dereverb_trace_naming_a_directory_is_refused_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    # the output used to be written before the trace failed, with exit 1
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    trace = tmp_path / "tracedir"
+    trace.mkdir()
+    out = tmp_path / "o.wav"
+    reads = _recording_reads(monkeypatch)
+    assert run("dereverb", "--in", x0, "--rt60", 0.3, "--drr", 0,
+               "--max-iters", 2, "--trace", trace, "-o", out) == 2
+    assert (f"trace {trace} is a directory, not a file"
+            in capsys.readouterr().err)
+    assert reads == []
+    assert not out.exists()
+    assert os.listdir(trace) == []
+
+
+@pytest.mark.parametrize("option", ["rir", "calibration", "config"])
+def test_input_naming_a_directory_is_a_validation_error(tmp_path, capsys,
+                                                        option):
+    (wav,) = _noise_wavs(tmp_path, "x.wav")
+    rir_path = tmp_path / "h.wav"
+    assert run("sample-rir", "--rt60", 0.3, "--drr", 0, "-o", rir_path) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "o.wav"
+    args = {
+        "rir": ["reverberate", "--in", wav, "--rir", folder],
+        "calibration": ["dereverb", "--in", wav, "--calibration", folder],
+        "config": ["reverberate", "--in", wav, "--rir", rir_path,
+                   "--config", folder],
+    }[option]
+    assert run(*args, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert not out.exists()

@@ -7,9 +7,9 @@ from revmatch.loss import (DegenerateGradNorm, LossConfig, grad_complex,
                            rm_loss)
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.seeding import STREAM_LOSS_DRAWS, derive_rng
-from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
-                              hann_window, stft)
-from revmatch.tfconv import ExactConv, Scratch
+from revmatch.signals import (StftConfig, canonical_dual_window, hann_window,
+                              stft)
+from revmatch.tfconv import Scratch, adjoint, forward
 from scipy.signal import fftconvolve
 
 FS = 16000
@@ -199,10 +199,10 @@ def test_rm_loss_gradient_is_the_adjoint_of_the_reference_grid_gradient(cfg):
     x = padded(s, y) + 0.1 * np.random.default_rng(19).standard_normal(
         y.num_samples)
     report, grad = rm_loss(y, x, h, LossConfig(), want_grad=True)
-    op = ExactConv(h, cfg)
-    yhat = op.forward(x).data
+    scratch = Scratch(len(x), cfg)
+    yhat = forward(h.taps, x, scratch).copy()
     g_y = 2.0 * (yhat - y.data) + report.alpha * grad_mag(y.data, yhat)
-    assert np.array_equal(grad, op.adjoint(Spectrogram(g_y, cfg, len(x))))
+    assert np.array_equal(grad, adjoint(h.taps, g_y, scratch))
 
 
 @pytest.mark.parametrize("variant, draws", [
@@ -287,6 +287,19 @@ def test_rm_loss_refuses_a_scratch_of_another_length(cfg):
     with pytest.raises(ValueError, match="samples, not"):
         rm_loss(y, x, params, LossConfig(), want_grad=True,
                 scratch=Scratch(len(x) + 1, cfg))
+
+
+def test_rm_loss_refuses_a_scratch_of_another_config(cfg):
+    # the operator holds no config: rm_loss checks the scratch's against
+    # the observation's once per call; this one has the same grid shape and
+    # another window, so nothing else would notice
+    y, x, params = scratch_problem(cfg)
+    g_a = np.sqrt(hann_window(cfg.win_len))
+    other = StftConfig(cfg.win_len, cfg.hop, g_a,
+                       canonical_dual_window(g_a, cfg.hop))
+    with pytest.raises(ValueError, match="another STFT config"):
+        rm_loss(y, x, params, LossConfig(), want_grad=True,
+                scratch=Scratch(len(x), other))
 
 
 def test_loss_config_validation():

@@ -380,13 +380,13 @@ def test_last_capped_iteration_takes_no_gradient(monkeypatch):
     # iteration is scored but not backpropagated
     y, (h, _) = known_rir_and_params()
     adjoints = []
-    adjoint = tfconv.ExactConv.adjoint
+    adjoint = tfconv.adjoint
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         adjoints.append(1)
-        return adjoint(self, *args, **kwargs)
+        return adjoint(*args, **kwargs)
 
-    monkeypatch.setattr(tfconv.ExactConv, "adjoint", counting)
+    monkeypatch.setattr(tfconv, "adjoint", counting)
     _, trace = trainingless_dereverb(
         y, h, SolverConfig(max_iters=5, stop_rel_tol=-np.inf))
     assert trace.iterations_used == 5

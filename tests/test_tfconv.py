@@ -6,8 +6,9 @@ from conftest import rel_frame_error
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
                               hann_window, row_weights, stft)
-from revmatch.tfconv import (ExactConv, Scratch, apply, apply_adjoint,
-                             build_kernel, kernel_frames)
+from revmatch.tfconv import (Scratch, adjoint, apply, apply_adjoint,
+                             build_kernel, forward, forward_full,
+                             kernel_frames)
 
 FS = 16000
 
@@ -178,7 +179,7 @@ def test_exact_operator_matches_full_band_kernel(cfg, num_taps):
     h = rng.standard_normal(num_taps) * np.exp(-np.arange(num_taps) / 300.0)
     s = Spectrogram(random_grid(rng, (cfg.num_bins, 6)), cfg)
     ref = apply(build_kernel(h, cfg, "full"), s).data
-    y = ExactConv(h, cfg).forward_full(s).data
+    y = forward_full(h, s).data
     assert y.shape == ref.shape
     assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 1e-12
 
@@ -193,14 +194,12 @@ def test_one_sided_operator_equals_full_rows(n, hop, num_taps):
     op_cfg = small_cfg(n, hop)
     rng = np.random.default_rng(25)
     h = rng.standard_normal(num_taps)
-    op = ExactConv(h, op_cfg)
     for num_samples in (1, num_taps // 2 + 1, 12 * n + 5):
         x = rng.standard_normal(num_samples)
-        y = op.forward(x)
+        y = forward(h, x, Scratch(num_samples, op_cfg))
         ref = stft(fftconvolve(x, h)[:num_samples], op_cfg)
-        assert y.one_sided and y.num_samples == num_samples
-        assert y.data.shape == (op_cfg.half_bins, ref.num_frames)
-        assert (np.linalg.norm(y.data - ref.data[:op_cfg.half_bins])
+        assert y.shape == (op_cfg.half_bins, ref.num_frames)
+        assert (np.linalg.norm(y - ref.data[:op_cfg.half_bins])
                 <= 1e-12 * np.linalg.norm(ref.data))
 
 
@@ -214,49 +213,42 @@ def test_one_sided_adjoint_identity(n, hop):
     rng = np.random.default_rng(26)
     worst = 0.0
     for trial in range(100):
-        op = ExactConv(rng.standard_normal(int(rng.integers(2, 24))), op_cfg)
+        h = rng.standard_normal(int(rng.integers(2, 24)))
         x = rng.standard_normal(int(rng.integers(1, 40)))
-        y = op.forward(x)
-        g = Spectrogram(random_grid(rng, y.data.shape), op_cfg, len(x))
-        x_adj = op.adjoint(g)
+        scratch = Scratch(len(x), op_cfg)
+        y = forward(h, x, scratch).copy()
+        g = random_grid(rng, y.shape)
+        x_adj = adjoint(h, g, scratch)
         assert x_adj.shape == x.shape and not np.iscomplexobj(x_adj)
-        lhs = np.sum(w * np.real(y.data * np.conj(g.data)))
+        lhs = np.sum(w * np.real(y * np.conj(g)))
         rhs = np.dot(x, x_adj)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
     assert worst <= 1e-10
 
 
 def test_operator_in_a_shared_scratch_equals_fresh_calls(cfg):
-    # one scratch for operators of two RIR lengths, used in turn, gives the
-    # bits of calls that make their own
+    # one scratch for RIRs of two lengths, used in turn, gives the bits of
+    # calls in a fresh scratch each
     rng = np.random.default_rng(27)
     n = 4000
-    ops = [ExactConv(rng.standard_normal(k), cfg) for k in (300, 1300)]
+    rirs = [rng.standard_normal(k) for k in (300, 1300)]
     scratch = Scratch(n, cfg)
-    for op in ops + ops[::-1]:
+    for h in rirs + rirs[::-1]:
         x = rng.standard_normal(n)
-        y = op.forward(x)
-        g = Spectrogram(random_grid(rng, y.data.shape), cfg, n)
-        x_adj = op.adjoint(g)
-        assert np.array_equal(op.forward(x, scratch).data, y.data)
-        assert np.array_equal(op.adjoint(g, scratch), x_adj)
+        y = forward(h, x, Scratch(n, cfg))
+        g = random_grid(rng, y.shape)
+        x_adj = adjoint(h, g, Scratch(n, cfg))
+        assert np.array_equal(forward(h, x, scratch), y)
+        assert np.array_equal(adjoint(h, g, scratch), x_adj)
 
 
-def test_scratch_refuses_another_length_config_or_grid(cfg):
-    op = ExactConv(np.ones(5), cfg)
+def test_scratch_refuses_another_length_or_grid(cfg):
+    h = np.ones(5)
     scratch = Scratch(4000, cfg)
-    with pytest.raises(ValueError, match="4000 samples, not 4001"):
-        op.forward(np.zeros(4001), scratch)
-    with pytest.raises(ValueError, match="4000 samples, not 4001"):
-        op.adjoint(op.forward(np.zeros(4001)), scratch)
-    other = ExactConv(np.ones(5), small_cfg(512, 128))
-    with pytest.raises(ValueError, match="another STFT config"):
-        other.forward(np.zeros(4000), scratch)
-    for x in (np.zeros(0), np.zeros((2, 4000))):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            op.forward(x, scratch)
-    y = op.forward(np.zeros(4000))
-    for data in (np.zeros((cfg.num_bins, y.num_frames)),
-                 np.zeros((cfg.half_bins, y.num_frames + 1))):
+    for x in (np.zeros(4001), np.zeros(0), np.zeros((2, 4000))):
+        with pytest.raises(ValueError, match="1-D signals of 4000 samples"):
+            forward(h, x, scratch)
+    t_frames = scratch.grid.shape[1]
+    for shape in ((cfg.num_bins, t_frames), (cfg.half_bins, t_frames + 1)):
         with pytest.raises(ValueError, match="not the one-sided grid"):
-            op.adjoint(Spectrogram(data, cfg, 4000), scratch)
+            adjoint(h, np.zeros(shape, dtype=complex), scratch)

@@ -4,8 +4,11 @@ Subcommands: sample-rir, analyze-rir, analyze-blind, calibrate, reverberate,
 dereverb, eval, bench. Every run is fully determined by (config, seed,
 inputs): all randomness derives from the global seed through fixed stream ids
 and counters (see seeding), so parallel and serial runs produce identical
-bytes. Commands validate inputs before computing and write outputs through a
-temporary file plus atomic rename, so failed runs leave no partial files.
+bytes. Before any work, ``main`` checks every file a command reads and writes
+(``_check_files``), so no output names an input. Commands validate inputs
+before computing (a batch dereverb reads all its inputs, and calibrate checks
+every manifest line, before the first solve or fit) and write outputs through
+a temporary file plus atomic rename, so failed runs leave no partial files.
 
 Config files, reports and calibration files are ``key=value`` records (see
 records). Argparse resolves every option: an explicit flag wins over a config
@@ -128,9 +131,11 @@ def _synthetic_pair(seed, index, duration, cfg):
     return stft(wet, cfg), rt60
 
 
-def _manifest_pairs(manifest, cfg):
-    """(Spectrogram, RT60) per ``PATH RT60`` line of a manifest; blank lines
-    and ``#`` comments are skipped, and a bad label names its line."""
+def _manifest_labels(manifest):
+    """(path, RT60) per ``PATH RT60`` line of a manifest, every line checked
+    before any WAV is read; blank lines and ``#`` comments are skipped, and
+    a bad label or a path that is not a file names its line."""
+    labels = []
     with open(manifest, "r", encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
             line = line.strip()
@@ -150,7 +155,10 @@ def _manifest_pairs(manifest, cfg):
             if not 0 < rt60 < math.inf:
                 raise ValueError(f"{where}: RT60 label {label!r} must be "
                                  "positive and finite")
-            yield stft(_read_input_wav(path), cfg), rt60
+            if not os.path.isfile(path):
+                raise ValueError(f"{where}: {path} is not a file")
+            labels.append((path, rt60))
+    return labels
 
 
 def cmd_calibrate(args):
@@ -162,7 +170,8 @@ def cmd_calibrate(args):
         raise ValueError("calibrate takes one source: --manifest or "
                          "--synthetic N, not both")
     if args.manifest is not None:
-        pairs = _manifest_pairs(args.manifest, cfg)
+        pairs = ((stft(_read_input_wav(path), cfg), rt60)
+                 for path, rt60 in _manifest_labels(args.manifest))
     elif args.synthetic is not None:
         if args.synthetic < 3:
             raise ValueError("insufficient calibration data: need >= 3 pairs")
@@ -198,8 +207,7 @@ def _solver_config(args, seed):
         seed=seed)
 
 
-def _dereverb_one(path, out_path, trace_path, acoustics, args, task_seed):
-    sig = _read_input_wav(path)
+def _dereverb_one(sig, out_path, trace_path, acoustics, args, task_seed):
     result, trace = dereverb_pipeline(sig, acoustics,
                                       _solver_config(args, task_seed),
                                       _blind_config(args))
@@ -209,16 +217,7 @@ def _dereverb_one(path, out_path, trace_path, acoustics, args, task_seed):
     return 0
 
 
-def _same_file(a, b):
-    """Whether two paths name one file: ``samefile`` when both exist,
-    otherwise the resolved paths compared."""
-    if os.path.exists(a) and os.path.exists(b):
-        return os.path.samefile(a, b)
-    return os.path.realpath(a) == os.path.realpath(b)
-
-
 def cmd_dereverb(args):
-    inputs, out, trace_path = args.inputs, args.output, args.trace
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
     # flags and config records alike; inputs are read at CLI_SAMPLE_RATE
@@ -233,30 +232,12 @@ def cmd_dereverb(args):
         acoustics = Rt60Calibration.from_file(args.calibration)
     else:
         raise ValueError("dereverb requires --calibration or --rt60/--drr")
-    if len(inputs) == 1:
-        if trace_path and _same_file(out, trace_path):
-            raise ValueError(f"trace {trace_path} would overwrite output "
-                             f"{out}")
-        outputs = [out]
-    else:
-        if trace_path:
-            raise ValueError("--trace takes a single input")
-        if not os.path.isdir(out):
-            raise ValueError("multiple inputs require an output directory")
-        names = [os.path.basename(path) for path in inputs]
-        clashes = sorted({name for name in names if names.count(name) > 1})
-        if clashes:
-            raise ValueError("inputs would write the same output file: "
-                             + ", ".join(clashes))
-        outputs = [os.path.join(out, name) for name in names]
-    for path in outputs + ([trace_path] if trace_path else []):
-        for src in inputs:
-            if _same_file(path, src):
-                raise ValueError(f"output {path} would overwrite input {src}")
-    # a batch has no trace: it was refused above
-    tasks = [(path, out_path, trace_path, acoustics, args,
+    # every input is read and checked before the first solve
+    signals = [_read_input_wav(path) for path in args.inputs]
+    # a batch has no trace: _check_files refuses it
+    tasks = [(sig, out_path, args.trace, acoustics, args,
               (args.seed, STREAM_CLI_TASKS, i))
-             for i, (path, out_path) in enumerate(zip(inputs, outputs))]
+             for i, (sig, out_path) in enumerate(zip(signals, _outputs(args)))]
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             futures = [pool.submit(_dereverb_one, *t) for t in tasks]
@@ -411,6 +392,63 @@ def build_parser(config=None):
     return parser
 
 
+# options whose values name files a command reads
+_READS = ("config", "input", "inputs", "rir", "calibration", "manifest",
+          "est", "ref", "true_params", "est_report")
+
+
+def _same_file(a, b):
+    """Whether two paths name one file: ``samefile`` when both exist,
+    otherwise the resolved paths compared."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _outputs(args):
+    """The result files: ``-o``, or ``-o``/NAME for each batch input NAME."""
+    if len(getattr(args, "inputs", ())) < 2:
+        return [args.output]
+    return [os.path.join(args.output, os.path.basename(p))
+            for p in args.inputs]
+
+
+def _check_files(args):
+    """The CLI's file policy, checked after the config file is parsed and
+    before any other input is read: a file written needs an existing
+    directory, is no directory and names no file read; a trace does not name
+    the output; a batch has an -o directory, distinct names and no trace."""
+    trace, outputs = getattr(args, "trace", None), _outputs(args)
+    if len(outputs) > 1:
+        if trace:
+            raise ValueError("--trace takes a single input")
+        if not os.path.isdir(args.output):
+            raise ValueError("multiple inputs require an output directory")
+        clashes = sorted({os.path.basename(path) for path in outputs
+                          if outputs.count(path) > 1})
+        if clashes:
+            raise ValueError("inputs would write the same output file: "
+                             + ", ".join(clashes))
+    elif trace and _same_file(args.output, trace):
+        raise ValueError(f"trace {trace} would overwrite output "
+                         f"{args.output}")
+    values = [getattr(args, name, None) for name in _READS]
+    reads = [p for v in values for p in (v if isinstance(v, list) else [v])
+             if p]
+    if getattr(args, "manifest", None):
+        reads += [path for path, _ in _manifest_labels(args.manifest)]
+    for name, path in ([("output", path) for path in outputs]
+                       + ([("trace", trace)] if trace else [])):
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"directory {parent} of {path} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"{name} {path} is a directory, not a file")
+        for src in reads:
+            if _same_file(path, src):
+                raise ValueError(f"output {path} would overwrite input {src}")
+
+
 _HANDLERS = {
     "sample-rir": cmd_sample_rir,
     "analyze-rir": cmd_analyze_rir,
@@ -429,20 +467,7 @@ def main(argv=None):
         if args.config:
             # parse again with the file's records as the defaults
             args = build_parser(read_records(args.config)).parse_args(argv)
-        # before any work: the temp file beside an output would be refused
-        # only after it, naming that hidden file; batch dereverb writes into
-        # its -o directory
-        batch = args.command == "dereverb" and len(args.inputs) > 1
-        for path, name in ((args.output, "output"),
-                           (getattr(args, "trace", None), "trace")):
-            if not path:
-                continue
-            parent = os.path.dirname(path)
-            if parent and not os.path.isdir(parent):
-                raise ValueError(f"directory {parent} of {path} does not "
-                                 "exist")
-            if os.path.isdir(path) and not (batch and name == "output"):
-                raise ValueError(f"{name} {path} is a directory, not a file")
+        _check_files(args)
         return _HANDLERS[args.command](args)
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

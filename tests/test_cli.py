@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -368,18 +369,28 @@ def test_calibrate_manifest_matches_the_library_fit(tmp_path):
     ("{path} inf", "'inf' must be positive and finite"),
     ("{path} nan", "'nan' must be positive and finite"),
     ("{path} 0", "'0' must be positive and finite"),
-    ("{path} -0.5", "'-0.5' must be positive and finite")])
-def test_calibrate_manifest_rejects_a_bad_label(tmp_path, capsys, bad,
-                                                message):
+    ("{path} -0.5", "'-0.5' must be positive and finite"),
+    ("{missing} 0.5", "no.wav is not a file"),
+    ("{folder} 0.5", "folder is not a file")])
+def test_calibrate_manifest_rejects_a_bad_label(tmp_path, monkeypatch, capsys,
+                                                bad, message):
+    # a bad last line is found before any listed file is analyzed
     labels = _manifest_wavs(tmp_path)
+    (tmp_path / "folder").mkdir()
     lines = [f"{path} {rt60}" for path, rt60 in labels]
-    lines[1] = bad.format(path=labels[1][0])
+    lines.append(bad.format(path=labels[1][0], missing=tmp_path / "no.wav",
+                            folder=tmp_path / "folder"))
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("# path rt60\n" + "\n".join(lines) + "\n")
+    calls = []
+    raw_decay_estimate = blind.raw_decay_estimate
+    monkeypatch.setattr(blind, "raw_decay_estimate",
+                        lambda *a: calls.append(a) or raw_decay_estimate(*a))
     out = tmp_path / "cal.txt"
     assert run("calibrate", "--manifest", manifest, "-o", out) == 2
     err = capsys.readouterr().err
-    assert f"{manifest}:3: " in err and message in err
+    assert f"{manifest}:5: " in err and message in err
+    assert calls == []
     assert not out.exists()
 
 
@@ -799,6 +810,19 @@ def test_dereverb_single_input_to_directory_is_validation_error(
     assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp")] == []
 
 
+def test_dereverb_batch_reads_every_input_before_the_first_solve(tmp_path):
+    # a bad second input used to be found after the first was written
+    a, b, c = _noise_wavs(tmp_path, "a.wav", "b.wav", "c.wav")
+    wavfile.write(b, 22050, np.zeros(FS // 2, dtype=np.float32))
+    out = tmp_path / "out"
+    out.mkdir()
+    for workers in (1, 2):
+        assert run("dereverb", "--in", a, "--in", b, "--in", c, "--rt60", 0.3,
+                   "--drr", 0, "--max-iters", 2, "--workers", workers,
+                   "-o", out) == 2
+        assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_dereverb_rejects_workers_below_one(tmp_path, monkeypatch, workers):
     a, b = _noise_wavs(tmp_path, "a.wav", "b.wav")
@@ -968,3 +992,70 @@ def test_input_naming_a_directory_is_a_validation_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
     assert not out.exists()
+
+
+# every command/option pair whose -o names a file the command reads: the
+# key of the file -o names, then the command's arguments
+_OVERWRITE_ARGS = {
+    ("sample-rir", "config"): ("config", "--config", "{config}"),
+    ("analyze-rir", "in"): ("rir", "--in", "{rir}"),
+    ("reverberate", "in"): ("wav", "--in", "{wav}", "--rir", "{rir}"),
+    ("reverberate", "rir"): ("rir", "--in", "{wav}", "--rir", "{rir}"),
+    ("calibrate", "manifest"): ("manifest", "--manifest", "{manifest}"),
+    ("calibrate", "listed wav"): ("wav", "--manifest", "{manifest}"),
+    ("analyze-blind", "in"): ("wav", "--in", "{wav}",
+                              "--calibration", "{cal}"),
+    ("analyze-blind", "calibration"): ("cal", "--in", "{wav}",
+                                       "--calibration", "{cal}"),
+    ("eval", "est"): ("wav", "--est", "{wav}", "--ref", "{ref}"),
+    ("eval", "true-params"): ("truth", "--est", "{wav}", "--ref", "{ref}",
+                              "--true-params", "{truth}",
+                              "--est-report", "{report}"),
+    ("dereverb", "calibration"): ("cal", "--in", "{wav}",
+                                  "--calibration", "{cal}"),
+    ("dereverb", "config"): ("config", "--in", "{wav}", "--config",
+                             "{config}"),
+    ("bench", "config"): ("config", "--config", "{config}"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(file_bytes(path)).hexdigest()
+
+
+@pytest.mark.parametrize("command, option", sorted(_OVERWRITE_ARGS))
+def test_output_naming_an_input_is_refused_before_the_work(
+        tmp_path, monkeypatch, capsys, command, option):
+    # every command but dereverb --in used to replace the file it read
+    labels = _manifest_wavs(tmp_path)
+    wav, ref = labels[0][0], labels[1][0]
+    files = {"wav": wav, "ref": ref, "rir": tmp_path / "h.wav",
+             "cal": tmp_path / "cal.txt", "config": tmp_path / "run.cfg",
+             "manifest": tmp_path / "manifest.txt",
+             "truth": tmp_path / "truth.txt",
+             "report": tmp_path / "report.txt"}
+    assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
+               "-o", files["rir"]) == 0
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(files["cal"])
+    files["config"].write_text("rt60=0.3\ndrr=0\nmax_iters=2\n"
+                               "band_radii=1\n")
+    files["manifest"].write_text("".join(f"{path} {rt60}\n"
+                                         for path, rt60 in labels))
+    files["truth"].write_text("rt60=0.3\ndrr_db=0\n")
+    files["report"].write_text("rt60=0.4\ndrr_db=1\n")
+    key, *args = _OVERWRITE_ARGS[command, option]
+    target = files[key]
+    before = sorted(os.listdir(tmp_path))
+    digest = _sha256(target)
+    fits = []
+    monkeypatch.setattr(cli, "calibrate_rt60",
+                        lambda *a, **k: fits.append(a))
+    reads = _recording_reads(monkeypatch)
+    args = [str(a).format(**files) for a in args]
+    assert run(command, *args, "-o", target) == 2
+    assert (f"output {target} would overwrite input"
+            in capsys.readouterr().err)
+    assert fits == [] and reads == []
+    assert _sha256(target) == digest
+    # no .tmp-revmatch-* file or other output is left behind
+    assert sorted(os.listdir(tmp_path)) == before

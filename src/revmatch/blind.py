@@ -147,12 +147,18 @@ def raw_decay_estimate(spec, sample_rate=16000):
 
     Raises
     ------
+    ValueError
+        If the input is shorter than 1 s or its grid holds a non-finite
+        value.
     InsufficientDecay
         If no band contains a qualifying decreasing run.
     """
     if spec.num_samples < sample_rate:
         raise ValueError("input shorter than 1 s")
-    energy = np.abs(spec.half().data) ** 2
+    grid = spec.half().data
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid contains non-finite values")
+    energy = np.abs(grid) ** 2
     band_mean = energy.mean(axis=1)
     peak = band_mean.max()
     if peak <= 0:

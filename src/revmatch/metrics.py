@@ -36,11 +36,19 @@ def sisdr(est, ref):
     Returns
     -------
     (value_db, perfect) : float, bool
+
+    Raises
+    ------
+    ValueError
+        If the lengths differ, either signal holds a non-finite value, the
+        reference is zero or the estimate is zero.
     """
     est = est.samples if hasattr(est, "samples") else np.asarray(est, dtype=np.float64)
     ref = ref.samples if hasattr(ref, "samples") else np.asarray(ref, dtype=np.float64)
     if est.shape != ref.shape:
         raise ValueError("signals must have equal lengths")
+    if not (np.all(np.isfinite(est)) and np.all(np.isfinite(ref))):
+        raise ValueError("signals contain non-finite values")
     ref_energy = float(np.dot(ref, ref))
     if ref_energy == 0.0:
         raise ValueError("zero reference")

@@ -9,7 +9,7 @@ import numpy as np
 from . import blind, tfconv
 from .loss import LossConfig, rm_loss
 from .records import format_records
-from .rir import AcousticParams
+from .rir import AcousticParams, Rir
 from .seeding import STREAM_SOLVER_ITERS, as_path
 from .signals import (Signal, Spectrogram, default_stft_config, istft,
                       row_weights, stft)
@@ -44,12 +44,16 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration loss history of one solve."""
+    """Per-iteration loss history of one solve; ``iterations_used`` is
+    derived, the number of reports."""
 
     reports: list
     best_index: int
-    iterations_used: int
     converged: bool
+
+    @property
+    def iterations_used(self):
+        return len(self.reports)
 
     @property
     def totals(self):
@@ -74,6 +78,27 @@ class Passthrough:
 
     def to_lines(self):
         return format_records([("passthrough", self.cause)])
+
+
+def _adam_step(x, grad, t, step_size, m, v, step, denom):
+    """Adam's update of ``x`` in place at step ``t`` >= 1, bias correction
+    included (Kingma & Ba, ICLR 2015). The moments ``m`` and ``v`` are
+    updated in place, ``step`` and ``denom`` are work arrays of ``x``'s
+    size, and ``grad`` is only read."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m *= b1
+    m += np.multiply(grad, 1 - b1, out=step)
+    np.square(grad, out=denom)
+    denom *= 1 - b2
+    v *= b2
+    v += denom
+    np.divide(m, 1 - b1 ** t, out=step)
+    np.divide(v, 1 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step *= step_size
+    step /= denom
+    x -= step
 
 
 def trainingless_dereverb(y, params, cfg=None):
@@ -131,11 +156,8 @@ def trainingless_dereverb(y, params, cfg=None):
     m, v = np.zeros(n), np.zeros(n)
     step, denom = np.empty(n), np.empty(n)
     reports = []
-    best_total = np.inf
     best_x = np.empty_like(x)
     best_index = 0
-    alpha_prev = 1.0
-    converged = False
 
     for it in range(cfg.max_iters):
         # nothing reads x after the last capped iteration: no gradient, no
@@ -144,53 +166,31 @@ def trainingless_dereverb(y, params, cfg=None):
         report, grad = rm_loss(
             y_norm, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
-            want_grad=not last, alpha_fallback=alpha_prev,
+            want_grad=not last,
+            alpha_fallback=reports[-1].alpha if reports else 1.0,
             log_mag_y=log_mag_y, scratch=scratch)
-        alpha_prev = report.alpha
         reports.append(report)
         total = report.total
+        if it == 0 or total < reports[best_index].total:
+            best_index = it
+            np.copyto(best_x, x)
         if not np.isfinite(total):
             raise DivergenceError(f"non-finite loss at iteration {it}")
-        if total < best_total:
-            best_total = total
-            np.copyto(best_x, x)
-            best_index = it
-        if it == 0:
-            initial = total
-        elif total > 10.0 * initial:
+        if total > 10.0 * reports[0].total:
             raise DivergenceError(
-                f"loss {total:.3e} exceeded 10x initial {initial:.3e} "
-                f"at iteration {it}")
-        if total <= floor:
-            converged = True
+                f"loss {total:.3e} exceeded 10x initial "
+                f"{reports[0].total:.3e} at iteration {it}")
+        # the stop tests: the loss is at its floor, or it fell by less than
+        # stop_rel_tol over the last 10 iterations
+        converged = total <= floor or (
+            it >= 10 and (reports[it - 10].total - total)
+            / max(reports[it - 10].total, 1e-300) < cfg.stop_rel_tol)
+        if converged or last:
             break
-        if it >= 10:
-            prev = reports[it - 10].total
-            if (prev - total) / max(prev, 1e-300) < cfg.stop_rel_tol:
-                converged = True
-                break
-        if last:
-            break
-
-        # Adam, in place; grad is the scratch's and only read
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        m *= b1
-        m += np.multiply(grad, 1 - b1, out=step)
-        np.square(grad, out=denom)
-        denom *= 1 - b2
-        v *= b2
-        v += denom
-        tcorr = it + 1
-        np.divide(m, 1 - b1 ** tcorr, out=step)
-        np.divide(v, 1 - b2 ** tcorr, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step *= cfg.step_size
-        step /= denom
-        x -= step
+        _adam_step(x, grad, it + 1, cfg.step_size, m, v, step, denom)
 
     trace = SolveTrace(reports=reports, best_index=best_index,
-                       iterations_used=len(reports), converged=converged)
+                       converged=converged)
     return stft(best_x * scale, y.config, one_sided=True), trace
 
 
@@ -208,7 +208,17 @@ def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):
     (Signal, SolveTrace or Passthrough)
         A Passthrough, naming its cause, when the input passed through without
         a solve.
+
+    Raises
+    ------
+    ValueError
+        If known acoustics (``AcousticParams`` or ``Rir``) are at another
+        sample rate than the signal.
     """
+    if (isinstance(acoustics, (AcousticParams, Rir))
+            and acoustics.sample_rate != sig.sample_rate):
+        raise ValueError(f"acoustics at {acoustics.sample_rate} Hz for a "
+                         f"signal at {sig.sample_rate} Hz")
     if solver_cfg is None:
         solver_cfg = SolverConfig()
     spec = stft(sig, default_stft_config())

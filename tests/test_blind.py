@@ -83,6 +83,22 @@ def test_raw_decay_errors(cfg):
             raw_decay_estimate(spec, FS)
 
 
+def test_non_finite_grid_is_not_insufficient_decay(cfg):
+    # a NaN or an infinity is a bad input, not a missing decay: the pipeline
+    # would pass the latter through as insufficient-decay
+    spec = make_reverberant(0.4, 0.0, 3, 4, duration=2.0, cfg=cfg)
+    cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        data = spec.data.copy()
+        data[40, 30] = bad
+        grid = Spectrogram(data, cfg, spec.num_samples)
+        for call in (lambda: raw_decay_estimate(grid, FS),
+                     lambda: analyze_blind(grid, cal, sample_rate=FS)):
+            with pytest.raises(ValueError, match="non-finite") as err:
+                call()
+            assert not isinstance(err.value, InsufficientDecay)
+
+
 def _run_slopes_per_band(log_e, min_run):
     """The per-band scan the array pass replaced, kept verbatim as the
     reference: slopes of maximal strictly-decreasing runs (>= min_run points)

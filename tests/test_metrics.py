@@ -42,6 +42,16 @@ def test_sisdr_errors():
         sisdr(np.zeros(3), np.ones(3))
 
 
+def test_sisdr_rejects_non_finite_arrays():
+    ref = np.random.default_rng(3).standard_normal(64)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = ref.copy()
+        broken[17] = bad
+        for est, r in ((broken, ref), (ref, broken)):
+            with pytest.raises(ValueError, match="non-finite"):
+                sisdr(est, r)
+
+
 def test_evaluate_report_lines():
     rng = np.random.default_rng(2)
     ref = rng.standard_normal(100)

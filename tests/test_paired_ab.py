@@ -1,7 +1,11 @@
 import json
+import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,3 +25,37 @@ def test_paired_ab_smoke_with_the_repo_on_both_sides():
     assert (summary["ratio_q1"] <= summary["ratio_median"]
             <= summary["ratio_q3"])
     assert 0 <= summary["wins"] <= 4
+    assert summary["differing_outputs"] == []
+    # one checkout on both sides: the same outputs score the same
+    quality = summary["quality"]
+    assert set(quality) == {"parent", "change"}
+    assert quality["parent"] == quality["change"]
+    assert set(quality["change"]) == {"sisdr_gain_db", "lsd_db"}
+    assert all(np.isfinite(v) for v in quality["change"].values())
+    assert summary["python"] == platform.python_version()
+    assert summary["numpy"] == np.__version__
+    assert summary["nproc"] >= 1
+
+
+def test_paired_ab_names_the_files_whose_outputs_differ(tmp_path):
+    # a change that halves every written output: same inputs, other outputs
+    change = tmp_path / "change"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, change / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    with open(change / "src" / "revmatch" / "cli.py", "a") as f:
+        f.write("\n\n_write_wav = write_wav\n\n\n"
+                "def write_wav(path, sig):\n"
+                "    _write_wav(path, Signal(0.5 * sig.samples, "
+                "sig.sample_rate))\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_ab.py"),
+         "--parent", ROOT, "--change", change, "--workload", "blind",
+         "--seed", "3", "--cycles", "2", "--repeats", "1", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["same_inputs"] == 2 and summary["same_outputs"] == 0
+    assert summary["differing_outputs"] == ["s3-00", "s3-01"]
+    quality = summary["quality"]
+    assert quality["parent"]["lsd_db"] != quality["change"]["lsd_db"]

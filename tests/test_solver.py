@@ -22,6 +22,30 @@ from revmatch.solver import (DivergenceError, Passthrough, SolverConfig,
 FS = 16000
 
 
+def test_adam_step_is_the_textbook_update():
+    # Kingma & Ba's Algorithm 1, out of place, in the same association as
+    # the in-place step; the step's work arrays start as garbage
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal(257)
+    ref_x, ref_m, ref_v = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    step, denom = np.full_like(x, np.nan), np.full_like(x, np.nan)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 5e-2
+    for t in range(1, 8):
+        grad = rng.standard_normal(x.size) * 10.0 ** rng.integers(-3, 3)
+        kept = grad.copy()
+        solver._adam_step(x, grad, t, lr, m, v, step, denom)
+        ref_m = b1 * ref_m + (1 - b1) * grad
+        ref_v = b2 * ref_v + (1 - b2) * grad ** 2
+        m_hat = ref_m / (1 - b1 ** t)
+        v_hat = ref_v / (1 - b2 ** t)
+        ref_x = ref_x - lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.testing.assert_array_equal(grad, kept)
+        np.testing.assert_array_equal(m, ref_m)
+        np.testing.assert_array_equal(v, ref_v)
+        np.testing.assert_array_equal(x, ref_x)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
@@ -219,6 +243,19 @@ def test_pipeline_known_params_matches_manual_composition(cfg):
                                                solver_cfg)
     np.testing.assert_array_equal(out.samples, istft(shat, length=len(sig)))
     np.testing.assert_array_equal(trace.totals, manual_trace.totals)
+
+
+def test_pipeline_refuses_known_acoustics_at_another_rate(monkeypatch):
+    # RIRs drawn at 16 kHz do not describe an 8 kHz recording
+    def no_stft(*args, **kwargs):
+        raise AssertionError("STFT taken before the rate check")
+
+    monkeypatch.setattr(solver, "stft", no_stft)
+    sig = Signal(speech_like_noise(FS // 2, FS // 2, rng=18), FS // 2)
+    params = AcousticParams(rt60=0.5, drr_db=0.0, sample_rate=FS)
+    for acoustics in (params, sample_rir(params, rng=19)):
+        with pytest.raises(ValueError, match="16000 Hz.*8000 Hz"):
+            dereverb_pipeline(sig, acoustics, SolverConfig(max_iters=3))
 
 
 def test_blind_pipeline_solves_with_the_blind_noise_mode(monkeypatch):

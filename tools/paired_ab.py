@@ -16,7 +16,12 @@ both sides see the same inputs under the same machine load. Each time is
 
 It prints one line per pair, then the change/parent time ratio's median and
 quartiles, the pairs the change won, and how many files gave sha256-identical
-inputs and outputs on both sides; the last line is the same summary as JSON.
+inputs and outputs on both sides; the last line is the same summary as JSON,
+a record that can be kept as a ``BENCH_*.json`` file. The JSON also names
+the files whose outputs differ, gives each side's median SI-SDR gain and
+log-spectral distance over the file set (for workloads that dereverberate,
+scored by ``workloads.quality`` on each file's first run), and the Python and
+numpy versions and the usable CPU count.
 ``--smoke`` runs the benchmark's smoke settings (one short input, tiny
 solves) to check the plumbing. The exit code is 1 when a file failed.
 """
@@ -25,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -110,13 +116,21 @@ def worker(args):
         _send(proto, {"files": [
             {"name": name, "input": sha256(item.wet_path)}
             for name, item in zip(names, items)]})
+        scored = set()
         for line in sys.stdin:
-            item = items[int(line)]
+            position = int(line)
+            item = items[position]
             out = workdir / f"out-{item.index}.wav"
             rec = workloads.run_file(runner, item, out)
             workloads.check_output(runner, rec)
+            # outside the timed call; a file's output is the same each run
+            quality = None
+            if rec.ok and runner.dereverbs and position not in scored:
+                scored.add(position)
+                quality = workloads.quality(revmatch, rec)
             _send(proto, {"seconds": rec.seconds, "error": rec.error,
-                          "output": sha256(out) if rec.ok else None})
+                          "output": sha256(out) if rec.ok else None,
+                          "quality": quality})
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -176,10 +190,14 @@ def controller(args):
         print("# file repeat first parent_s change_s ratio same_output "
               "change_sha256")
         ratios, wins, errors, outputs = [], 0, 0, {}
+        scores = {side: [] for side in SIDES}
         for repeat in range(args.repeats):
             for k, f in enumerate(files["parent"]):
                 order = SIDES if (k + repeat) % 2 == 0 else SIDES[::-1]
                 res = {side: workers[side].run(k) for side in order}
+                for side in SIDES:
+                    if res[side]["quality"] is not None:
+                        scores[side].append(res[side]["quality"])
                 failed = [f"{s}: {res[s]['error']}" for s in SIDES
                           if res[s]["error"]]
                 if failed:
@@ -202,9 +220,18 @@ def controller(args):
     same_inputs = sum(a["input"] == b["input"]
                       for a, b in zip(files["parent"], files["change"]))
     same_outputs = sum(seen == {True} for seen in outputs.values())
-    summary = {"files": n_files, "pairs": len(ratios), "wins": wins,
+    differing = [files["parent"][k]["name"]
+                 for k, seen in sorted(outputs.items()) if False in seen]
+    summary = {"workload": args.workload, "seeds": args.seed,
+               "cycles": args.cycles, "repeats": args.repeats,
+               "files": n_files, "pairs": len(ratios), "wins": wins,
                "failed_pairs": errors, "same_inputs": same_inputs,
-               "same_outputs": same_outputs}
+               "same_outputs": same_outputs, "differing_outputs": differing}
+    if any(scores.values()):
+        summary["quality"] = {
+            side: {key: float(np.median([q[i] for q in scores[side]]))
+                   for i, key in enumerate(("sisdr_gain_db", "lsd_db"))}
+            for side in SIDES if scores[side]}
     if ratios:
         q1, med, q3 = (float(q) for q in np.percentile(ratios, [25, 50, 75]))
         summary.update(ratio_median=med, ratio_q1=q1, ratio_q3=q3)
@@ -214,6 +241,11 @@ def controller(args):
           f"{errors} pair(s) failed")
     print(f"inputs sha256-identical in {same_inputs} of {n_files} files; "
           f"outputs in {same_outputs} of {n_files} files")
+    for side, q in summary.get("quality", {}).items():
+        print(f"{side}: median SI-SDR gain {q['sisdr_gain_db']:+.3f} dB, "
+              f"LSD {q['lsd_db']:.3f} dB over {len(scores[side])} files")
+    summary.update(python=platform.python_version(),
+                   numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))
     print(json.dumps(summary))
     return 1 if errors else 0
 

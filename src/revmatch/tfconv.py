@@ -27,17 +27,17 @@ input bin f' and frame lag t'' is
 
 with Phi_d(k) = sum_v g_s(v) g_a(v+k) e^{+2i pi d v / F}, the cross-window
 spectrum at band offset d and lag k. :func:`build_kernel` evaluates it per
-band offset, so a banded kernel costs O(F log F) per offset and frame instead
-of O(F^2 N).
+band offset, at O(F log F) per offset and frame instead of O(F^2 N).
 
 Window overlap makes the frame-lag filter slightly noncausal: taps of h inside
 the first window length contribute at lag t'' = -1 (for 50% overlap). The
 kernel therefore stores ``acausal`` extra leading frames; dropping them breaks
 the equivalence with time-domain convolution at O(1) relative error.
 
-:func:`apply` and :func:`apply_adjoint` have one path: they scatter the kernel
-into its dense (F, T_tot * F) matrix on every call and do one matmul, at cost
-O(F^2 * T_tot * T_y) whatever the band radius. Nothing is cached.
+The kernel is one stack of dense (F, F) matrices, one per frame lag, with
+the out-of-band entries zero; :func:`build_kernel` fills each lag's in-band
+entries once. :func:`apply` and :func:`apply_adjoint` walk the same lags, one
+matmul each, at cost O(F^2 * T_tot * T_y) whatever the band radius.
 """
 
 from dataclasses import dataclass
@@ -75,13 +75,12 @@ def band_offsets(num_bins, band_radius):
 class ConvKernel:
     """STFT-domain convolution kernel.
 
-    ``data`` has shape (F, n_offsets, acausal + t_h); entry [f, i, j] couples
-    input bin (f + offsets[i]) mod F to output bin f at frame lag j - acausal.
+    ``data`` has shape (acausal + t_h, F, F): ``data[j]`` is the dense matrix
+    of frame lag j - acausal, whose entry [f, f'] couples input bin f' to
+    output bin f. Entries outside the band are zero.
     """
 
     data: np.ndarray
-    offsets: np.ndarray
-    band_radius: object
     cfg: object
     t_h: int
     acausal: int
@@ -89,7 +88,7 @@ class ConvKernel:
 
     @property
     def total_frames(self):
-        return self.data.shape[2]
+        return len(self.data)
 
 
 def kernel_frames(rir_length, cfg):
@@ -125,8 +124,11 @@ def build_kernel(h, cfg, band_radius="full"):
     acausal = (n - 1) // hop
     t_tot = t_h + acausal
     offsets = band_offsets(f_bins, band_radius)
-    phi = _phi_table(cfg)[:, np.asarray(offsets) % f_bins]
-    data = np.empty((f_bins, len(offsets), t_tot), dtype=np.complex128)
+    phi = _phi_table(cfg)[:, offsets % f_bins]
+    # in-band entries: row f, column (f + offsets[i]) mod F
+    rows = np.arange(f_bins)[:, None]
+    cols = (rows + offsets) % f_bins
+    data = np.zeros((t_tot, f_bins, f_bins), dtype=np.complex128)
     seg = np.zeros(2 * n - 1)
     for j in range(t_tot):
         tpp = j - acausal
@@ -138,42 +140,43 @@ def build_kernel(h, cfg, band_radius="full"):
         c = seg[:, None] * phi
         z = c[n - 1:].copy()
         z[1:n] += c[:n - 1]
-        data[:, :, j] = np.fft.fft(z, axis=0) / f_bins
-    return ConvKernel(data=data, offsets=np.asarray(offsets),
-                      band_radius=band_radius, cfg=cfg, t_h=t_h,
-                      acausal=acausal, rir_length=n_h)
+        data[j, rows, cols] = np.fft.fft(z, axis=0) / f_bins
+    return ConvKernel(data=data, cfg=cfg, t_h=t_h, acausal=acausal,
+                      rir_length=n_h)
 
 
-def _dense_matrix(kernel):
-    """The kernel scattered into its (F, total_frames * F) matrix: entry
-    [f, j * F + f'] couples input bin f' to output bin f at frame lag
-    j - acausal; bins outside the band stay zero."""
-    f_bins, _, t_tot = kernel.data.shape
-    f = np.arange(f_bins)[:, None]
-    mat = np.zeros((f_bins, t_tot, f_bins), dtype=np.complex128)
-    mat[f, :, (f + kernel.offsets) % f_bins] = kernel.data
-    return mat.reshape(f_bins, t_tot * f_bins)
+def _check_grid(kernel, spec):
+    if not kernel.cfg.same_grid(spec.config):
+        raise ValueError("spectrogram config does not match kernel config")
+    if spec.one_sided:
+        raise ValueError(f"the kernel needs a full grid of "
+                         f"{kernel.cfg.num_bins} rows, not a one-sided grid "
+                         f"of {spec.data.shape[0]}")
+
+
+def _lags(kernel, t_s, t_y):
+    """(matrix, output frames, input frames) of each frame lag that couples
+    some of ``t_s`` input frames to some of ``t_y`` output frames: output
+    frame t takes input frame t - lag."""
+    for j, mat in enumerate(kernel.data):
+        lag = j - kernel.acausal
+        t0, t1 = max(0, lag), min(t_y, t_s + lag)
+        if t0 < t1:
+            yield mat, slice(t0, t1), slice(t0 - lag, t1 - lag)
 
 
 def apply(kernel, spec):
-    """Convolve a spectrogram with the kernel.
+    """Convolve a full spectrogram with the kernel.
 
     Output has T_s + t_h - 1 frames; linear in the input.
     """
-    if not kernel.cfg.same_grid(spec.config):
-        raise ValueError("spectrogram config does not match kernel config")
+    _check_grid(kernel, spec)
     s = spec.data
-    f_bins, t_s = s.shape
+    t_s = s.shape[1]
     t_y = t_s + kernel.t_h - 1
-    t_tot = kernel.total_frames
-    # stack[j] is the input delayed by lag j - acausal
-    stack = np.zeros((t_tot, f_bins, t_y), dtype=np.complex128)
-    for j in range(t_tot):
-        tpp = j - kernel.acausal
-        t0, t1 = max(0, tpp), min(t_y, t_s + tpp)
-        if t0 < t1:
-            stack[j, :, t0:t1] = s[:, t0 - tpp:t1 - tpp]
-    y = _dense_matrix(kernel) @ stack.reshape(t_tot * f_bins, t_y)
+    y = np.zeros((s.shape[0], t_y), dtype=np.complex128)
+    for mat, out, inp in _lags(kernel, t_s, t_y):
+        y[:, out] += mat @ s[:, inp]
     return Spectrogram(y, spec.config,
                        spec.num_samples + kernel.rir_length - 1)
 
@@ -181,26 +184,17 @@ def apply(kernel, spec):
 def apply_adjoint(kernel, spec):
     """Adjoint of :func:`apply` under the inner product <A, B> = sum A conj(B).
 
-    Maps a grid with T_y frames back to T_y - t_h + 1 frames.
+    Maps a full grid with T_y frames back to T_y - t_h + 1 frames.
     """
-    if not kernel.cfg.same_grid(spec.config):
-        raise ValueError("spectrogram config does not match kernel config")
+    _check_grid(kernel, spec)
     g = spec.data
-    f_bins, t_y = g.shape
+    t_y = g.shape[1]
     t_s = t_y - kernel.t_h + 1
     if t_s < 1:
         raise ValueError("grid has fewer frames than the kernel support")
-    t_tot = kernel.total_frames
-    # mat^H g, computed as (g^H mat)^H so the matrix is not conjugated
-    w = (g.conj().T @ _dense_matrix(kernel)).conj().T
-    w = w.reshape(t_tot, f_bins, t_y)
-    # fold each lag back onto the input frames
-    x = np.zeros((f_bins, t_s), dtype=np.complex128)
-    for j in range(t_tot):
-        tpp = j - kernel.acausal
-        a, b = max(0, -tpp), min(t_s, t_y - tpp)
-        if a < b:
-            x[:, a:b] += w[j, :, a + tpp:b + tpp]
+    x = np.zeros((g.shape[0], t_s), dtype=np.complex128)
+    for mat, out, inp in _lags(kernel, t_s, t_y):
+        x[:, inp] += mat.conj().T @ g[:, out]
     return Spectrogram(x, spec.config)
 
 

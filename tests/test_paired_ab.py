@@ -30,8 +30,19 @@ def test_paired_ab_smoke_with_the_repo_on_both_sides():
     quality = summary["quality"]
     assert set(quality) == {"parent", "change"}
     assert quality["parent"] == quality["change"]
-    assert set(quality["change"]) == {"sisdr_gain_db", "lsd_db"}
-    assert all(np.isfinite(v) for v in quality["change"].values())
+    change = quality["change"]
+    assert set(change) == {"sisdr_gain_db", "lsd_db", "by_rt60",
+                           "estimate_errors"}
+    # the smoke settings have one RT60 cell, 0.3 s
+    assert set(change["by_rt60"]) == {"0.3"}
+    assert set(change["by_rt60"]["0.3"]) == {"sisdr_gain_db", "lsd_db"}
+    assert set(change["estimate_errors"]) == {"rt60_abs_err_s",
+                                              "drr_abs_err_db"}
+    values = [change["sisdr_gain_db"], change["lsd_db"],
+              *change["by_rt60"]["0.3"].values(),
+              *change["estimate_errors"].values()]
+    assert all(np.isfinite(v) for v in values)
+    assert all(v >= 0 for v in change["estimate_errors"].values())
     assert summary["python"] == platform.python_version()
     assert summary["numpy"] == np.__version__
     assert summary["nproc"] >= 1

@@ -5,7 +5,8 @@ from scipy.signal import fftconvolve
 from conftest import rel_frame_error
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
-                              hann_window, row_weights, stft)
+                              default_stft_config, hann_window, row_weights,
+                              stft)
 from revmatch.tfconv import (Scratch, adjoint, apply, apply_adjoint,
                              build_kernel, forward, forward_full,
                              kernel_frames)
@@ -84,6 +85,30 @@ def test_apply_rejects_config_mismatch(cfg):
         apply(kernel, spec)
 
 
+def test_apply_and_adjoint_refuse_a_one_sided_grid(cfg):
+    rng = np.random.default_rng(17)
+    kernel = build_kernel(rng.standard_normal(300), cfg, 2)
+    half = stft(rng.standard_normal(4000), cfg, one_sided=True)
+    for op in (apply, apply_adjoint):
+        with pytest.raises(ValueError, match="the kernel needs a full grid"):
+            op(kernel, half)
+
+
+@pytest.mark.parametrize("make_cfg", [default_stft_config, small_cfg])
+def test_banded_kernel_is_the_full_kernel_with_the_band_kept(make_cfg):
+    # bit for bit: the band only chooses which entries are computed
+    op_cfg = make_cfg()
+    f_bins = op_cfg.num_bins
+    rng = np.random.default_rng(18)
+    h = rng.standard_normal(700) * np.exp(-np.arange(700) / 200.0)
+    full = build_kernel(h, op_cfg, "full").data
+    d = np.arange(f_bins)[None, :] - np.arange(f_bins)[:, None]
+    distance = np.minimum(d % f_bins, -d % f_bins)
+    for radius in (1, 4, 16, f_bins // 2):
+        banded = build_kernel(h, op_cfg, radius).data
+        assert np.array_equal(banded, np.where(distance <= radius, full, 0))
+
+
 def test_band_truncation_error_monotone(cfg):
     rng = np.random.default_rng(15)
     h = rng.standard_normal(1200) * np.exp(-np.arange(1200) / 350.0)
@@ -154,7 +179,7 @@ def test_acausal_frames_are_required(cfg):
     s = rng.standard_normal(6000)
     full = oracle_error(s, h, cfg, "full")
     kernel = build_kernel(h, cfg, "full")
-    assert np.linalg.norm(kernel.data[:, :, 0]) > 1e-3 * np.linalg.norm(
+    assert np.linalg.norm(kernel.data[0]) > 1e-3 * np.linalg.norm(
         kernel.data)
     assert full <= 1e-10
 

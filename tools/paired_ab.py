@@ -19,14 +19,17 @@ quartiles, the pairs the change won, and how many files gave sha256-identical
 inputs and outputs on both sides; the last line is the same summary as JSON,
 a record that can be kept as a ``BENCH_*.json`` file. The JSON also names
 the files whose outputs differ, gives each side's median SI-SDR gain and
-log-spectral distance over the file set (for workloads that dereverberate,
-scored by ``workloads.quality`` on each file's first run), and the Python and
-numpy versions and the usable CPU count.
+log-spectral distance over the file set and per RT60 cell (for workloads that
+dereverberate, scored by ``workloads.quality`` on each file's first run), on
+``blind`` the median absolute RT60 and DRR errors of the estimates that
+``blind.analyze_blind`` returned on those runs, and the Python and numpy
+versions and the usable CPU count.
 ``--smoke`` runs the benchmark's smoke settings (one short input, tiny
 solves) to check the plumbing. The exit code is 1 when a file failed.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -41,6 +44,8 @@ import numpy as np
 
 SIDES = ("parent", "change")
 DEFAULT_SEEDS = (7, 11)
+QUALITY_KEYS = ("sisdr_gain_db", "lsd_db")
+ERROR_KEYS = ("rt60_abs_err_s", "drr_abs_err_db")
 
 
 def parse_args(argv):
@@ -79,6 +84,22 @@ def _send(stream, message):
     stream.flush()
 
 
+def record_estimates(blind, sink):
+    """Replace ``blind.analyze_blind`` with a pass-through that appends each
+    estimate it returns to ``sink``, as ``perfbench/run.py`` records them.
+    The wrapper is this tool's, so both sides record the same way whatever
+    their ``perfbench/`` holds."""
+    original = blind.analyze_blind
+
+    @functools.wraps(original)
+    def recorded(*args, **kwargs):
+        est = original(*args, **kwargs)
+        sink.append(est)
+        return est
+
+    blind.analyze_blind = recorded
+
+
 def worker(args):
     """Set up one checkout, announce its files, then run the file whose
     position each stdin line names, answering one JSON line each."""
@@ -114,20 +135,28 @@ def worker(args):
                     items.append(item)
                     names.append(f"s{seed}-{item.index:02d}")
         _send(proto, {"files": [
-            {"name": name, "input": sha256(item.wet_path)}
+            {"name": name, "input": sha256(item.wet_path), "rt60": item.rt60}
             for name, item in zip(names, items)]})
-        scored = set()
+        estimates, scored = [], set()
+        record_estimates(revmatch.blind, estimates)
         for line in sys.stdin:
             position = int(line)
             item = items[position]
             out = workdir / f"out-{item.index}.wav"
+            estimates.clear()
             rec = workloads.run_file(runner, item, out)
             workloads.check_output(runner, rec)
             # outside the timed call; a file's output is the same each run
             quality = None
             if rec.ok and runner.dereverbs and position not in scored:
                 scored.add(position)
-                quality = workloads.quality(revmatch, rec)
+                quality = dict(zip(QUALITY_KEYS,
+                                   workloads.quality(revmatch, rec)))
+                if estimates:
+                    est = estimates[-1]
+                    quality.update(zip(ERROR_KEYS, (
+                        abs(est.rt60 - item.rt60),
+                        abs(est.drr_db - item.drr_db))))
             _send(proto, {"seconds": rec.seconds, "error": rec.error,
                           "output": sha256(out) if rec.ok else None,
                           "quality": quality})
@@ -174,6 +203,24 @@ class Worker:
             self.proc.wait()
 
 
+def _medians(scores, keys):
+    return {key: float(np.median([q[key] for q in scores])) for key in keys}
+
+
+def quality_summary(scores):
+    """One side's quality medians: over all scored files, per RT60 cell, and
+    of the blind estimate errors where estimates were recorded."""
+    out = _medians(scores, QUALITY_KEYS)
+    out["by_rt60"] = {
+        f"{rt60:g}": _medians([q for q in scores if q["rt60"] == rt60],
+                              QUALITY_KEYS)
+        for rt60 in sorted({q["rt60"] for q in scores})}
+    estimated = [q for q in scores if ERROR_KEYS[0] in q]
+    if estimated:
+        out["estimate_errors"] = _medians(estimated, ERROR_KEYS)
+    return out
+
+
 def controller(args):
     workers = {}
     try:
@@ -197,7 +244,8 @@ def controller(args):
                 res = {side: workers[side].run(k) for side in order}
                 for side in SIDES:
                     if res[side]["quality"] is not None:
-                        scores[side].append(res[side]["quality"])
+                        scores[side].append(dict(res[side]["quality"],
+                                                 rt60=files[side][k]["rt60"]))
                 failed = [f"{s}: {res[s]['error']}" for s in SIDES
                           if res[s]["error"]]
                 if failed:
@@ -228,10 +276,8 @@ def controller(args):
                "failed_pairs": errors, "same_inputs": same_inputs,
                "same_outputs": same_outputs, "differing_outputs": differing}
     if any(scores.values()):
-        summary["quality"] = {
-            side: {key: float(np.median([q[i] for q in scores[side]]))
-                   for i, key in enumerate(("sisdr_gain_db", "lsd_db"))}
-            for side in SIDES if scores[side]}
+        summary["quality"] = {side: quality_summary(scores[side])
+                              for side in SIDES if scores[side]}
     if ratios:
         q1, med, q3 = (float(q) for q in np.percentile(ratios, [25, 50, 75]))
         summary.update(ratio_median=med, ratio_q1=q1, ratio_q3=q3)
@@ -244,6 +290,15 @@ def controller(args):
     for side, q in summary.get("quality", {}).items():
         print(f"{side}: median SI-SDR gain {q['sisdr_gain_db']:+.3f} dB, "
               f"LSD {q['lsd_db']:.3f} dB over {len(scores[side])} files")
+        for rt60, cell in q["by_rt60"].items():
+            print(f"{side}: RT60 {rt60} s: median SI-SDR gain "
+                  f"{cell['sisdr_gain_db']:+.3f} dB, "
+                  f"LSD {cell['lsd_db']:.3f} dB")
+        if "estimate_errors" in q:
+            err = q["estimate_errors"]
+            print(f"{side}: median blind error RT60 "
+                  f"{err['rt60_abs_err_s']:.3f} s, DRR "
+                  f"{err['drr_abs_err_db']:.3f} dB")
     summary.update(python=platform.python_version(),
                    numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))
     print(json.dumps(summary))

@@ -21,7 +21,7 @@ from .loss import LossConfig
 from .records import format_records, read_records, record_number
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
-from .signals import istft, row_weights, stft
+from .signals import istft, row_weights
 
 # the DRR search's candidates (dB, ascending) and its tail draws
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
@@ -260,7 +260,7 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
 
     weights = row_weights(spec.config)
     y_energy = float(np.sum(weights * np.abs(spec.half().data) ** 2))
-    a = stft(x, spec.config, one_sided=True).data
+    a = shat.data
     a_energy = float(np.sum(weights * np.abs(a) ** 2))
     # per draw: ||B||^2 and Re<A, B> under the row weights
     sums = np.empty((DRR_DRAWS, 2))

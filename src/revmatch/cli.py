@@ -86,9 +86,9 @@ def cmd_sample_rir(args):
         if getattr(args, name) is None:
             raise ValueError(f"sample-rir requires --{name}")
     params = AcousticParams(rt60=args.rt60, drr_db=args.drr, n_d=args.nd,
-                            sample_rate=args.rate, noise_mode=args.noise_mode)
-    rir = sample_rir(params, args.length,
-                     rng=derive_rng(args.seed, STREAM_CLI_TASKS, 0))
+                            sample_rate=CLI_SAMPLE_RATE,
+                            noise_mode=args.noise_mode)
+    rir = sample_rir(params, derive_rng(args.seed, STREAM_CLI_TASKS, 0))
     _atomic_write(args.output, lambda tmp: write_rir(tmp, rir))
     return 0
 
@@ -326,8 +326,6 @@ def build_parser(config=None):
     p.add_argument("--rt60", type=float, default=None)
     p.add_argument("--drr", type=float, default=None)
     p.add_argument("--nd", type=int, default=DEFAULT_DIRECT_DELAY)
-    p.add_argument("--rate", type=int, default=CLI_SAMPLE_RATE)
-    p.add_argument("--length", type=int, default=None)
     p.add_argument("--noise-mode", choices=NOISE_MODES,
                    default=AcousticParams.noise_mode)
 

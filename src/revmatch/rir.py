@@ -115,33 +115,25 @@ def min_rir_length(params):
     return int(math.ceil(tau * math.log(1000.0))) + params.n_d + 1
 
 
-def sample_rir(params, length=None, rng=None):
-    """Draw one RIR: unit peak at n = 0, silence up to the direct-path delay,
-    then an exponentially decaying noise tail.
+def sample_rir(params, rng):
+    """Draw one RIR of :func:`min_rir_length` taps: unit peak at n = 0,
+    silence up to the direct-path delay, then an exponentially decaying
+    noise tail.
 
     Parameters
     ----------
     params : AcousticParams
-    length : int, optional
-        Number of taps; defaults to the minimum admissible length. Must
-        satisfy the tail truncation rule (N_h >= tau * ln 1000).
-    rng : numpy Generator or int seed, optional
+        Define the RIR distribution on their own.
+    rng : numpy Generator or int seed
+        Required: the same generator state or seed gives the same taps.
 
     Returns
     -------
     Rir
     """
     tau = tau_from_rt60(params.rt60, params.sample_rate)
-    n_min = min_rir_length(params)
-    if length is None:
-        length = n_min
-    if length <= params.n_d:
-        raise ValueError("RIR length must exceed the direct-path delay")
-    if length < n_min:
-        raise ValueError(
-            f"RIR length {length} too short: tail truncation rule requires "
-            f">= {n_min} taps for rt60={params.rt60}")
-    if rng is None or isinstance(rng, (int, np.integer)):
+    length = min_rir_length(params)
+    if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     sigma = sigma_from_drr(params.drr_db, tau, params.n_d)
     n_tail = length - params.n_d - 1

@@ -86,10 +86,6 @@ class ConvKernel:
     acausal: int
     rir_length: int
 
-    @property
-    def total_frames(self):
-        return len(self.data)
-
 
 def kernel_frames(rir_length, cfg):
     """Causal frame count covering the RIR support."""

@@ -14,7 +14,7 @@ from revmatch.blind import (DEFAULT_DRR_GRID, DRR_DRAWS, MIN_RUN,
                             speech_shaped_noise)
 from revmatch.loss import LossConfig
 from revmatch.rir import NOISE_MODES, AcousticParams, sample_rir, tau_from_rt60
-from revmatch.seeding import STREAM_DRR_GRID, STREAM_SYNTH, derive_rng
+from revmatch.seeding import STREAM_DRR_GRID, derive_rng
 from revmatch.signals import Spectrogram, istft, row_weights, stft
 from revmatch.solver import SolverConfig, trainingless_dereverb
 from revmatch.tfconv import Scratch, forward
@@ -244,29 +244,6 @@ def test_calibrate_rt60_reads_a_generator_in_one_pass(cfg):
     from_list = calibrate_rt60(list(pairs()), FS)
     assert calibrate_rt60(pairs(), FS) == from_list
     assert from_list.n_pairs == len(cases)
-
-
-def test_calibration_experiment_accuracy(cfg):
-    # build-time pinned protocol: 100 train / 50 held-out pairs, uniform
-    # rt60 in [0.2, 1.0] s and drr in [-6, 10] dB; measured median abs err
-    # 0.062 s on this seeding
-    def make_pair(idx, seed):
-        rng = derive_rng(seed, STREAM_SYNTH, idx)
-        rt60 = rng.uniform(0.2, 1.0)
-        drr = rng.uniform(-6.0, 10.0)
-        params = AcousticParams(rt60=rt60, drr_db=drr, sample_rate=FS)
-        h = sample_rir(params, rng=rng)
-        s = speech_like_noise(4 * FS, FS, rng=rng)
-        return stft(fftconvolve(s, h.taps), cfg), rt60
-
-    train = [make_pair(i, 1) for i in range(100)]
-    test = [make_pair(i, 2) for i in range(50)]
-    cal = calibrate_rt60(train, FS)
-    errs = [abs(cal.map(raw_decay_estimate(spec, FS)) - rt60)
-            for spec, rt60 in test]
-    median = float(np.median(errs))
-    assert median <= 0.15   # contract bound
-    assert median <= 0.10   # re-pinned from the build-time run (0.062)
 
 
 def test_blind_drr_deterministic(cfg):

@@ -573,6 +573,24 @@ def test_sample_rir_without_rt60_or_drr_is_validation_error(
     assert os.listdir(tmp_path) == []
 
 
+def test_an_rir_draw_takes_only_params_and_a_generator(tmp_path, capsys):
+    # the parameters define the draw: no length or rate to set, and no
+    # OS-entropy default for the generator
+    with pytest.raises(TypeError):
+        sample_rir(AcousticParams(rt60=0.3, drr_db=0.0, sample_rate=FS))
+    out, config = tmp_path / "h.wav", tmp_path / "run.cfg"
+    for key in ("length", "rate"):
+        with pytest.raises(SystemExit) as exc:
+            run("sample-rir", "--rt60", 0.3, "--drr", 0, f"--{key}", 8000,
+                "-o", out)
+        assert exc.value.code == 2
+        config.write_text(f"{key}=8000\n")
+        assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
+                   "--config", config, "-o", out) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flag, field", [("rt60", "rt60"), ("drr", "drr_db")])
 @pytest.mark.parametrize("command", ["sample-rir", "dereverb"])

@@ -1,4 +1,5 @@
 import json
+import math
 import platform
 import shutil
 import subprocess
@@ -26,6 +27,9 @@ def test_paired_ab_smoke_with_the_repo_on_both_sides():
             <= summary["ratio_q3"])
     assert 0 <= summary["wins"] <= 4
     assert summary["differing_outputs"] == []
+    # each worker's ru_maxrss after the same files, in MB
+    assert set(summary["peak_rss_mb"]) == {"parent", "change"}
+    assert all(0 < mb < math.inf for mb in summary["peak_rss_mb"].values())
     # one checkout on both sides: the same outputs score the same
     quality = summary["quality"]
     assert set(quality) == {"parent", "change"}

@@ -60,6 +60,7 @@ def test_sigma_monte_carlo_tail_energy():
 def test_sample_rir_head_structure():
     params = AcousticParams(rt60=0.3, drr_db=0.0, sample_rate=FS)
     rir = sample_rir(params, rng=0)
+    assert len(rir) == min_rir_length(params)
     assert rir.taps[0] == 1.0
     assert np.all(rir.taps[1:params.n_d + 1] == 0.0)
     assert np.any(rir.taps[params.n_d + 1:] != 0.0)
@@ -79,12 +80,6 @@ def test_sample_rir_deterministic_given_seed():
     a = sample_rir(params, rng=42)
     b = sample_rir(params, rng=42)
     np.testing.assert_array_equal(a.taps, b.taps)
-
-
-def test_sample_rir_rejects_short_length():
-    params = AcousticParams(rt60=0.5, drr_db=0.0, sample_rate=FS)
-    with pytest.raises(ValueError, match="truncation"):
-        sample_rir(params, length=min_rir_length(params) - 1)
 
 
 def test_half_normal_mode_tail_sign_and_energy():

@@ -169,7 +169,7 @@ def test_kernel_frames_counts(cfg):
     kernel = build_kernel(np.ones(2000), cfg, 1)
     assert kernel.t_h == 10
     assert kernel.acausal == 1
-    assert kernel.total_frames == 11
+    assert len(kernel.data) == 11
 
 
 def test_acausal_frames_are_required(cfg):

@@ -22,8 +22,10 @@ the files whose outputs differ, gives each side's median SI-SDR gain and
 log-spectral distance over the file set and per RT60 cell (for workloads that
 dereverberate, scored by ``workloads.quality`` on each file's first run), on
 ``blind`` the median absolute RT60 and DRR errors of the estimates that
-``blind.analyze_blind`` returned on those runs, and the Python and numpy
-versions and the usable CPU count.
+``blind.analyze_blind`` returned on those runs, each side's worker peak RSS
+(``ru_maxrss``, MB) after the whole file set, and the Python and numpy
+versions and the usable CPU count. Both workers run the same files, so the
+peak RSS compares the program's memory on identical work.
 ``--smoke`` runs the benchmark's smoke settings (one short input, tiny
 solves) to check the plumbing. The exit code is 1 when a file failed.
 """
@@ -34,6 +36,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -157,9 +160,10 @@ def worker(args):
                     quality.update(zip(ERROR_KEYS, (
                         abs(est.rt60 - item.rt60),
                         abs(est.drr_db - item.drr_db))))
+            maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             _send(proto, {"seconds": rec.seconds, "error": rec.error,
                           "output": sha256(out) if rec.ok else None,
-                          "quality": quality})
+                          "quality": quality, "maxrss_mb": maxrss_kb / 1024})
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -236,13 +240,15 @@ def controller(args):
               f"{args.repeats} repeat(s), {n_files} files")
         print("# file repeat first parent_s change_s ratio same_output "
               "change_sha256")
-        ratios, wins, errors, outputs = [], 0, 0, {}
+        ratios, wins, errors, outputs, peak_rss = [], 0, 0, {}, {}
         scores = {side: [] for side in SIDES}
         for repeat in range(args.repeats):
             for k, f in enumerate(files["parent"]):
                 order = SIDES if (k + repeat) % 2 == 0 else SIDES[::-1]
                 res = {side: workers[side].run(k) for side in order}
                 for side in SIDES:
+                    # ru_maxrss never falls: the last reply holds the peak
+                    peak_rss[side] = res[side]["maxrss_mb"]
                     if res[side]["quality"] is not None:
                         scores[side].append(dict(res[side]["quality"],
                                                  rt60=files[side][k]["rt60"]))
@@ -274,7 +280,8 @@ def controller(args):
                "cycles": args.cycles, "repeats": args.repeats,
                "files": n_files, "pairs": len(ratios), "wins": wins,
                "failed_pairs": errors, "same_inputs": same_inputs,
-               "same_outputs": same_outputs, "differing_outputs": differing}
+               "same_outputs": same_outputs, "differing_outputs": differing,
+               "peak_rss_mb": peak_rss}
     if any(scores.values()):
         summary["quality"] = {side: quality_summary(scores[side])
                               for side in SIDES if scores[side]}
@@ -287,6 +294,8 @@ def controller(args):
           f"{errors} pair(s) failed")
     print(f"inputs sha256-identical in {same_inputs} of {n_files} files; "
           f"outputs in {same_outputs} of {n_files} files")
+    print("worker peak RSS: " + ", ".join(
+        f"{side} {mb:.1f} MB" for side, mb in peak_rss.items()))
     for side, q in summary.get("quality", {}).items():
         print(f"{side}: median SI-SDR gain {q['sisdr_gain_db']:+.3f} dB, "
               f"LSD {q['lsd_db']:.3f} dB over {len(scores[side])} files")

@@ -26,6 +26,8 @@ from .signals import istft, row_weights
 # the DRR search's candidates (dB, ascending) and its tail draws
 DEFAULT_DRR_GRID = (-6.0, -3.0, 0.0, 3.0, 6.0, 10.0)
 DRR_DRAWS = 3
+# the shortest input (seconds) the decay statistic reads
+MIN_SECONDS = 1
 # a mapped RT60 below this (seconds) is anechoic: the DRR grid is skipped
 MIN_RT60 = 0.05
 # the shortest strictly-decreasing run of frames the decay statistic fits
@@ -142,19 +144,19 @@ def raw_decay_estimate(spec, sample_rate=16000):
     Parameters
     ----------
     spec : Spectrogram
-        Must span at least 1 s of audio.
+        Must span at least ``MIN_SECONDS`` of audio.
     sample_rate : int
 
     Raises
     ------
     ValueError
-        If the input is shorter than 1 s or its grid holds a non-finite
-        value.
+        If the input is shorter than ``MIN_SECONDS`` or its grid holds a
+        non-finite value.
     InsufficientDecay
         If no band contains a qualifying decreasing run.
     """
-    if spec.num_samples < sample_rate:
-        raise ValueError("input shorter than 1 s")
+    if spec.num_samples < MIN_SECONDS * sample_rate:
+        raise ValueError(f"input shorter than {MIN_SECONDS} s")
     grid = spec.half().data
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid contains non-finite values")

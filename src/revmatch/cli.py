@@ -6,8 +6,9 @@ inputs): all randomness derives from the global seed through fixed stream ids
 and counters (see seeding), so parallel and serial runs produce identical
 bytes. Before any work, ``main`` checks every file a command reads and writes
 (``_check_files``), so no output names an input. Commands validate inputs
-before computing (a batch dereverb reads all its inputs, and calibrate checks
-every manifest line, before the first solve or fit) and write outputs through
+before computing (before the first solve or fit, a batch dereverb reads all
+its inputs and, given a calibration, checks each against the blind analyzer's
+minimum length; calibrate checks every manifest line) and write outputs through
 a temporary file plus atomic rename, so failed runs leave no partial files.
 
 Config files, reports and calibration files are ``key=value`` records (see
@@ -28,8 +29,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import tfconv
-from .blind import (BlindConfig, Rt60Calibration, analyze_blind,
-                    calibrate_rt60, speech_like_noise)
+from .blind import (MIN_SECONDS, BlindConfig, Rt60Calibration,
+                    analyze_blind, calibrate_rt60, speech_like_noise)
 from .loss import VARIANTS, LossConfig, _align_frames
 from .metrics import evaluate
 from .records import format_records, read_records, record_number
@@ -128,7 +129,22 @@ def _synthetic_pair(seed, index, duration, cfg):
     dry = speech_like_noise(int(duration * CLI_SAMPLE_RATE), CLI_SAMPLE_RATE,
                             rng=rng)
     wet = fft_convolve(dry, rir.taps)
+    _check_blind_length(f"synthetic pair {index} (--duration {duration:g} s "
+                        "and its RIR)", len(wet))
     return stft(wet, cfg), rt60
+
+
+def _manifest_pair(manifest, path, rt60, cfg):
+    sig = _read_input_wav(path)
+    _check_blind_length(f"{manifest}: {path}", len(sig))
+    return stft(sig, cfg), rt60
+
+
+def _check_blind_length(name, num_samples):
+    """Refuse, by name, an input shorter than the blind analyzer reads."""
+    if num_samples < MIN_SECONDS * CLI_SAMPLE_RATE:
+        raise ValueError(f"{name}: input shorter than {MIN_SECONDS} s, the "
+                         "blind analyzer's minimum")
 
 
 def _manifest_labels(manifest):
@@ -170,7 +186,7 @@ def cmd_calibrate(args):
         raise ValueError("calibrate takes one source: --manifest or "
                          "--synthetic N, not both")
     if args.manifest is not None:
-        pairs = ((stft(_read_input_wav(path), cfg), rt60)
+        pairs = (_manifest_pair(args.manifest, path, rt60, cfg)
                  for path, rt60 in _manifest_labels(args.manifest))
     elif args.synthetic is not None:
         if args.synthetic < 3:
@@ -234,6 +250,9 @@ def cmd_dereverb(args):
         raise ValueError("dereverb requires --calibration or --rt60/--drr")
     # every input is read and checked before the first solve
     signals = [_read_input_wav(path) for path in args.inputs]
+    if isinstance(acoustics, Rt60Calibration):
+        for path, sig in zip(args.inputs, signals):
+            _check_blind_length(path, len(sig))
     # a batch has no trace: _check_files refuses it
     tasks = [(sig, out_path, args.trace, acoustics, args,
               (args.seed, STREAM_CLI_TASKS, i))

@@ -40,6 +40,15 @@ class AcousticParams:
             raise ValueError("sample_rate must be positive")
         if self.noise_mode not in NOISE_MODES:
             raise ValueError(f"noise_mode must be one of {NOISE_MODES}")
+        tau = tau_from_rt60(self.rt60, self.sample_rate)
+        try:
+            sigma = sigma_from_drr(self.drr_db, tau, self.n_d)
+        except (OverflowError, ZeroDivisionError):
+            sigma = math.inf
+        if not math.isfinite(sigma):
+            raise ValueError(
+                f"rt60={self.rt60:g} s, n_d={self.n_d} and drr_db="
+                f"{self.drr_db:g} give no finite tail scale")
 
 
 @dataclass(frozen=True)
@@ -219,7 +228,8 @@ def write_rir(path, rir):
 
 
 def read_rir(path):
-    """Load an RIR written by :func:`write_rir`."""
+    """Load an RIR written by :func:`write_rir`; a text RIR's bad tap or
+    header is a ``ValueError`` naming ``FILE:LINE``."""
     path = str(path)
     if path.endswith(".wav"):
         sig = read_wav(path)
@@ -227,17 +237,18 @@ def read_rir(path):
     rate = None
     taps = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "sample_rate=" in line:
-                    rate = int(line.split("sample_rate=")[1])
-                continue
-            taps.append(float(line))
+            try:
+                if line.startswith("#"):
+                    if "sample_rate=" in line:
+                        rate = int(line.split("sample_rate=")[1])
+                elif line:
+                    taps.append(float(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     if rate is None:
-        raise ValueError("text RIR lacks a sample_rate header")
+        raise ValueError(f"{path}: text RIR lacks a sample_rate header")
     return Rir(np.array(taps), rate)
 
 

@@ -117,6 +117,23 @@ def test_reverberate_rejects_wrong_rate(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("# sample_rate=16000\n1\nabc\n", ":3: ", "'abc'"),
+    ("# sample_rate=16k\n1\n", ":1: ", "'16k'"),
+    ("1\n0.5\n", ": ", "text RIR lacks a sample_rate header")],
+    ids=["bad-tap", "bad-header", "no-header"])
+def test_reverberate_names_the_file_and_line_of_a_bad_text_rir(
+        tmp_path, capsys, text, where, message):
+    (dry,) = _noise_wavs(tmp_path, "dry.wav")
+    rir_path = tmp_path / "r.txt"
+    rir_path.write_text(text)
+    out = tmp_path / "wet.wav"
+    assert run("reverberate", "--in", dry, "--rir", rir_path, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert f"{rir_path}{where}" in err and message in err
+    assert not out.exists()
+
+
 def test_eval_perfect_flag(tmp_path):
     sig_path = tmp_path / "x.wav"
     report = tmp_path / "eval.txt"
@@ -408,6 +425,31 @@ def test_calibrate_rejects_a_bad_duration(tmp_path, capsys, duration,
     assert not out.exists()
 
 
+def test_calibrate_names_a_synthetic_pair_below_the_blind_minimum(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--synthetic", 10, "--duration", 0.5,
+               "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "synthetic pair " in err and "(--duration 0.5 s " in err
+    assert "input shorter than 1 s, the blind analyzer's minimum" in err
+    assert not out.exists()
+
+
+def test_calibrate_names_a_manifest_file_below_the_blind_minimum(tmp_path,
+                                                                capsys):
+    labels = _manifest_wavs(tmp_path)
+    (short,) = _noise_wavs(tmp_path, "short.wav")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{path} {rt60}\n" for path, rt60 in labels)
+                        + f"{short} 0.5\n")
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--manifest", manifest, "-o", out) == 2
+    assert (f"{manifest}: {short}: input shorter than 1 s"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radii", [",", ""])
 def test_bench_rejects_an_empty_radius_list(tmp_path, capsys, radii):
     out = tmp_path / "bench.txt"
@@ -588,6 +630,21 @@ def test_an_rir_draw_takes_only_params_and_a_generator(tmp_path, capsys):
         assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
                    "--config", config, "-o", out) == 2
         assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rt60, nd", [(0.3, 1_000_000), (1e-6, 40)])
+@pytest.mark.parametrize("command", ["sample-rir", "dereverb"])
+def test_acoustics_that_overflow_the_tail_model_are_refused_up_front(
+        tmp_path, monkeypatch, capsys, command, rt60, nd):
+    inputs = ["--in", _short_wet(tmp_path)] if command == "dereverb" else []
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "out.wav"
+    assert run(command, *inputs, "--rt60", rt60, "--drr", 0, "--nd", nd,
+               "-o", out) == 2
+    assert (f"rt60={rt60:g} s, n_d={nd} and drr_db=0 give no finite tail "
+            "scale") in capsys.readouterr().err
+    assert reads == []
     assert not out.exists()
 
 
@@ -839,6 +896,25 @@ def test_dereverb_batch_reads_every_input_before_the_first_solve(tmp_path):
                    "--drr", 0, "--max-iters", 2, "--workers", workers,
                    "-o", out) == 2
         assert os.listdir(out) == []
+
+
+def test_dereverb_batch_checks_the_blind_minimum_before_the_first_solve(
+        tmp_path, capsys):
+    a, b = _noise_wavs(tmp_path, "a.wav", "b.wav")
+    write_wav(a, Signal(speech_like_noise(FS * 3 // 2, FS, rng=3), FS))
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("dereverb", "--in", a, "--in", b, "--calibration", cal,
+               "--max-iters", 2, "--k-inner", 1, "-o", out) == 2
+    assert (f"{b}: input shorter than 1 s, the blind analyzer's minimum"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
+    # known acoustics have no minimum
+    assert run("dereverb", "--in", a, "--in", b, "--rt60", 0.3,
+               "--max-iters", 2, "-o", out) == 0
+    assert sorted(os.listdir(out)) == ["a.wav", "b.wav"]
 
 
 @pytest.mark.parametrize("workers", [0, -1])

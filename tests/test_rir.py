@@ -177,3 +177,15 @@ def test_params_validation():
             AcousticParams(rt60=bad, drr_db=0.0)
         with pytest.raises(ValueError, match="drr_db must be finite"):
             AcousticParams(rt60=0.5, drr_db=bad)
+
+
+@pytest.mark.parametrize("rt60, drr_db, n_d", [
+    (0.3, 0.0, 1_000_000), (1e-6, 0.0, 40), (0.5, -4000.0, 40),
+    (0.5, 4000.0, 40)])
+def test_params_refuse_acoustics_that_overflow_the_tail_model(rt60, drr_db,
+                                                              n_d):
+    # sigma_from_drr's exp(2 n_d / tau) or 10 ** (drr_db / 10) leaves the
+    # float range
+    with pytest.raises(ValueError, match=f"rt60={rt60:g} s, n_d={n_d} and "
+                       "drr_db=.* give no finite tail scale"):
+        AcousticParams(rt60=rt60, drr_db=drr_db, n_d=n_d)

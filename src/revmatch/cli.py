@@ -7,9 +7,10 @@ and counters (see seeding), so parallel and serial runs produce identical
 bytes. Before any work, ``main`` checks every file a command reads and writes
 (``_check_files``), so no output names an input. Commands validate inputs
 before computing (before the first solve or fit, a batch dereverb reads all
-its inputs and, given a calibration, checks each against the blind analyzer's
-minimum length; calibrate checks every manifest line) and write outputs through
-a temporary file plus atomic rename, so failed runs leave no partial files.
+its inputs; analyze-blind, dereverb given a calibration, and calibrate check
+each input against the blind analyzer's minimum length by name; calibrate
+checks every manifest line) and write outputs through a temporary file plus
+atomic rename, so failed runs leave no partial files.
 
 Config files, reports and calibration files are ``key=value`` records (see
 records). Argparse resolves every option: an explicit flag wins over a config
@@ -30,16 +31,16 @@ import numpy as np
 
 from . import tfconv
 from .blind import (MIN_SECONDS, BlindConfig, Rt60Calibration,
-                    analyze_blind, calibrate_rt60, speech_like_noise)
+                    analyze_blind, calibrate_rt60)
 from .loss import VARIANTS, LossConfig, _align_frames
 from .metrics import evaluate
 from .records import format_records, read_records, record_number
 from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
                   analyze_rir, params_from_file, read_rir, sample_rir,
-                  write_rir)
-from .seeding import STREAM_CLI_TASKS, STREAM_SYNTH, derive_rng
+                  synthetic_pair, write_rir)
+from .seeding import STREAM_CLI_TASKS, derive_rng
 from .signals import (Signal, default_stft_config, fft_convolve, istft,
-                      read_wav, stft, write_wav)
+                      read_wav, speech_like_noise, stft, write_wav)
 from .solver import SolverConfig, dereverb_pipeline
 # not called here; perfbench/spans.py wraps cli.trainingless_dereverb by name
 from .solver import trainingless_dereverb  # noqa: F401
@@ -121,17 +122,10 @@ def cmd_reverberate(args):
 
 
 def _synthetic_pair(seed, index, duration, cfg):
-    rng = derive_rng(seed, STREAM_SYNTH, index)
-    rt60 = rng.uniform(0.2, 1.0)
-    drr = rng.uniform(-6.0, 10.0)
-    params = AcousticParams(rt60=rt60, drr_db=drr, sample_rate=CLI_SAMPLE_RATE)
-    rir = sample_rir(params, rng=rng)
-    dry = speech_like_noise(int(duration * CLI_SAMPLE_RATE), CLI_SAMPLE_RATE,
-                            rng=rng)
-    wet = fft_convolve(dry, rir.taps)
+    params, _, _, wet = synthetic_pair(seed, index, duration, CLI_SAMPLE_RATE)
     _check_blind_length(f"synthetic pair {index} (--duration {duration:g} s "
                         "and its RIR)", len(wet))
-    return stft(wet, cfg), rt60
+    return stft(wet, cfg), params.rt60
 
 
 def _manifest_pair(manifest, path, rt60, cfg):
@@ -207,6 +201,7 @@ def _blind_config(args):
 
 def cmd_analyze_blind(args):
     sig = _read_input_wav(args.input)
+    _check_blind_length(args.input, len(sig))
     cal = Rt60Calibration.from_file(args.calibration)
     spec = stft(sig, default_stft_config())
     est = analyze_blind(spec, cal, _blind_config(args),

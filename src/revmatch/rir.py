@@ -8,7 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import read_records, record_number
-from .signals import Signal, read_wav, write_wav
+from .seeding import STREAM_SYNTH, derive_rng
+from .signals import (Signal, fft_convolve, read_wav, speech_like_noise,
+                      write_wav)
 
 LN10 = math.log(10.0)
 
@@ -16,6 +18,10 @@ NOISE_MODES = ("centered-gaussian", "half-normal")
 
 # default direct-path delay: ~2.5 ms at 16 kHz
 DEFAULT_DIRECT_DELAY = 40
+
+# the uniform ranges synthetic_pair draws RT60 (seconds) and DRR (dB) from
+SYNTH_RT60_RANGE = (0.2, 1.0)
+SYNTH_DRR_RANGE = (-6.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,29 @@ def sample_rir(params, rng):
     return Rir(taps, params.sample_rate)
 
 
+def synthetic_pair(seed, index, duration, sample_rate=16000):
+    """The seeded, parameter-labelled (dry, RIR, wet) pair number ``index``.
+
+    One generator, ``derive_rng(seed, STREAM_SYNTH, index)``, draws in
+    order: RT60 uniform on ``SYNTH_RT60_RANGE``, DRR uniform on
+    ``SYNTH_DRR_RANGE``, the RIR (:func:`sample_rir`, default direct delay
+    and noise mode), and ``int(duration * sample_rate)`` samples of
+    :func:`~revmatch.signals.speech_like_noise`. The wet signal is their
+    full linear convolution, RIR tail included.
+
+    Returns
+    -------
+    (AcousticParams, Rir, ndarray, ndarray) : params, RIR, dry, wet
+    """
+    rng = derive_rng(seed, STREAM_SYNTH, index)
+    params = AcousticParams(rt60=rng.uniform(*SYNTH_RT60_RANGE),
+                            drr_db=rng.uniform(*SYNTH_DRR_RANGE),
+                            sample_rate=sample_rate)
+    rir = sample_rir(params, rng)
+    dry = speech_like_noise(int(duration * sample_rate), sample_rate, rng=rng)
+    return params, rir, dry, fft_convolve(dry, rir.taps)
+
+
 def edc(rir):
     """Energy decay curve: edc[t] = sum_{u >= t} h(u)^2 (Schroeder integral
     of the squared impulse response)."""
@@ -228,8 +257,9 @@ def write_rir(path, rir):
 
 
 def read_rir(path):
-    """Load an RIR written by :func:`write_rir`; a text RIR's bad tap or
-    header is a ``ValueError`` naming ``FILE:LINE``."""
+    """Load an RIR written by :func:`write_rir`; in a text RIR, a tap that
+    is not a finite number or a rate header that is not a positive integer
+    is a ``ValueError`` naming ``FILE:LINE``."""
     path = str(path)
     if path.endswith(".wav"):
         sig = read_wav(path)
@@ -243,8 +273,12 @@ def read_rir(path):
                 if line.startswith("#"):
                     if "sample_rate=" in line:
                         rate = int(line.split("sample_rate=")[1])
+                        if rate <= 0:
+                            raise ValueError("sample_rate must be positive")
                 elif line:
                     taps.append(float(line))
+                    if not math.isfinite(taps[-1]):
+                        raise ValueError("RIR contains non-finite taps")
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
     if rate is None:

@@ -1,5 +1,6 @@
 """Time-domain signals, FFT convolution, STFT/iSTFT with a
-perfect-reconstruction window pair, and WAV file I/O, on numpy alone.
+perfect-reconstruction window pair, seeded speech-like test signals, and WAV
+file I/O, on numpy alone.
 
 Framing convention
 ------------------
@@ -15,6 +16,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .seeding import STREAM_SYNTH, derive_rng
 
 
 @dataclass(frozen=True)
@@ -290,6 +293,56 @@ def fft_convolve(a, b):
     n_out = len(a) + len(b) - 1
     n = next_fast_len(n_out, True)
     return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:n_out]
+
+
+def speech_shaped_noise(num_samples, sample_rate=16000, rng=None):
+    """Stationary noise with a speech-like long-term spectral envelope:
+    band-passed around the low hundreds of Hz with a gentle high-frequency
+    roll-off. Unit RMS."""
+    if num_samples < 2:
+        # one sample holds only DC, which the envelope removes
+        raise ValueError("speech-shaped noise needs at least 2 samples")
+    if rng is None or isinstance(rng, (int, np.integer)):
+        rng = derive_rng(0 if rng is None else int(rng), STREAM_SYNTH)
+    white = rng.standard_normal(num_samples)
+    spec = np.fft.rfft(white)
+    freqs = np.fft.rfftfreq(num_samples, d=1.0 / sample_rate)
+    envelope = (freqs / (freqs + 120.0)) / np.sqrt(1.0 + (freqs / 1000.0) ** 2)
+    shaped = np.fft.irfft(spec * envelope, n=num_samples)
+    rms = np.sqrt(np.mean(shaped ** 2))
+    return shaped / rms
+
+
+def speech_like_noise(num_samples, sample_rate=16000, rng=None):
+    """Speech-shaped noise with a syllabic temporal envelope.
+
+    Alternates voiced bursts and pauses (with raised-cosine edges and
+    per-burst level variation), so a reverberated copy exhibits free-decay
+    regions after offsets. Blind decay estimation has no evidence to work
+    with on strictly stationary sources. Unit RMS.
+    """
+    if rng is None or isinstance(rng, (int, np.integer)):
+        rng = derive_rng(0 if rng is None else int(rng), STREAM_SYNTH, 1)
+    carrier = speech_shaped_noise(num_samples, sample_rate, rng)
+    env = np.zeros(num_samples)
+    ramp = max(1, int(0.010 * sample_rate))
+    edge = 0.5 * (1.0 - np.cos(np.pi * np.arange(ramp) / ramp))
+    pos = 0
+    while pos < num_samples:
+        burst = int(rng.uniform(0.08, 0.40) * sample_rate)
+        pause = int(rng.uniform(0.06, 0.30) * sample_rate)
+        level = 10.0 ** (rng.uniform(-6.0, 0.0) / 20.0)
+        b0, b1 = pos, min(pos + burst, num_samples)
+        env[b0:b1] = level
+        if b1 - b0 > 2 * ramp:
+            env[b0:b0 + ramp] = level * edge
+            env[b1 - ramp:b1] = level * edge[::-1]
+        pos = b1 + pause
+    out = carrier * env
+    rms = np.sqrt(np.mean(out ** 2))
+    if rms == 0:
+        return carrier
+    return out / rms
 
 
 _WAVE_PCM, _WAVE_IEEE_FLOAT, _WAVE_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE

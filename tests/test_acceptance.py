@@ -8,7 +8,7 @@ from scipy.signal import fftconvolve
 
 import revmatch.tfconv as tfconv
 from conftest import rel_frame_error
-from revmatch.blind import calibrate_rt60, raw_decay_estimate, speech_like_noise
+from revmatch.blind import calibrate_rt60, raw_decay_estimate
 from revmatch.cli import main as cli_main
 from revmatch.loss import (LossConfig, _align_frames, grad_complex, grad_mag,
                            gradnorm_alpha, loss_complex, loss_mag, rm_loss)
@@ -18,7 +18,7 @@ from revmatch.rir import (AcousticParams, analyze_rir, reverberant_energy,
 from revmatch.seeding import STREAM_SYNTH, derive_rng
 from revmatch.signals import (Signal, Spectrogram, StftConfig,
                               canonical_dual_window, hann_window, istft,
-                              stft, write_wav)
+                              speech_like_noise, stft, write_wav)
 from revmatch.solver import SolverConfig, trainingless_dereverb
 
 FS = 16000

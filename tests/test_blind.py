@@ -10,12 +10,12 @@ from revmatch.blind import (DEFAULT_DRR_GRID, DRR_DRAWS, MIN_RUN,
                             BlindConfig, InsufficientDecay, Rt60Calibration,
                             _run_slopes, analyze_blind, blind_drr,
                             calibrate_rt60, fit_rt60_polynomial,
-                            raw_decay_estimate, speech_like_noise,
-                            speech_shaped_noise)
+                            raw_decay_estimate)
 from revmatch.loss import LossConfig
 from revmatch.rir import NOISE_MODES, AcousticParams, sample_rir, tau_from_rt60
 from revmatch.seeding import STREAM_DRR_GRID, derive_rng
-from revmatch.signals import Spectrogram, istft, row_weights, stft
+from revmatch.signals import (Spectrogram, istft, row_weights,
+                              speech_like_noise, speech_shaped_noise, stft)
 from revmatch.solver import SolverConfig, trainingless_dereverb
 from revmatch.tfconv import Scratch, forward
 
@@ -298,15 +298,6 @@ def test_analyze_blind_anechoic_flag(cfg):
     assert est.anechoic
     assert est.rt60 < 0.05
     assert est.drr_db == max(DEFAULT_DRR_GRID)
-
-
-def test_speech_like_noise_properties():
-    x = speech_like_noise(32000, FS, rng=3)
-    assert len(x) == 32000
-    assert np.sqrt(np.mean(x ** 2)) == pytest.approx(1.0, rel=1e-9)
-    # bursts and pauses: a noticeable fraction of near-silent samples
-    frac_quiet = np.mean(np.abs(x) < 0.05)
-    assert 0.1 < frac_quiet < 0.9
 
 
 def test_blind_config_rejects_an_inner_budget_below_one():

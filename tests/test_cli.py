@@ -13,11 +13,11 @@ from scipy.signal import fftconvolve
 import revmatch.blind as blind
 import revmatch.cli as cli
 from revmatch.cli import main
-from revmatch.blind import BlindConfig, Rt60Calibration, speech_like_noise
+from revmatch.blind import BlindConfig, Rt60Calibration
 from revmatch.records import format_records, read_records
-from revmatch.rir import AcousticParams, read_rir, sample_rir
-from revmatch.signals import (Signal, default_stft_config, read_wav, stft,
-                              write_wav)
+from revmatch.rir import AcousticParams, read_rir, sample_rir, synthetic_pair
+from revmatch.signals import (Signal, default_stft_config, read_wav,
+                              speech_like_noise, stft, write_wav)
 from revmatch.solver import SolverConfig
 
 FS = 16000
@@ -117,11 +117,16 @@ def test_reverberate_rejects_wrong_rate(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, where, message", [
+BAD_TEXT_RIRS = pytest.mark.parametrize("text, where, message", [
     ("# sample_rate=16000\n1\nabc\n", ":3: ", "'abc'"),
     ("# sample_rate=16k\n1\n", ":1: ", "'16k'"),
-    ("1\n0.5\n", ": ", "text RIR lacks a sample_rate header")],
-    ids=["bad-tap", "bad-header", "no-header"])
+    ("1\n0.5\n", ": ", "text RIR lacks a sample_rate header"),
+    ("# sample_rate=16000\n1\nnan\n", ":3: ", "non-finite taps"),
+    ("# sample_rate=0\n1\n0.5\n", ":1: ", "sample_rate must be positive")],
+    ids=["bad-tap", "bad-header", "no-header", "nan-tap", "zero-rate"])
+
+
+@BAD_TEXT_RIRS
 def test_reverberate_names_the_file_and_line_of_a_bad_text_rir(
         tmp_path, capsys, text, where, message):
     (dry,) = _noise_wavs(tmp_path, "dry.wav")
@@ -132,6 +137,18 @@ def test_reverberate_names_the_file_and_line_of_a_bad_text_rir(
     err = capsys.readouterr().err
     assert f"{rir_path}{where}" in err and message in err
     assert not out.exists()
+
+
+@BAD_TEXT_RIRS
+def test_analyze_rir_names_the_file_and_line_of_a_bad_text_rir(
+        tmp_path, capsys, text, where, message):
+    rir_path = tmp_path / "r.txt"
+    rir_path.write_text(text)
+    report = tmp_path / "report.txt"
+    assert run("analyze-rir", "--in", rir_path, "-o", report) == 2
+    err = capsys.readouterr().err
+    assert f"{rir_path}{where}" in err and message in err
+    assert not report.exists()
 
 
 def test_eval_perfect_flag(tmp_path):
@@ -292,6 +309,18 @@ def _blind_inputs(tmp_path, calibration):
     return wet_path, cal_path
 
 
+def test_analyze_blind_names_an_input_below_the_blind_minimum(tmp_path,
+                                                              capsys):
+    (short,) = _noise_wavs(tmp_path, "short.wav")
+    _, cal_path = _blind_inputs(tmp_path, "c0=0\nc1=1\nc2=0\n")
+    report = tmp_path / "blind.txt"
+    assert run("analyze-blind", "--in", short, "--calibration", cal_path,
+               "-o", report) == 2
+    assert (f"{short}: input shorter than 1 s, the blind analyzer's minimum"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
 def test_analyze_blind_rejects_a_config_noise_mode(tmp_path, capsys):
     # an all-zero calibration maps to an anechoic estimate, which builds no
     # AcousticParams to check the noise mode
@@ -364,6 +393,17 @@ def _manifest_wavs(tmp_path):
         write_wav(path, Signal(wet, FS))
         labels.append((path, rt60))
     return labels
+
+
+def test_calibrate_synthetic_matches_the_library_fit(tmp_path):
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--synthetic", 5, "--seed", 3, "-o", out) == 0
+    cfg = default_stft_config()
+    pairs = (synthetic_pair(3, i, 4.0, FS) for i in range(5))
+    want = tmp_path / "want.txt"
+    blind.calibrate_rt60(((stft(wet, cfg), params.rt60)
+                          for params, _, _, wet in pairs), FS).to_file(want)
+    assert file_bytes(out) == file_bytes(want)
 
 
 def test_calibrate_manifest_matches_the_library_fit(tmp_path):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from revmatch.records import format_records
-from revmatch.rir import (AcousticParams, Rir, analyze_rir, edc,
-                          min_rir_length, params_from_file, read_rir,
+from revmatch.rir import (DEFAULT_DIRECT_DELAY, SYNTH_DRR_RANGE,
+                          SYNTH_RT60_RANGE, AcousticParams, Rir, analyze_rir,
+                          edc, min_rir_length, params_from_file, read_rir,
                           reverberant_energy, sample_rir, sigma_from_drr,
-                          tau_from_rt60, write_rir)
+                          synthetic_pair, tau_from_rt60, write_rir)
+from revmatch.signals import fft_convolve
 
 FS = 16000
 
@@ -189,3 +191,30 @@ def test_params_refuse_acoustics_that_overflow_the_tail_model(rt60, drr_db,
     with pytest.raises(ValueError, match=f"rt60={rt60:g} s, n_d={n_d} and "
                        "drr_db=.* give no finite tail scale"):
         AcousticParams(rt60=rt60, drr_db=drr_db, n_d=n_d)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (0, 7), (2, 3)])
+def test_synthetic_pair_is_seeded_labelled_and_convolved(seed, index):
+    params, rir, dry, wet = synthetic_pair(seed, index, 0.5)
+    params2, rir2, dry2, wet2 = synthetic_pair(seed, index, 0.5)
+    assert params2 == params
+    np.testing.assert_array_equal(rir2.taps, rir.taps)
+    np.testing.assert_array_equal(dry2, dry)
+    np.testing.assert_array_equal(wet2, wet)
+    np.testing.assert_array_equal(wet, fft_convolve(dry, rir.taps))
+    assert SYNTH_RT60_RANGE[0] <= params.rt60 < SYNTH_RT60_RANGE[1]
+    assert SYNTH_DRR_RANGE[0] <= params.drr_db < SYNTH_DRR_RANGE[1]
+    assert (params.n_d, params.sample_rate) == (DEFAULT_DIRECT_DELAY, FS)
+    assert params.noise_mode == "centered-gaussian"
+    assert len(rir) == min_rir_length(params)
+    assert len(dry) == FS // 2
+    # another pair index is another draw
+    assert synthetic_pair(seed, index + 1, 0.5)[0] != params
+
+
+def test_synthetic_pair_labels_are_its_first_draws():
+    # pinned: calibrate --synthetic files depend on the draw order (both
+    # labels, then the RIR, then the dry signal)
+    params = synthetic_pair(0, 0, 0.5)[0]
+    assert (params.rt60, params.drr_db) == (0.9064575484861834,
+                                            -2.342517251286697)

@@ -6,11 +6,14 @@ from scipy import fft as scipy_fft
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
+import revmatch.blind as blind
 from revmatch.signals import (Signal, Spectrogram, StftConfig,
                               canonical_dual_window, fft_convolve,
                               hann_window, istft, next_fast_len,
-                              num_frames_for, overlap_add, read_wav, stft,
-                              write_wav)
+                              num_frames_for, overlap_add, read_wav,
+                              speech_like_noise, stft, write_wav)
+
+FS = 16000
 
 
 def test_default_config_is_perfect_reconstruction(cfg):
@@ -288,3 +291,17 @@ def test_fft_convolve_bit_equal_to_scipy_signal(la, lb):
     got = fft_convolve(a, b)
     assert got.shape == want.shape == (la + lb - 1,)
     assert np.array_equal(got, want)
+
+
+def test_speech_like_noise_properties():
+    x = speech_like_noise(32000, FS, rng=3)
+    assert len(x) == 32000
+    assert np.sqrt(np.mean(x ** 2)) == pytest.approx(1.0, rel=1e-9)
+    # bursts and pauses: a noticeable fraction of near-silent samples
+    frac_quiet = np.mean(np.abs(x) < 0.05)
+    assert 0.1 < frac_quiet < 0.9
+
+
+def test_blind_binds_the_benchmark_generator_from_signals():
+    # the benchmark draws its inputs as revmatch.blind.speech_like_noise
+    assert blind.speech_like_noise is speech_like_noise

@@ -8,13 +8,12 @@ import revmatch.blind as blind
 import revmatch.rir as rir
 import revmatch.solver as solver
 import revmatch.tfconv as tfconv
-from revmatch.blind import (BlindConfig, BlindEstimate, Rt60Calibration,
-                            speech_like_noise)
+from revmatch.blind import BlindConfig, BlindEstimate, Rt60Calibration
 from revmatch.loss import rm_loss
 from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.seeding import STREAM_SOLVER_ITERS, as_path
 from revmatch.signals import (Signal, Spectrogram, default_stft_config,
-                              fft_convolve, istft, stft)
+                              fft_convolve, istft, speech_like_noise, stft)
 from revmatch.solver import (DivergenceError, Passthrough, SolverConfig,
                              SolveTrace, dereverb_pipeline,
                              trainingless_dereverb)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rir, tfconv
-from .loss import LossConfig
+from . import rir, solver, tfconv
 from .records import format_records, read_records, record_number
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, derive_rng
@@ -253,14 +252,11 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
     -------
     float : the picked grid value (dB).
     """
-    from .solver import SolverConfig, trainingless_dereverb
-
     ref_params = AcousticParams(rt60=rt60, drr_db=DEFAULT_DRR_GRID[0],
                                 sample_rate=sample_rate, noise_mode=noise_mode)
     ref_seed = int(derive_rng(seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
-    solver_cfg = SolverConfig(max_iters=k_inner, seed=ref_seed,
-                              loss_cfg=LossConfig())
-    shat, _ = trainingless_dereverb(spec, ref_params, solver_cfg)
+    solver_cfg = solver.SolverConfig(max_iters=k_inner, seed=ref_seed)
+    shat, _ = solver.trainingless_dereverb(spec, ref_params, solver_cfg)
     x = istft(shat)
 
     weights = row_weights(spec.config)

@@ -29,9 +29,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import tfconv
-from .blind import (MIN_SECONDS, BlindConfig, Rt60Calibration,
-                    analyze_blind, calibrate_rt60)
+from . import blind, tfconv
+from .blind import MIN_SECONDS, BlindConfig, Rt60Calibration, calibrate_rt60
 from .loss import VARIANTS, LossConfig, _align_frames
 from .metrics import evaluate
 from .records import format_records, read_records, record_number
@@ -41,9 +40,7 @@ from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
 from .seeding import STREAM_CLI_TASKS, derive_rng
 from .signals import (Signal, default_stft_config, fft_convolve, istft,
                       read_wav, speech_like_noise, stft, write_wav)
-from .solver import SolverConfig, dereverb_pipeline
-# not called here; perfbench/spans.py wraps cli.trainingless_dereverb by name
-from .solver import trainingless_dereverb  # noqa: F401
+from .solver import SolverConfig, trainingless_dereverb
 
 CLI_SAMPLE_RATE = 16000
 DOMAINS = ("time", "stft")
@@ -204,8 +201,8 @@ def cmd_analyze_blind(args):
     _check_blind_length(args.input, len(sig))
     cal = Rt60Calibration.from_file(args.calibration)
     spec = stft(sig, default_stft_config())
-    est = analyze_blind(spec, cal, _blind_config(args),
-                        sample_rate=sig.sample_rate)
+    est = blind.analyze_blind(spec, cal, _blind_config(args),
+                              sample_rate=sig.sample_rate)
     _write_text(args.output, format_records(asdict(est).items()))
     return 0
 
@@ -219,13 +216,38 @@ def _solver_config(args, seed):
 
 
 def _dereverb_one(sig, out_path, trace_path, acoustics, args, task_seed):
-    result, trace = dereverb_pipeline(sig, acoustics,
-                                      _solver_config(args, task_seed),
-                                      _blind_config(args))
-    _atomic_write(out_path, lambda tmp: write_wav(tmp, result))
+    """Dereverberate one input: STFT, solve, iSTFT at the input's length;
+    write the output and, given ``trace_path``, the solve's trace.
+
+    Given an ``Rt60Calibration``, the blind analyzer supplies the acoustics.
+    When it finds no usable decay or maps to a near-anechoic RT60, the input
+    is written unchanged and the trace is one ``passthrough`` record naming
+    the cause, ``insufficient-decay`` or ``anechoic``.
+    """
+    spec = stft(sig, default_stft_config())
+    params, cause = acoustics, None
+    if isinstance(acoustics, Rt60Calibration):
+        blind_cfg = _blind_config(args)
+        try:
+            est = blind.analyze_blind(spec, acoustics, blind_cfg,
+                                      sample_rate=sig.sample_rate)
+            cause = "anechoic" if est.anechoic else None
+        except blind.InsufficientDecay:
+            cause = "insufficient-decay"
+        if cause is None:
+            params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
+                                    sample_rate=sig.sample_rate,
+                                    noise_mode=blind_cfg.noise_mode)
+    if cause is None:
+        shat, solve_trace = trainingless_dereverb(
+            spec, params, _solver_config(args, task_seed))
+        out = Signal(istft(shat, length=len(sig)), sig.sample_rate)
+        trace = solve_trace.to_lines()
+    else:
+        out, trace = sig, format_records([("passthrough", cause)])
+    _atomic_write(out_path, lambda tmp: write_wav(tmp, out))
     if trace_path:
-        _write_text(trace_path, trace.to_lines())
-    return 0
+        _write_text(trace_path, trace)
 
 
 def cmd_dereverb(args):
@@ -237,9 +259,15 @@ def cmd_dereverb(args):
                          "--rt60/--drr, not both")
     if args.rt60 is not None:
         acoustics = AcousticParams(
-            rt60=args.rt60, drr_db=args.drr, n_d=args.nd,
+            rt60=args.rt60, drr_db=0.0 if args.drr is None else args.drr,
+            n_d=DEFAULT_DIRECT_DELAY if args.nd is None else args.nd,
             sample_rate=CLI_SAMPLE_RATE, noise_mode=args.noise_mode)
     elif args.calibration:
+        # the blind analyzer supplies the acoustics; a DRR or direct delay
+        # given with it would be ignored
+        if args.drr is not None or args.nd is not None:
+            raise ValueError("dereverb takes --drr and --nd with --rt60 "
+                             "only, not with --calibration")
         acoustics = Rt60Calibration.from_file(args.calibration)
     else:
         raise ValueError("dereverb requires --calibration or --rt60/--drr")
@@ -368,8 +396,9 @@ def build_parser(config=None):
     p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--calibration", default=None)
     p.add_argument("--rt60", type=float, default=None)
-    p.add_argument("--drr", type=float, default=0.0)
-    p.add_argument("--nd", type=int, default=DEFAULT_DIRECT_DELAY)
+    # unset, they are 0 dB and DEFAULT_DIRECT_DELAY (see cmd_dereverb)
+    p.add_argument("--drr", type=float, default=None)
+    p.add_argument("--nd", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--step-size", type=float, default=SolverConfig.step_size)
     p.add_argument("--stop-rel-tol", type=float,

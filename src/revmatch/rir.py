@@ -259,7 +259,8 @@ def write_rir(path, rir):
 def read_rir(path):
     """Load an RIR written by :func:`write_rir`; in a text RIR, a tap that
     is not a finite number or a rate header that is not a positive integer
-    is a ``ValueError`` naming ``FILE:LINE``."""
+    is a ``ValueError`` naming ``FILE:LINE``, and a missing header or no
+    taps at all one naming ``FILE``."""
     path = str(path)
     if path.endswith(".wav"):
         sig = read_wav(path)
@@ -283,6 +284,8 @@ def read_rir(path):
                 raise ValueError(f"{path}:{number}: {exc}") from None
     if rate is None:
         raise ValueError(f"{path}: text RIR lacks a sample_rate header")
+    if not taps:
+        raise ValueError(f"{path}: text RIR has no taps")
     return Rir(np.array(taps), rate)
 
 

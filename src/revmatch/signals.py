@@ -383,8 +383,16 @@ def read_wav(path, expect_rate=None):
     PCM 16, 24 and 32 bit are scaled to [-1, 1) (24-bit data as left-justified
     32-bit words); IEEE float 32 and 64 bit data is passed through. Chunks
     other than ``fmt `` and ``data`` are skipped. 8-bit PCM, compressed
-    formats and the RIFX and RF64 containers are refused.
+    formats and the RIFX and RF64 containers are refused. Every
+    ``ValueError`` starts with the path: ``PATH: message``.
     """
+    try:
+        return _read_wav(path, expect_rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_wav(path, expect_rate):
     with open(path, "rb") as f:
         head = f.read(12)
         if len(head) < 12 or head[8:12] != b"WAVE":

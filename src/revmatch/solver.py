@@ -6,13 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blind, tfconv
+from . import tfconv
 from .loss import LossConfig, rm_loss
-from .records import format_records
-from .rir import AcousticParams, Rir
 from .seeding import STREAM_SOLVER_ITERS, as_path
-from .signals import (Signal, Spectrogram, default_stft_config, istft,
-                      row_weights, stft)
+from .signals import Spectrogram, istft, row_weights, stft
 
 
 class DivergenceError(RuntimeError):
@@ -66,18 +63,6 @@ class SolveTrace:
                        f"l_mag={r.l_mag:.17g} alpha={r.alpha:.17g} "
                        f"total={r.total:.17g}")
         return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class Passthrough:
-    """Why a blind dereverb returned its input unchanged:
-    ``insufficient-decay`` (the analyzer found no usable decay) or
-    ``anechoic`` (the mapped RT60 is below the anechoic floor)."""
-
-    cause: str
-
-    def to_lines(self):
-        return format_records([("passthrough", self.cause)])
 
 
 def _adam_step(x, grad, t, step_size, m, v, step, denom):
@@ -193,50 +178,3 @@ def trainingless_dereverb(y, params, cfg=None):
                        converged=converged)
     return stft(best_x * scale, y.config, one_sided=True), trace
 
-
-def dereverb_pipeline(sig, acoustics, solver_cfg=None, blind_cfg=None):
-    """Dereverberate a time-domain signal: STFT -> solve -> iSTFT, with the
-    output at the input's length.
-
-    ``acoustics`` is either known ``AcousticParams``, solved for directly, or
-    an ``Rt60Calibration``: blind analysis then supplies the parameters, and
-    the input passes through unchanged when the analyzer finds no usable decay
-    or maps to a near-anechoic RT60.
-
-    Returns
-    -------
-    (Signal, SolveTrace or Passthrough)
-        A Passthrough, naming its cause, when the input passed through without
-        a solve.
-
-    Raises
-    ------
-    ValueError
-        If known acoustics (``AcousticParams`` or ``Rir``) are at another
-        sample rate than the signal.
-    """
-    if (isinstance(acoustics, (AcousticParams, Rir))
-            and acoustics.sample_rate != sig.sample_rate):
-        raise ValueError(f"acoustics at {acoustics.sample_rate} Hz for a "
-                         f"signal at {sig.sample_rate} Hz")
-    if solver_cfg is None:
-        solver_cfg = SolverConfig()
-    spec = stft(sig, default_stft_config())
-    params = acoustics
-    if isinstance(acoustics, blind.Rt60Calibration):
-        if blind_cfg is None:
-            blind_cfg = blind.BlindConfig()
-        try:
-            est = blind.analyze_blind(spec, acoustics, blind_cfg,
-                                      sample_rate=sig.sample_rate)
-        except blind.InsufficientDecay:
-            est = None
-        if est is None or est.anechoic:
-            cause = "insufficient-decay" if est is None else "anechoic"
-            unchanged = Signal(sig.samples.copy(), sig.sample_rate)
-            return unchanged, Passthrough(cause)
-        params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
-                                sample_rate=sig.sample_rate,
-                                noise_mode=blind_cfg.noise_mode)
-    shat, trace = trainingless_dereverb(spec, params, solver_cfg)
-    return Signal(istft(shat, length=len(sig)), sig.sample_rate), trace

@@ -12,13 +12,15 @@ from scipy.signal import fftconvolve
 
 import revmatch.blind as blind
 import revmatch.cli as cli
+import revmatch.solver as solver
 from revmatch.cli import main
-from revmatch.blind import BlindConfig, Rt60Calibration
+from revmatch.blind import BlindConfig, BlindEstimate, Rt60Calibration
 from revmatch.records import format_records, read_records
 from revmatch.rir import AcousticParams, read_rir, sample_rir, synthetic_pair
-from revmatch.signals import (Signal, default_stft_config, read_wav,
+from revmatch.seeding import STREAM_CLI_TASKS
+from revmatch.signals import (Signal, default_stft_config, istft, read_wav,
                               speech_like_noise, stft, write_wav)
-from revmatch.solver import SolverConfig
+from revmatch.solver import SolverConfig, trainingless_dereverb
 
 FS = 16000
 
@@ -122,8 +124,10 @@ BAD_TEXT_RIRS = pytest.mark.parametrize("text, where, message", [
     ("# sample_rate=16k\n1\n", ":1: ", "'16k'"),
     ("1\n0.5\n", ": ", "text RIR lacks a sample_rate header"),
     ("# sample_rate=16000\n1\nnan\n", ":3: ", "non-finite taps"),
-    ("# sample_rate=0\n1\n0.5\n", ":1: ", "sample_rate must be positive")],
-    ids=["bad-tap", "bad-header", "no-header", "nan-tap", "zero-rate"])
+    ("# sample_rate=0\n1\n0.5\n", ":1: ", "sample_rate must be positive"),
+    ("# sample_rate=16000\n", ": ", "text RIR has no taps")],
+    ids=["bad-tap", "bad-header", "no-header", "nan-tap", "zero-rate",
+         "no-taps"])
 
 
 @BAD_TEXT_RIRS
@@ -585,6 +589,182 @@ def test_dereverb_requires_params_or_calibration(tmp_path):
     assert run("dereverb", "--in", wet_path, "-o", tmp_path / "d.wav") == 2
 
 
+def _task_solver_config(seed, **kwargs):
+    """The solver config of the first input of a dereverb run at ``seed``."""
+    return SolverConfig(seed=(seed, STREAM_CLI_TASKS, 0), **kwargs)
+
+
+def test_dereverb_blind_matches_manual_composition(tmp_path):
+    # STFT, blind analysis, the solve at its estimate, iSTFT at the input's
+    # length
+    wet_path = tmp_path / "wet.wav"
+    params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
+    wet = fftconvolve(speech_like_noise(2 * FS, FS, rng=13),
+                      sample_rir(params, rng=12).taps)[:2 * FS]
+    write_wav(wet_path, Signal(wet, FS))
+    cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)  # identity map on raw
+    cal_path = tmp_path / "cal.txt"
+    cal.to_file(cal_path)
+    out, trace = tmp_path / "dry.wav", tmp_path / "t.txt"
+    assert run("dereverb", "--in", wet_path, "--calibration", cal_path,
+               "--max-iters", 8, "--k-inner", 4, "--seed", 3,
+               "--trace", trace, "-o", out) == 0
+
+    sig = read_wav(wet_path)
+    spec = stft(sig, default_stft_config())
+    est = blind.analyze_blind(spec, cal, BlindConfig(k_inner=4, seed=3),
+                              sample_rate=FS)
+    assert not est.anechoic
+    shat, manual_trace = trainingless_dereverb(
+        spec, AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
+                             sample_rate=FS),
+        _task_solver_config(3, max_iters=8))
+    manual = istft(shat, length=len(sig))
+    assert len(read_wav(out)) == len(sig)
+    np.testing.assert_array_equal(read_wav(out).samples,
+                                  manual.astype(np.float32))
+    assert trace.read_text() == manual_trace.to_lines()
+
+
+def test_dereverb_known_params_matches_manual_composition(tmp_path):
+    wet_path = tmp_path / "wet.wav"
+    params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
+    wet = fftconvolve(speech_like_noise(FS // 2, FS, rng=16),
+                      sample_rir(params, rng=15).taps)[:FS // 2]
+    write_wav(wet_path, Signal(wet, FS))
+    out, trace = tmp_path / "dry.wav", tmp_path / "t.txt"
+    assert run("dereverb", "--in", wet_path, "--rt60", 0.2, "--drr", 0,
+               "--max-iters", 4, "--seed", 2, "--trace", trace,
+               "-o", out) == 0
+
+    sig = read_wav(wet_path)
+    shat, manual_trace = trainingless_dereverb(
+        stft(sig, default_stft_config()), params,
+        _task_solver_config(2, max_iters=4))
+    np.testing.assert_array_equal(
+        read_wav(out).samples,
+        istft(shat, length=len(sig)).astype(np.float32))
+    assert trace.read_text() == manual_trace.to_lines()
+
+
+def _counting(monkeypatch, bindings):
+    """Wrap each (module, name) so that its calls append
+    ``module.name``; returns the list of calls."""
+    calls = []
+    for module, name in bindings:
+        def counting(*args, _real=getattr(module, name),
+                     _name=f"{module.__name__.split('.')[-1]}.{name}",
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("cause", ["anechoic", "insufficient-decay"])
+def test_dereverb_passthrough_writes_the_input_without_a_solve(
+        tmp_path, monkeypatch, cause):
+    # a calibration mapping every input to RT60 0 finds it anechoic; a
+    # silent input has no decay at all
+    wet_path = tmp_path / "wet.wav"
+    samples = (np.random.default_rng(14).standard_normal(FS) * 0.1
+               if cause == "anechoic" else np.zeros(FS))
+    write_wav(wet_path, Signal(samples, FS))
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=float(cause != "anechoic"),
+                    c2=0.0).to_file(cal)
+    calls = _counting(monkeypatch, [(cli, "trainingless_dereverb"),
+                                    (solver, "trainingless_dereverb")])
+    out, trace = tmp_path / "dry.wav", tmp_path / "t.txt"
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--max-iters", 4, "--trace", trace, "-o", out) == 0
+    assert calls == []
+    assert trace.read_text() == f"passthrough={cause}\n"
+    assert file_bytes(out) == file_bytes(wet_path)
+
+
+def test_dereverb_blind_solves_with_the_blind_noise_mode(tmp_path,
+                                                         monkeypatch):
+    # the main solve uses the noise model the DRR grid was scored under
+    est = BlindEstimate(rt60=0.2, drr_db=3.0, raw_median_decay=0.2)
+    monkeypatch.setattr(blind, "analyze_blind", lambda *a, **k: est)
+    received = []
+
+    def recording_solve(y, params, cfg=None):
+        received.append(params)
+        return trainingless_dereverb(y, params, cfg)
+
+    monkeypatch.setattr(cli, "trainingless_dereverb", recording_solve)
+    wet_path = tmp_path / "wet.wav"
+    write_wav(wet_path, Signal(speech_like_noise(FS, FS, rng=17), FS))
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--max-iters", 2, "--noise-mode", "half-normal",
+               "-o", tmp_path / "dry.wav") == 0
+    assert received == [AcousticParams(rt60=0.2, drr_db=3.0, sample_rate=FS,
+                                       noise_mode="half-normal")]
+
+
+def test_dereverb_blind_reaches_the_names_perfbench_wraps(tmp_path,
+                                                          monkeypatch):
+    # the benchmark wraps these module attributes; callers must look them up
+    # at call time, not bind them at import
+    calls = _counting(monkeypatch, [
+        (cli, "stft"), (cli, "istft"), (cli, "trainingless_dereverb"),
+        (solver, "trainingless_dereverb"), (blind, "blind_drr"),
+        (blind, "analyze_blind")])
+    wet_path, cal = _blind_inputs(tmp_path, "c0=0\nc1=1\nc2=0\n")
+    trace = tmp_path / "t.txt"
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--max-iters", 2, "--k-inner", 2, "--trace", trace,
+               "-o", tmp_path / "dry.wav") == 0
+    assert trace.read_text().startswith("iter=0 ")
+    # the main solve is cli's, the DRR grid's reference solve solver's
+    assert sorted(calls) == ["blind.analyze_blind", "blind.blind_drr",
+                             "cli.istft", "cli.stft",
+                             "cli.trainingless_dereverb",
+                             "solver.trainingless_dereverb"]
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("option", [("drr", 9), ("nd", 400)],
+                         ids=["drr", "nd"])
+def test_dereverb_refuses_drr_or_nd_with_a_calibration(tmp_path, monkeypatch,
+                                                       capsys, source, option):
+    # the blind analyzer supplies the acoustics: both used to be ignored
+    # without a word
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    cal = tmp_path / "cal.txt"
+    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    name, value = option
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name}={value}\n")
+    extra = ([f"--{name}", value] if source == "flags"
+             else ["--config", config])
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "o.wav"
+    assert run("dereverb", "--in", x0, "--calibration", cal,
+               "--max-iters", 2, *extra, "-o", out) == 2
+    assert ("dereverb takes --drr and --nd with --rt60 only, not with "
+            "--calibration") in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+
+
+def test_dereverb_rt60_alone_means_drr_0_and_the_default_direct_delay(
+        tmp_path):
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    outs = []
+    for extra in ([], ["--drr", 0, "--nd", 40]):
+        out, trace = tmp_path / f"o{len(outs)}.wav", tmp_path / f"t{len(outs)}"
+        assert run("dereverb", "--in", x0, "--rt60", 0.3, "--max-iters", 3,
+                   *extra, "--trace", trace, "-o", out) == 0
+        outs.append((file_bytes(out), file_bytes(trace)))
+    assert outs[0] == outs[1]
+
+
 def _dereverb_serial_and_parallel(tmp_path, *extra):
     """Outputs, as bytes, of dereverbing two reverberant inputs made in
     ``tmp_path`` with one worker and with two: {workers: [bytes of wet0,
@@ -936,6 +1116,26 @@ def test_dereverb_batch_reads_every_input_before_the_first_solve(tmp_path):
                    "--drr", 0, "--max-iters", 2, "--workers", workers,
                    "-o", out) == 2
         assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("bad", ["nan", "rate"])
+def test_dereverb_batch_names_a_bad_input_before_the_first_solve(
+        tmp_path, capsys, bad):
+    a, b, c = _noise_wavs(tmp_path, "a.wav", "b.wav", "c.wav")
+    if bad == "nan":
+        samples = np.zeros(FS // 2, dtype=np.float32)
+        samples[100] = np.nan
+        wavfile.write(b, FS, samples)
+    else:
+        wavfile.write(b, 22050, np.zeros(FS // 2, dtype=np.float32))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("dereverb", "--in", a, "--in", b, "--in", c, "--rt60", 0.3,
+               "--max-iters", 2, "-o", out) == 2
+    message = ("signal contains non-finite samples" if bad == "nan" else
+               "unsupported sample rate: 22050 Hz (expected 16000 Hz)")
+    assert f"error: {b}: {message}" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_dereverb_batch_checks_the_blind_minimum_before_the_first_solve(

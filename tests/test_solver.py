@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-import revmatch.blind as blind
 import revmatch.rir as rir
 import revmatch.solver as solver
 import revmatch.tfconv as tfconv
-from revmatch.blind import BlindConfig, BlindEstimate, Rt60Calibration
 from revmatch.loss import rm_loss
 from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.seeding import STREAM_SOLVER_ITERS, as_path
-from revmatch.signals import (Signal, Spectrogram, default_stft_config,
-                              fft_convolve, istft, speech_like_noise, stft)
-from revmatch.solver import (DivergenceError, Passthrough, SolverConfig,
-                             SolveTrace, dereverb_pipeline,
+from revmatch.signals import (Spectrogram, default_stft_config, fft_convolve,
+                              istft, speech_like_noise, stft)
+from revmatch.solver import (DivergenceError, SolverConfig,
                              trainingless_dereverb)
 
 FS = 16000
@@ -183,100 +180,6 @@ def test_trace_lines_format(cfg):
     assert lines[0].startswith("iter=0 l_complex=")
 
 
-def test_pipeline_matches_manual_composition(cfg):
-    from revmatch.blind import analyze_blind
-
-    params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
-    h = sample_rir(params, rng=12)
-    s = speech_like_noise(2 * FS, FS, rng=13)
-    wet = fftconvolve(s, h.taps)[:2 * FS]
-    sig = Signal(wet, FS)
-    cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)  # identity map on raw
-    solver_cfg = SolverConfig(max_iters=8, seed=3)
-    blind_cfg = BlindConfig(k_inner=4, seed=3)
-    out, trace = dereverb_pipeline(sig, cal, solver_cfg, blind_cfg)
-    assert isinstance(trace, SolveTrace)
-    assert len(out) == len(sig)
-    assert np.all(np.isfinite(out.samples))
-
-    spec = stft(sig, cfg)
-    est = analyze_blind(spec, cal, blind_cfg, sample_rate=FS)
-    manual_params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
-                                   sample_rate=FS)
-    shat, _ = trainingless_dereverb(spec, manual_params, solver_cfg)
-    manual = istft(shat, length=len(sig))
-    np.testing.assert_allclose(out.samples, manual, atol=1e-12)
-
-
-def test_pipeline_passthrough_on_anechoic(cfg):
-    rng = np.random.default_rng(14)
-    sig = Signal(rng.standard_normal(2 * FS) * 0.1, FS)
-    # calibration mapping everything to a near-zero RT60
-    cal = Rt60Calibration(c0=0.0, c1=0.0, c2=0.0)
-    out, trace = dereverb_pipeline(sig, cal, SolverConfig(max_iters=4))
-    assert trace == Passthrough("anechoic")
-    np.testing.assert_array_equal(out.samples, sig.samples)
-
-
-def test_pipeline_passthrough_on_insufficient_decay(cfg, monkeypatch):
-    def no_decay(spec, calibration, cfg, sample_rate):
-        raise blind.InsufficientDecay("no decay")
-
-    monkeypatch.setattr(blind, "analyze_blind", no_decay)
-    sig = Signal(np.random.default_rng(17).standard_normal(FS) * 0.1, FS)
-    cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)
-    out, trace = dereverb_pipeline(sig, cal)
-    assert trace == Passthrough("insufficient-decay")
-    assert trace.to_lines() == "passthrough=insufficient-decay\n"
-    np.testing.assert_array_equal(out.samples, sig.samples)
-
-
-def test_pipeline_known_params_matches_manual_composition(cfg):
-    params = AcousticParams(rt60=0.2, drr_db=0.0, sample_rate=FS)
-    h = sample_rir(params, rng=15)
-    sig = Signal(fftconvolve(speech_like_noise(FS // 2, FS, rng=16),
-                             h.taps)[:FS // 2], FS)
-    solver_cfg = SolverConfig(max_iters=4, seed=2)
-    out, trace = dereverb_pipeline(sig, params, solver_cfg)
-    shat, manual_trace = trainingless_dereverb(stft(sig, cfg), params,
-                                               solver_cfg)
-    np.testing.assert_array_equal(out.samples, istft(shat, length=len(sig)))
-    np.testing.assert_array_equal(trace.totals, manual_trace.totals)
-
-
-def test_pipeline_refuses_known_acoustics_at_another_rate(monkeypatch):
-    # RIRs drawn at 16 kHz do not describe an 8 kHz recording
-    def no_stft(*args, **kwargs):
-        raise AssertionError("STFT taken before the rate check")
-
-    monkeypatch.setattr(solver, "stft", no_stft)
-    sig = Signal(speech_like_noise(FS // 2, FS // 2, rng=18), FS // 2)
-    params = AcousticParams(rt60=0.5, drr_db=0.0, sample_rate=FS)
-    for acoustics in (params, sample_rir(params, rng=19)):
-        with pytest.raises(ValueError, match="16000 Hz.*8000 Hz"):
-            dereverb_pipeline(sig, acoustics, SolverConfig(max_iters=3))
-
-
-def test_blind_pipeline_solves_with_the_blind_noise_mode(monkeypatch):
-    # the main solve uses the noise model the DRR grid was scored under
-    est = BlindEstimate(rt60=0.2, drr_db=3.0, raw_median_decay=0.2)
-    monkeypatch.setattr(blind, "analyze_blind", lambda *a, **k: est)
-    received = []
-    real_solve = solver.trainingless_dereverb
-
-    def recording_solve(y, params, cfg=None):
-        received.append(params)
-        return real_solve(y, params, cfg)
-
-    monkeypatch.setattr(solver, "trainingless_dereverb", recording_solve)
-    sig = Signal(speech_like_noise(FS, FS, rng=17), FS)
-    dereverb_pipeline(sig, Rt60Calibration(c0=0.0, c1=1.0, c2=0.0),
-                      SolverConfig(max_iters=2),
-                      BlindConfig(noise_mode="half-normal"))
-    assert received == [AcousticParams(rt60=0.2, drr_db=3.0, sample_rate=FS,
-                                       noise_mode="half-normal")]
-
-
 @pytest.mark.parametrize("which", [0, 1], ids=["dirac", "polack"])
 def test_loss_of_the_written_output_is_the_best_total(which):
     # the loss scores exactly the samples istft writes: recomputed from the
@@ -428,26 +331,3 @@ def test_last_capped_iteration_takes_no_gradient(monkeypatch):
     assert trace.iterations_used == 5
     assert len(adjoints) == 4
 
-
-def test_blind_pipeline_reaches_the_names_perfbench_wraps(monkeypatch):
-    # the benchmark wraps these module attributes; callers must look them up
-    # at call time, not bind them at import
-    calls = []
-    for module, name in ((solver, "trainingless_dereverb"),
-                         (blind, "blind_drr"), (blind, "analyze_blind")):
-        def counting(*args, _real=getattr(module, name), _name=name,
-                     **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-    params = AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS)
-    wet = fftconvolve(speech_like_noise(FS, FS, rng=12),
-                      sample_rir(params, rng=13).taps)[:FS]
-    _, trace = dereverb_pipeline(
-        Signal(wet, FS), Rt60Calibration(c0=0.0, c1=1.0, c2=0.0),
-        SolverConfig(max_iters=2), BlindConfig(k_inner=2))
-    assert isinstance(trace, SolveTrace)
-    assert sorted(calls) == ["analyze_blind", "blind_drr",
-                             "trainingless_dereverb",
-                             "trainingless_dereverb"]

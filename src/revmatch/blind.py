@@ -20,7 +20,7 @@ from . import rir, solver, tfconv
 from .records import format_records, read_records, record_number
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, derive_rng
-from .signals import istft, row_weights
+from .signals import istft, row_weights, weighted_dot
 # not called here: perfbench/workloads.py draws its inputs as
 # rm.blind.speech_like_noise
 from .signals import speech_like_noise  # noqa: F401
@@ -260,9 +260,10 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
     x = istft(shat)
 
     weights = row_weights(spec.config)
-    y_energy = float(np.sum(weights * np.abs(spec.half().data) ** 2))
+    y_half = np.ascontiguousarray(spec.half().data)
+    y_energy = weighted_dot(y_half, y_half, weights)
     a = shat.data
-    a_energy = float(np.sum(weights * np.abs(a) ** 2))
+    a_energy = weighted_dot(a, a, weights)
     # per draw: ||B||^2 and Re<A, B> under the row weights
     sums = np.empty((DRR_DRAWS, 2))
     scratch = tfconv.Scratch(len(x), spec.config)
@@ -271,8 +272,7 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
             ref_params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i)).taps
         tail[0] = 0.0  # the draw without its direct tap
         b = tfconv.forward(tail, x, scratch)
-        b_w = weights * b
-        sums[i] = [np.vdot(b_w, b).real, np.vdot(b_w, a).real]
+        sums[i] = [weighted_dot(b, b, weights), weighted_dot(a, b, weights)]
     bb, ab = sums.mean(axis=0)
     tau = rir.tau_from_rt60(rt60, sample_rate)
     sigmas = np.array([rir.sigma_from_drr(db, tau, ref_params.n_d)

@@ -182,6 +182,10 @@ def cmd_calibrate(args):
     elif args.synthetic is not None:
         if args.synthetic < 3:
             raise ValueError("insufficient calibration data: need >= 3 pairs")
+        if int(args.duration * CLI_SAMPLE_RATE) < 2:
+            raise ValueError(f"--duration {args.duration:g} s: a synthetic "
+                             "pair's dry signal needs at least 2 samples at "
+                             f"{CLI_SAMPLE_RATE} Hz")
         pairs = (_synthetic_pair(args.seed, i, args.duration, cfg)
                  for i in range(args.synthetic))
     else:

@@ -11,7 +11,8 @@ respect to the re-reverberated grid, recomputed per draw.
 The grid helpers (:func:`loss_complex`, :func:`grad_mag`, ...) work on full
 grids, with gradients in the convention grad[f, t] = dL/dRe + i * dL/dIm.
 :func:`rm_loss` scores one-sided grids (F // 2 + 1 rows, see
-:class:`~revmatch.signals.Spectrogram`): every sum over bins, in both terms
+:class:`~revmatch.signals.Spectrogram`) against an :class:`Observation`,
+built once per solve: every sum over bins, in both terms
 and in the gradient norms behind the weight, weights its rows by
 :func:`~revmatch.signals.row_weights` (1 for DC and Nyquist, 2 for the
 rest), so the values equal those of the Hermitian full grids to rounding.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import rir, tfconv
 from .seeding import STREAM_LOSS_DRAWS, derive_rng
-from .signals import Spectrogram, row_weights
+from .signals import Spectrogram, row_weights, weighted_dot
 
 VARIANTS = ("single", "average", "best")
 
@@ -144,30 +145,45 @@ def _align_frames(arr, num_frames):
     return out
 
 
-def _weighted_sq_sum(x, weights):
-    """sum_f w_f sum_t |x[f, t]|^2 for a C-contiguous (rows, T) array: the
-    squared Frobenius norm of the full grid a one-sided grid stands for."""
-    flat = x.view(np.float64) if np.iscomplexobj(x) else x
-    return float(weights[:, 0] @ np.vecdot(flat, flat))
+class Observation:
+    """One solve's observed grid ``y`` (full or one-sided), as :func:`rm_loss`
+    scores it: its one-sided rows ``data`` and their ``log_mag``, log(1 +
+    |data|); the :func:`~revmatch.signals.row_weights` ``weights`` and the
+    full grid's ``energy``; the loss's work arrays ``diff``, ``mag``,
+    ``err``, ``denom``, ``g_m``, ``grad_sum`` (the ``average``'s) and
+    ``g_best`` (the ``best``'s); and ``scratch``, the operator's
+    :class:`~revmatch.tfconv.Scratch` for ``y.num_samples`` samples under
+    ``y.config``. A gradient :func:`rm_loss` returns is the observation's
+    until its next call. It is never shared between threads."""
+
+    def __init__(self, y):
+        self.data = np.ascontiguousarray(y.half().data)
+        self.log_mag = np.log1p(np.abs(self.data))
+        self.weights = row_weights(y.config)
+        self.energy = weighted_dot(self.data, self.data, self.weights)
+        self.scratch = tfconv.Scratch(y.num_samples, y.config)
+        _check_shapes(self.data, self.scratch.grid)
+        grid = self.data.shape
+        self.diff, self.g_m, self.g_best = (
+            np.empty(grid, dtype=np.complex128) for _ in range(3))
+        self.mag, self.err, self.denom = (np.empty(grid) for _ in range(3))
+        self.grad_sum = np.empty(y.num_samples)
 
 
-def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
-                scratch):
-    """Loss terms of one draw on one-sided grids, in the arrays of a
-    :class:`~revmatch.tfconv.Scratch`: (l_c, l_m, alpha, total, g_y), with
-    g_y (``scratch.diff``) the gradient with respect to yhat when
-    ``want_grad``; ``log_mag_y`` is log(1 + |y_data|)."""
-    _check_shapes(y_data, yhat)
-    diff = np.subtract(yhat, y_data, out=scratch.diff)
-    mag = np.abs(yhat, out=scratch.mag)
-    err = np.subtract(log_mag_y, np.log1p(mag, out=scratch.err),
-                      out=scratch.err)
-    l_c = _weighted_sq_sum(diff, weights)
-    l_m = _weighted_sq_sum(err, weights)
-    g_m = _grad_mag(err, mag, yhat, scratch.denom, scratch.g_m)
+def _draw_terms(obs, yhat, alpha_fallback, want_grad):
+    """Loss terms of one draw's one-sided grid ``yhat`` against ``obs``, in
+    its arrays: (l_c, l_m, alpha, total, g_y), with g_y (``obs.diff``) the
+    gradient with respect to yhat when ``want_grad``."""
+    w = obs.weights
+    diff = np.subtract(yhat, obs.data, out=obs.diff)
+    mag = np.abs(yhat, out=obs.mag)
+    err = np.subtract(obs.log_mag, np.log1p(mag, out=obs.err), out=obs.err)
+    l_c = weighted_dot(diff, diff, w)
+    l_m = weighted_dot(err, err, w)
+    g_m = _grad_mag(err, mag, yhat, obs.denom, obs.g_m)
     # doubling is exact, so ||2 diff|| is 2 sqrt(l_c) to the last bit
     norm_c = 2.0 * np.sqrt(l_c)
-    norm_m = np.sqrt(_weighted_sq_sum(g_m, weights))
+    norm_m = np.sqrt(weighted_dot(g_m, g_m, w))
     if norm_m == 0.0:
         alpha = float(alpha_fallback)
     else:
@@ -182,50 +198,43 @@ def _draw_terms(y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
     return l_c, l_m, alpha, total, diff
 
 
-def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
-            alpha_fallback=1.0, log_mag_y=None, scratch=None):
+def rm_loss(obs, x, acoustics, cfg, seed=0, want_grad=False,
+            alpha_fallback=1.0):
     """Reverberation-matching loss between an observed reverberant grid and a
     real dry signal pushed through RIRs drawn from, or fixed by, the
     acoustics.
 
     Each draw is the exact convolution with its RIR, :func:`tfconv.forward`:
     the one-sided STFT of ``(h * x)`` cut to ``len(x)`` samples, scored
-    against ``y``'s first F // 2 + 1 rows with row-weighted sums, so the loss
-    values and the weight equal those of the Hermitian full grids to
+    against the observation's one-sided rows with row-weighted sums, so the
+    loss values and the weight equal those of the Hermitian full grids to
     rounding. The gradient goes back through :func:`tfconv.adjoint`: once
     per draw for the ``average``, summed in draw order, and once for the
     selected draw of the ``best``, the first of the lowest total.
 
     Parameters
     ----------
-    y : Spectrogram
-        Observed reverberant STFT (full or one-sided) of ``len(x)`` samples.
+    obs : Observation
+        The observed grid, in whose arrays the loss and the operator work;
+        a known Rir's spectrum is computed once per observation.
     x : ndarray
-        Real dry estimate, 1-D.
+        Real dry estimate, 1-D, of the observation's sample count; another
+        length is refused with ValueError by :func:`tfconv.forward`.
     acoustics : AcousticParams or Rir
         AcousticParams give ``cfg.resolved_draws`` draws of
         :func:`~revmatch.rir.sample_rir`; a known Rir is the single draw
         (the expectation over a point mass is the single-draw loss); any
-        other type raises TypeError. Must match y's sample rate.
+        other type raises TypeError. Must match the observation's sample
+        rate.
     cfg : LossConfig
     seed : int
         Draw i uses the stream (seed, STREAM_LOSS_DRAWS, i), so results do not
         depend on evaluation order.
     want_grad : bool
         Also return the gradient with respect to x (a real array of its
-        length).
+        length, the observation's until its next call).
     alpha_fallback : float
         Weight used when the magnitude-loss gradient vanishes.
-    log_mag_y : ndarray, optional
-        ``log1p(abs(y.half().data))``, for a caller that scores one
-        observation many times; computed here when not given.
-    scratch : tfconv.Scratch, optional
-        Work arrays for ``len(x)`` samples under ``y.config``, for a caller
-        that scores many times; it keys the RIR's spectrum on the taps
-        array, so a known Rir's is computed once per scratch. The gradient
-        returned is then the scratch's and its next use overwrites it. A
-        scratch of another STFT config or length is refused with
-        ValueError; a fresh one is made when not given.
 
     Returns
     -------
@@ -240,40 +249,31 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
     else:
         raise TypeError("acoustics must be AcousticParams or a Rir")
     n_draws = len(draws)
-    y_data = y.half().data
-    if log_mag_y is None:
-        log_mag_y = np.log1p(np.abs(y_data))
-    if scratch is None:
-        scratch = tfconv.Scratch(len(x), y.config)
-    elif not scratch.cfg.same_grid(y.config):
-        raise ValueError("scratch is sized for another STFT config")
-    weights = row_weights(y.config)
+    scratch = obs.scratch
 
-    # the next draw overwrites the scratch: the average sums its gradients
-    # in draw order as it goes, and the best keeps a copy of the grid of
-    # its lowest-loss draw so far
+    # the next draw overwrites the observation's arrays: the average sums
+    # its gradients in draw order as it goes, and the best keeps a copy of
+    # the grid of its lowest-loss draw so far
     summing = want_grad and cfg.variant == "average" and n_draws > 1
     keeping = want_grad and cfg.variant == "best" and n_draws > 1
-    g_best = np.empty_like(scratch.diff) if keeping else None
     per_draw = []
     best = 0
     for i, h in enumerate(draws):
         yhat = tfconv.forward(h.taps, x, scratch)
-        l_c, l_m, alpha, total, g_y = _draw_terms(
-            y_data, log_mag_y, yhat, weights, alpha_fallback, want_grad,
-            scratch)
+        l_c, l_m, alpha, total, g_y = _draw_terms(obs, yhat, alpha_fallback,
+                                                  want_grad)
         per_draw.append((l_c, l_m, alpha, total))
         if summing:
             g_x = tfconv.adjoint(h.taps, g_y, scratch)
             if i == 0:
-                np.copyto(scratch.grad_sum, g_x)
+                np.copyto(obs.grad_sum, g_x)
             else:
-                scratch.grad_sum += g_x
+                obs.grad_sum += g_x
         # strict: the first of equal totals, as argmin picks
         elif i == 0 or total < per_draw[best][3]:
             best = i
             if keeping:
-                np.copyto(g_best, g_y)
+                np.copyto(obs.g_best, g_y)
 
     if cfg.variant == "average" and n_draws > 1:
         l_c = float(np.mean([d[0] for d in per_draw]))
@@ -282,19 +282,15 @@ def rm_loss(y, x, acoustics, cfg, seed=0, want_grad=False,
         # effective weight keeping total == l_complex + alpha * l_mag exact
         alpha = (total - l_c) / l_m if l_m > 0 else float(
             np.mean([d[2] for d in per_draw]))
-        grad = None
-        if want_grad:
-            # the division of np.mean after its sum in draw order
-            grad = scratch.grad_sum
-            grad /= n_draws
+        # the division of np.mean after its sum in draw order
+        grad = (np.divide(obs.grad_sum, n_draws, out=obs.grad_sum)
+                if want_grad else None)
         return LossReport(l_c, l_m, alpha, total, selected_draw=None,
                           per_draw=per_draw), grad
     # one draw, or the best's lowest-loss draw with its own weight
     l_c, l_m, alpha, total = per_draw[best]
-    grad = None
-    if want_grad:
-        grad = tfconv.adjoint(draws[best].taps, g_best if keeping else g_y,
-                              scratch)
+    grad = (tfconv.adjoint(draws[best].taps, obs.g_best if keeping else g_y,
+                           scratch) if want_grad else None)
     selected = best if cfg.variant == "best" and n_draws > 1 else None
     return LossReport(l_c, l_m, alpha, total, selected_draw=selected,
                       per_draw=per_draw), grad

@@ -145,6 +145,15 @@ def row_weights(cfg):
     return w
 
 
+def weighted_dot(a, b, weights):
+    """sum_f w_f Re sum_t a[f, t] conj(b[f, t]), one ``vecdot`` over float
+    views of two C-contiguous (rows, T) arrays: under :func:`row_weights`,
+    the inner product of the full grids two one-sided grids stand for."""
+    if np.iscomplexobj(a):
+        a, b = a.view(np.float64), b.view(np.float64)
+    return float(weights[:, 0] @ np.vecdot(a, b))
+
+
 @dataclass
 class Spectrogram:
     """Complex STFT grid, shape (rows, T), in one of two layouts told apart
@@ -383,8 +392,9 @@ def read_wav(path, expect_rate=None):
     PCM 16, 24 and 32 bit are scaled to [-1, 1) (24-bit data as left-justified
     32-bit words); IEEE float 32 and 64 bit data is passed through. Chunks
     other than ``fmt `` and ``data`` are skipped. 8-bit PCM, compressed
-    formats and the RIFX and RF64 containers are refused. Every
-    ``ValueError`` starts with the path: ``PATH: message``.
+    formats, the RIFX and RF64 containers and a data chunk of no samples
+    are refused. Every ``ValueError`` starts with the path: ``PATH:
+    message``.
     """
     try:
         return _read_wav(path, expect_rate)
@@ -426,6 +436,8 @@ def _read_wav(path, expect_rate):
                              f"{width} bytes per sample")
         dtype, full_scale = _WAV_SAMPLES[tag, width]
         count = size // width
+        if count == 0:
+            raise ValueError("WAV data chunk holds no samples")
         raw = np.fromfile(f, dtype=dtype, count=count)
     if len(raw) < count:
         raise ValueError("WAV data chunk is shorter than its declared size")

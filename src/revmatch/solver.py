@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tfconv
-from .loss import LossConfig, rm_loss
+from .loss import LossConfig, Observation, rm_loss
 from .seeding import STREAM_SOLVER_ITERS, as_path
-from .signals import Spectrogram, istft, row_weights, stft
+from .signals import Spectrogram, istft, stft
 
 
 class DivergenceError(RuntimeError):
@@ -130,14 +129,11 @@ def trainingless_dereverb(y, params, cfg=None):
     if scale == 0:
         raise ValueError("observation is identically zero")
     x /= scale
-    y_norm = Spectrogram(y_half.data / scale, y.config, n)
-    floor = 1e-14 * float(np.sum(row_weights(y.config)
-                                 * np.abs(y_norm.data) ** 2))
-    log_mag_y = np.log1p(np.abs(y_norm.data))
+    obs = Observation(Spectrogram(y_half.data / scale, y.config, n))
+    floor = 1e-14 * obs.energy
 
-    # the operator's and the loss's arrays live in one scratch per solve,
-    # Adam's here; best_x is a copy, as x is updated in place
-    scratch = tfconv.Scratch(n, y.config)
+    # the operator's and the loss's arrays live in the observation, Adam's
+    # here; best_x is a copy, as x is updated in place
     m, v = np.zeros(n), np.zeros(n)
     step, denom = np.empty(n), np.empty(n)
     reports = []
@@ -149,11 +145,10 @@ def trainingless_dereverb(y, params, cfg=None):
         # step
         last = it == cfg.max_iters - 1
         report, grad = rm_loss(
-            y_norm, x, params, cfg.loss_cfg,
+            obs, x, params, cfg.loss_cfg,
             seed=(*as_path(cfg.seed), STREAM_SOLVER_ITERS, it),
             want_grad=not last,
-            alpha_fallback=reports[-1].alpha if reports else 1.0,
-            log_mag_y=log_mag_y, scratch=scratch)
+            alpha_fallback=reports[-1].alpha if reports else 1.0)
         reports.append(report)
         total = report.total
         if it == 0 or total < reports[best_index].total:

@@ -11,7 +11,7 @@ matrix-free:
   observation, so no frame count depends on the RIR. ``adjoint(taps, grid,
   scratch)`` maps a one-sided grid back to ``n`` samples (analysis adjoint,
   overlap-add, correlation with h, crop). Both work in a :class:`Scratch`,
-  the work arrays and STFT config of one solve, which keys the RIR's
+  the operator's work arrays and STFT config, which keys the RIR's
   spectrum on the taps array.
 - ``forward_full(taps, s)`` reverberates a full complex grid: overlap-add
   synthesis with g_s, complex FFT convolution, analysis of every frame the
@@ -204,39 +204,27 @@ def _frames(x, n, hop, num_frames):
 
 
 class Scratch:
-    """Work arrays of one solve: the signal- and grid-sized arrays that an
-    iteration of :func:`~revmatch.solver.trainingless_dereverb` writes, for
-    signals of ``num_samples`` samples under the STFT config ``cfg``.
-
-    - :func:`forward` and :func:`adjoint`: the real-FFT buffers
-      ``spec``/``time`` at the transform length ``n_fft`` and the spectrum
-      ``h_f`` with its conjugate ``h_f_conj`` of the taps array
-      ``spectrum_of`` (see :meth:`spectrum`); the STFT pad buffer ``pad``,
-      the ``frames`` (windowed by ``forward``, synthesized by ``adjoint``),
-      the one-sided ``grid`` and the overlap-add buffer ``ola``;
-    - :func:`~revmatch.loss.rm_loss`: ``diff``, ``mag``, ``err``, ``denom``,
-      ``g_m`` and the ``average`` variant's gradient sum ``grad_sum``.
-
-    An array that a call returns is the scratch's, and its next use
-    overwrites it. A scratch refuses a signal or grid of another size with
-    ``ValueError``, and is never shared between threads.
-    """
+    """The operator's work arrays for signals of ``num_samples`` samples
+    under the STFT config ``cfg`` (the loss's are its
+    :class:`~revmatch.loss.Observation`'s): the real-FFT buffers
+    ``spec``/``time`` at the transform length ``n_fft``, the spectrum
+    ``h_f`` and its conjugate ``h_f_conj`` of the taps array
+    ``spectrum_of`` (see :meth:`spectrum`), the STFT pad buffer ``pad``, the
+    ``frames``, the one-sided ``grid`` and the overlap-add buffer ``ola``.
+    An array a call returns is the scratch's until its next use. A scratch
+    refuses a signal or grid of another size with ``ValueError``, and is
+    never shared between threads."""
 
     def __init__(self, num_samples, cfg):
         n = num_samples
         t_frames = num_frames_for(n, cfg)
-        grid = (cfg.half_bins, t_frames)
         self.num_samples, self.cfg = n, cfg
         self.n_fft = None
         self.spectrum_of = None
         self.pad = np.zeros((t_frames - 1) * cfg.hop + cfg.win_len)
         self.frames = np.empty((t_frames, cfg.win_len))
-        self.grid = np.empty(grid, dtype=np.complex128)
+        self.grid = np.empty((cfg.half_bins, t_frames), dtype=np.complex128)
         self.ola = np.empty(len(self.pad))
-        self.diff = np.empty(grid, dtype=np.complex128)
-        self.g_m = np.empty(grid, dtype=np.complex128)
-        self.mag, self.err, self.denom = (np.empty(grid) for _ in range(3))
-        self.grad_sum = np.empty(n)
 
     def spectrum(self, taps):
         """The transform length for an RIR of ``taps``, long enough that

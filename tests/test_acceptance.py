@@ -10,8 +10,9 @@ import revmatch.tfconv as tfconv
 from conftest import rel_frame_error
 from revmatch.blind import calibrate_rt60, raw_decay_estimate
 from revmatch.cli import main as cli_main
-from revmatch.loss import (LossConfig, _align_frames, grad_complex, grad_mag,
-                           gradnorm_alpha, loss_complex, loss_mag, rm_loss)
+from revmatch.loss import (LossConfig, Observation, _align_frames,
+                           grad_complex, grad_mag, gradnorm_alpha,
+                           loss_complex, loss_mag, rm_loss)
 from revmatch.metrics import sisdr
 from revmatch.rir import (AcousticParams, analyze_rir, reverberant_energy,
                           sample_rir, sigma_from_drr, tau_from_rt60)
@@ -283,10 +284,10 @@ def test_criterion_11_best_not_above_average(cfg):
         s = speech_like_noise(FS // 2, FS, rng=400 + seed)
         y = stft(fftconvolve(s, h.taps), cfg)
         shat = np.concatenate([s, np.zeros(y.num_samples - len(s))])
-        avg, _ = rm_loss(y, shat, sampler,
+        avg, _ = rm_loss(Observation(y), shat, sampler,
                          LossConfig(variant="average", num_draws=5),
                          seed=seed)
-        best, _ = rm_loss(y, shat, sampler,
+        best, _ = rm_loss(Observation(y), shat, sampler,
                           LossConfig(variant="best", num_draws=5),
                           seed=seed)
         ok = ok and best.total <= avg.total

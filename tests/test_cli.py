@@ -14,6 +14,7 @@ import revmatch.blind as blind
 import revmatch.cli as cli
 import revmatch.solver as solver
 from revmatch.cli import main
+from revmatch.loss import Observation
 from revmatch.blind import BlindConfig, BlindEstimate, Rt60Calibration
 from revmatch.records import format_records, read_records
 from revmatch.rir import AcousticParams, read_rir, sample_rir, synthetic_pair
@@ -469,6 +470,19 @@ def test_calibrate_rejects_a_bad_duration(tmp_path, capsys, duration,
     assert not out.exists()
 
 
+def test_calibrate_names_a_duration_below_two_samples_before_any_pair(
+        tmp_path, capsys, monkeypatch):
+    calls = _counting(monkeypatch, [(cli, "synthetic_pair")])
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--synthetic", 3, "--duration", 0.0001,
+               "-o", out) == 2
+    assert ("error: --duration 0.0001 s: a synthetic pair's dry signal "
+            "needs at least 2 samples at 16000 Hz"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists()
+
+
 def test_calibrate_names_a_synthetic_pair_below_the_blind_minimum(tmp_path,
                                                                  capsys):
     out = tmp_path / "cal.txt"
@@ -726,6 +740,28 @@ def test_dereverb_blind_reaches_the_names_perfbench_wraps(tmp_path,
                              "cli.istft", "cli.stft",
                              "cli.trainingless_dereverb",
                              "solver.trainingless_dereverb"]
+
+
+@pytest.mark.parametrize("source", ["params", "calibration"])
+def test_dereverb_builds_one_observation_per_solve(tmp_path, monkeypatch,
+                                                   source):
+    # the loss's arrays are made once per solve, not per loss call: a blind
+    # file has two solves, the DRR grid's reference solve and the main one
+    built = []
+    init = Observation.__init__
+
+    def counting(self, y):
+        built.append(y.num_samples)
+        init(self, y)
+
+    monkeypatch.setattr(Observation, "__init__", counting)
+    wet_path, cal = _blind_inputs(tmp_path, "c0=0\nc1=1\nc2=0\n")
+    acoustics = (["--rt60", 0.4] if source == "params"
+                 else ["--calibration", cal, "--k-inner", 3])
+    assert run("dereverb", "--in", wet_path, *acoustics, "--max-iters", 5,
+               "-o", tmp_path / "dry.wav") == 0
+    n = len(read_wav(wet_path))
+    assert built == [n] * (1 if source == "params" else 2)
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -1155,6 +1191,32 @@ def test_dereverb_batch_checks_the_blind_minimum_before_the_first_solve(
     assert run("dereverb", "--in", a, "--in", b, "--rt60", 0.3,
                "--max-iters", 2, "-o", out) == 0
     assert sorted(os.listdir(out)) == ["a.wav", "b.wav"]
+
+
+@pytest.mark.parametrize("command", ["dereverb", "reverberate",
+                                     "analyze-rir"])
+def test_a_wav_of_no_samples_is_refused_by_name(tmp_path, capsys, command):
+    # an empty data chunk is refused when the file is read: a batch writes
+    # none of its outputs, and no command writes its result
+    (a,) = _noise_wavs(tmp_path, "a.wav")
+    empty = tmp_path / "empty.wav"
+    write_wav(empty, Signal(np.zeros(0), FS))
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "dereverb":
+        args = ["--in", a, "--in", empty, "--rt60", 0.3, "--max-iters", 2]
+    elif command == "reverberate":
+        assert run("sample-rir", "--rt60", 0.2, "--drr", 0,
+                   "-o", tmp_path / "h.wav") == 0
+        args = ["--in", empty, "--rir", tmp_path / "h.wav", "--domain",
+                "time"]
+    else:
+        args = ["--in", empty]
+    target = out if command == "dereverb" else out / "result"
+    assert run(command, *args, "-o", target) == 2
+    assert (f"error: {empty}: WAV data chunk holds no samples"
+            in capsys.readouterr().err)
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import revmatch.rir as rir
-from revmatch.loss import (DegenerateGradNorm, LossConfig, grad_complex,
-                           grad_mag, gradnorm_alpha, loss_complex, loss_mag,
-                           rm_loss)
+from revmatch.loss import (DegenerateGradNorm, LossConfig, Observation,
+                           grad_complex, grad_mag, gradnorm_alpha,
+                           loss_complex, loss_mag, rm_loss)
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.seeding import STREAM_LOSS_DRAWS, derive_rng
 from revmatch.signals import (StftConfig, canonical_dual_window, hann_window,
@@ -104,7 +104,7 @@ def test_rm_loss_dirac_exact_match(cfg):
     # re-reverberating the true dry signal with the true RIR matches Y
     h, s, wet = make_problem(seed=8)
     y = stft(wet, cfg)
-    report, _ = rm_loss(y, padded(s, y), h, LossConfig())
+    report, _ = rm_loss(Observation(y), padded(s, y), h, LossConfig())
     assert report.l_complex <= 1e-12 * np.sum(np.abs(y.data) ** 2)
 
 
@@ -114,7 +114,7 @@ def test_rm_loss_dirac_collapse_across_variants(cfg):
     shat = 0.9 * padded(s, y)
     reports = {}
     for variant, draws in [("single", 1), ("average", 10), ("best", 10)]:
-        rep, _ = rm_loss(y, shat, h,
+        rep, _ = rm_loss(Observation(y), shat, h,
                          LossConfig(variant=variant, num_draws=draws),
                          seed=3)
         reports[variant] = rep
@@ -131,10 +131,10 @@ def test_rm_loss_best_not_worse_than_average(cfg):
     y = stft(fftconvolve(s, h.taps), cfg)
     shat = padded(s, y)
     for seed in range(5):
-        avg, _ = rm_loss(y, shat, params,
+        avg, _ = rm_loss(Observation(y), shat, params,
                          LossConfig(variant="average", num_draws=4),
                          seed=seed)
-        best, _ = rm_loss(y, shat, params,
+        best, _ = rm_loss(Observation(y), shat, params,
                           LossConfig(variant="best", num_draws=4),
                           seed=seed)
         assert best.total <= avg.total
@@ -149,7 +149,7 @@ def test_rm_loss_selected_draw_is_argmin_and_scale_invariant(cfg):
     h = sample_rir(params, rng=1)
     y = stft(fftconvolve(s, h.taps), cfg)
     shat = padded(s, y)
-    report, grad = rm_loss(y, shat, params,
+    report, grad = rm_loss(Observation(y), shat, params,
                            LossConfig(variant="best", num_draws=5),
                            seed=4, want_grad=True)
     totals = np.array([d[3] for d in report.per_draw])
@@ -177,7 +177,7 @@ def test_rm_loss_gradient_matches_finite_differences():
     h = sample_rir(params, rng=rng)
     x0 = rng.standard_normal(20)
     y = stft(rng.standard_normal(20), cfg)
-    report, grad = rm_loss(y, x0, h, LossConfig(),
+    report, grad = rm_loss(Observation(y), x0, h, LossConfig(),
                            want_grad=True)
     assert grad.shape == x0.shape
     eps = 1e-4
@@ -198,7 +198,8 @@ def test_rm_loss_gradient_is_the_adjoint_of_the_reference_grid_gradient(cfg):
     y = stft(wet, cfg, one_sided=True)
     x = padded(s, y) + 0.1 * np.random.default_rng(19).standard_normal(
         y.num_samples)
-    report, grad = rm_loss(y, x, h, LossConfig(), want_grad=True)
+    report, grad = rm_loss(Observation(y), x, h, LossConfig(),
+                           want_grad=True)
     scratch = Scratch(len(x), cfg)
     yhat = forward(h.taps, x, scratch).copy()
     g_y = 2.0 * (yhat - y.data) + report.alpha * grad_mag(y.data, yhat)
@@ -208,21 +209,24 @@ def test_rm_loss_gradient_is_the_adjoint_of_the_reference_grid_gradient(cfg):
 @pytest.mark.parametrize("variant, draws", [
     ("single", 1), ("average", 3), ("best", 3)])
 def test_rm_loss_leaves_its_inputs_unchanged(cfg, variant, draws):
+    # neither the observed grid nor the estimate is written, and a call on
+    # an observation that a call used equals one on a fresh observation
     params = AcousticParams(rt60=0.15, drr_db=0.0, sample_rate=FS)
     rng = np.random.default_rng(20)
     y = stft(fftconvolve(rng.standard_normal(4000),
                          sample_rir(params, rng=3).taps), cfg)
     x = rng.standard_normal(y.num_samples)
-    log_mag_y = np.log1p(np.abs(y.half().data))
-    before = [y.data.copy(), x.copy(), log_mag_y.copy()]
+    obs = Observation(y)
+    before = [y.data.copy(), x.copy(), obs.data.copy(), obs.log_mag.copy()]
     loss_cfg = LossConfig(variant=variant, num_draws=draws)
-    first = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
-    second = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
-    given = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True,
-                    log_mag_y=log_mag_y)
-    for arr, copy in zip([y.data, x, log_mag_y], before):
+    report, grad = rm_loss(obs, x, params, loss_cfg, seed=6, want_grad=True)
+    first = report, grad.copy()
+    again = rm_loss(obs, x, params, loss_cfg, seed=6, want_grad=True)
+    fresh = rm_loss(Observation(y), x, params, loss_cfg, seed=6,
+                    want_grad=True)
+    for arr, copy in zip([y.data, x, obs.data, obs.log_mag], before):
         assert np.array_equal(arr, copy)
-    for report, grad in (second, given):
+    for report, grad in (again, fresh):
         assert report == first[0]
         assert np.array_equal(grad, first[1])
 
@@ -241,14 +245,16 @@ def scratch_problem(cfg):
 
 @pytest.mark.parametrize("variant, draws", SCRATCH_CASES)
 def test_rm_loss_in_a_shared_scratch_equals_a_fresh_one(cfg, variant, draws):
-    # a scratch that earlier calls used, under a longer known RIR and at
-    # another estimate, gives the bits of a call that makes its own; both
-    # give the bits of the per-draw gradients, summed in draw order by the
-    # average, and of the selected draw's (draw 1 of 3) by the best
+    # an observation, with its scratch, that earlier calls used, under a
+    # longer known RIR and at another estimate, gives the bits of a fresh
+    # observation; both give the bits of the per-draw gradients, summed in
+    # draw order by the average, and of the selected draw's (draw 1 of 3)
+    # by the best
     y, x, params = scratch_problem(cfg)
     loss_cfg = LossConfig(variant=variant, num_draws=draws)
-    fresh = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
-    singles = [rm_loss(y, x, sample_rir(
+    fresh = rm_loss(Observation(y), x, params, loss_cfg, seed=6,
+                    want_grad=True)
+    singles = [rm_loss(Observation(y), x, sample_rir(
         params, rng=derive_rng(6, STREAM_LOSS_DRAWS, i)), LossConfig(),
         want_grad=True)[1] for i in range(draws)]
     if variant == "average":
@@ -258,48 +264,44 @@ def test_rm_loss_in_a_shared_scratch_equals_a_fresh_one(cfg, variant, draws):
     assert fresh[0].selected_draw == (1 if (variant, draws) == ("best", 3)
                                       else None)
     assert np.array_equal(fresh[1], expected)
-    scratch = Scratch(len(x), cfg)
+    obs = Observation(y)
     longer = sample_rir(AcousticParams(rt60=0.4, drr_db=0.0, sample_rate=FS),
                         rng=4)
-    rm_loss(y, 2.0 * x, longer, LossConfig(), want_grad=True,
-            scratch=scratch)
-    rm_loss(y, x[::-1].copy(), params, loss_cfg, seed=7, want_grad=True,
-            scratch=scratch)
-    shared = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True,
-                     scratch=scratch)
+    rm_loss(obs, 2.0 * x, longer, LossConfig(), want_grad=True)
+    rm_loss(obs, x[::-1].copy(), params, loss_cfg, seed=7, want_grad=True)
+    shared = rm_loss(obs, x, params, loss_cfg, seed=6, want_grad=True)
     assert shared[0] == fresh[0]
     assert np.array_equal(shared[1], fresh[1])
 
 
-@pytest.mark.parametrize("variant, draws", SCRATCH_CASES)
-def test_rm_loss_gradient_without_a_scratch_is_the_callers(cfg, variant,
-                                                          draws):
-    y, x, params = scratch_problem(cfg)
-    loss_cfg = LossConfig(variant=variant, num_draws=draws)
-    _, grad = rm_loss(y, x, params, loss_cfg, seed=6, want_grad=True)
-    kept = grad.copy()
-    rm_loss(y, 2.0 * x, params, loss_cfg, seed=7, want_grad=True)
-    assert np.array_equal(grad, kept)
-
-
 def test_rm_loss_refuses_a_scratch_of_another_length(cfg):
+    # an observation's scratch is sized for its sample count: a longer
+    # estimate is refused by the operator
     y, x, params = scratch_problem(cfg)
     with pytest.raises(ValueError, match="samples, not"):
-        rm_loss(y, x, params, LossConfig(), want_grad=True,
-                scratch=Scratch(len(x) + 1, cfg))
+        rm_loss(Observation(y), np.append(x, 0.0), params, LossConfig(),
+                want_grad=True)
 
 
-def test_rm_loss_refuses_a_scratch_of_another_config(cfg):
-    # the operator holds no config: rm_loss checks the scratch's against
-    # the observation's once per call; this one has the same grid shape and
-    # another window, so nothing else would notice
+def test_observation_of_a_full_grid_equals_that_of_its_half(cfg):
+    # an observation reads only the one-sided rows: built from a full grid
+    # or from its half, its arrays and its losses are bit-equal
     y, x, params = scratch_problem(cfg)
-    g_a = np.sqrt(hann_window(cfg.win_len))
-    other = StftConfig(cfg.win_len, cfg.hop, g_a,
-                       canonical_dual_window(g_a, cfg.hop))
-    with pytest.raises(ValueError, match="another STFT config"):
-        rm_loss(y, x, params, LossConfig(), want_grad=True,
-                scratch=Scratch(len(x), other))
+    full, half = Observation(y), Observation(y.half())
+    assert full.energy == half.energy
+    for name in ("data", "log_mag", "weights"):
+        assert np.array_equal(getattr(full, name), getattr(half, name))
+    loss_cfg = LossConfig(variant="average", num_draws=3)
+    a = rm_loss(full, x, params, loss_cfg, seed=6, want_grad=True)
+    b = rm_loss(half, x, params, loss_cfg, seed=6, want_grad=True)
+    assert a[0] == b[0]
+    assert np.array_equal(a[1], b[1])
+
+
+def test_observation_energy_is_the_full_grid_energy(cfg):
+    y, _, _ = scratch_problem(cfg)
+    energy = np.sum(np.abs(y.data) ** 2)
+    assert Observation(y).energy == pytest.approx(energy, rel=1e-12)
 
 
 def test_loss_config_validation():
@@ -317,7 +319,7 @@ def test_rm_loss_gradnorm_fallback_on_zero_estimate(cfg):
     h, s, wet = make_problem(seed=14)
     y = stft(wet, cfg)
     zero = np.zeros(y.num_samples)
-    rep, grad = rm_loss(y, zero, h, LossConfig(),
+    rep, grad = rm_loss(Observation(y), zero, h, LossConfig(),
                         want_grad=True, alpha_fallback=2.5)
     assert rep.alpha == 2.5
     assert rep.l_mag > 0
@@ -331,8 +333,8 @@ def test_loss_report_invariant_average(cfg):
     s = rng.standard_normal(4000)
     y = stft(fftconvolve(s, sample_rir(params, rng=2).taps), cfg)
     shat = padded(s, y)
-    rep, _ = rm_loss(y, shat, params, LossConfig(variant="average", num_draws=3),
-                     seed=5)
+    rep, _ = rm_loss(Observation(y), shat, params,
+                     LossConfig(variant="average", num_draws=3), seed=5)
     assert rep.total == pytest.approx(rep.l_complex + rep.alpha * rep.l_mag,
                                       rel=1e-12)
 
@@ -353,7 +355,8 @@ def test_rm_loss_one_sided_equals_full_hermitian(n, hop, variant, draws):
                          sample_rir(params, rng=rng).taps), op_cfg)
     x = rng.standard_normal(y.num_samples)
     cfg = LossConfig(variant=variant, num_draws=draws)
-    rep, grad = rm_loss(y, x, params, cfg, seed=4, want_grad=True)
+    rep, grad = rm_loss(Observation(y), x, params, cfg, seed=4,
+                        want_grad=True)
     taps = [sample_rir(params, rng=derive_rng(4, STREAM_LOSS_DRAWS, i)).taps
             for i in range(draws)]
     for (l_c, l_m, alpha, total), h in zip(rep.per_draw, taps):
@@ -383,14 +386,14 @@ def test_rm_loss_rejects_an_estimate_off_the_observation_frames(cfg):
     h, s, wet = make_problem(seed=16)
     y = stft(wet, cfg)
     with pytest.raises(ValueError, match="shape"):
-        rm_loss(y, s, h, LossConfig())
+        rm_loss(Observation(y), s, h, LossConfig())
 
 
 def test_rm_loss_rejects_acoustics_of_another_type(cfg):
     h, s, wet = make_problem(seed=17)
     y = stft(wet, cfg)
     with pytest.raises(TypeError, match="AcousticParams or a Rir"):
-        rm_loss(y, padded(s, y), h.taps, LossConfig())
+        rm_loss(Observation(y), padded(s, y), h.taps, LossConfig())
 
 
 @pytest.mark.parametrize("variant", ["single", "average"])
@@ -408,8 +411,8 @@ def test_rm_loss_draws_through_the_rir_module(cfg, monkeypatch, variant):
 
     monkeypatch.setattr(rir, "sample_rir", counting)
     loss_cfg = LossConfig(variant=variant)
-    rm_loss(y, x, h, loss_cfg)
+    rm_loss(Observation(y), x, h, loss_cfg)
     assert calls == []
     params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
-    rm_loss(y, x, params, loss_cfg)
+    rm_loss(Observation(y), x, params, loss_cfg)
     assert len(calls) == loss_cfg.resolved_draws

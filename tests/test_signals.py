@@ -11,7 +11,8 @@ from revmatch.signals import (Signal, Spectrogram, StftConfig,
                               canonical_dual_window, fft_convolve,
                               hann_window, istft, next_fast_len,
                               num_frames_for, overlap_add, read_wav,
-                              speech_like_noise, stft, write_wav)
+                              row_weights, speech_like_noise, stft,
+                              weighted_dot, write_wav)
 
 FS = 16000
 
@@ -269,6 +270,14 @@ def test_read_wav_rejects_uint8_truncated_and_other_containers(tmp_path):
             read_wav(path)
 
 
+def test_read_wav_refuses_a_data_chunk_of_no_samples(tmp_path):
+    path = tmp_path / "empty.wav"
+    write_wav(path, Signal(np.zeros(0), 16000))
+    with pytest.raises(ValueError,
+                       match=f"^{path}: WAV data chunk holds no samples$"):
+        read_wav(path)
+
+
 def test_next_fast_len_equals_scipy():
     sizes = list(range(1, 20001)) + [
         int(n) for n in np.random.default_rng(11).integers(1, 10 ** 7, 200)]
@@ -291,6 +300,27 @@ def test_fft_convolve_bit_equal_to_scipy_signal(la, lb):
     got = fft_convolve(a, b)
     assert got.shape == want.shape == (la + lb - 1,)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_weighted_dot_is_the_row_weighted_real_inner_product(cfg, dtype):
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((2, cfg.half_bins, 22)).view(dtype)
+    w = row_weights(cfg)
+    want = np.sum(w * (a * np.conj(b)).real)
+    assert weighted_dot(a, b, w) == pytest.approx(want, rel=1e-12)
+    assert weighted_dot(a, b, w) == pytest.approx(weighted_dot(b, a, w),
+                                                  rel=1e-12)
+    # of one array: the float view's squared norm per row, row-weighted
+    flat = a.view(np.float64)
+    assert weighted_dot(a, a, w) == float(w[:, 0] @ np.vecdot(flat, flat))
+
+
+def test_weighted_dot_of_a_one_sided_grid_is_its_full_grid_energy(cfg):
+    x = speech_like_noise(3000, FS, rng=9)
+    full, half = stft(x, cfg), stft(x, cfg, one_sided=True)
+    energy = weighted_dot(half.data, half.data, row_weights(cfg))
+    assert energy == pytest.approx(np.sum(np.abs(full.data) ** 2), rel=1e-12)
 
 
 def test_speech_like_noise_properties():

@@ -7,7 +7,7 @@ from scipy.signal import fftconvolve
 import revmatch.rir as rir
 import revmatch.solver as solver
 import revmatch.tfconv as tfconv
-from revmatch.loss import rm_loss
+from revmatch.loss import Observation, rm_loss
 from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.seeding import STREAM_SOLVER_ITERS, as_path
 from revmatch.signals import (Spectrogram, default_stft_config, fft_convolve,
@@ -190,7 +190,8 @@ def test_loss_of_the_written_output_is_the_best_total(which):
     scale = np.sqrt(np.mean(istft(y.half()) ** 2))
     y_norm = Spectrogram(y.half().data / scale, y.config, y.num_samples)
     report, _ = rm_loss(
-        y_norm, istft(shat) / scale, acoustics[which], scfg.loss_cfg,
+        Observation(y_norm), istft(shat) / scale, acoustics[which],
+        scfg.loss_cfg,
         seed=(*as_path(scfg.seed), STREAM_SOLVER_ITERS, trace.best_index))
     best = trace.totals[trace.best_index]
     assert trace.best_index > 0
@@ -209,7 +210,7 @@ def test_best_iterate_is_not_overwritten_by_later_iterates():
     scale = np.sqrt(np.mean(istft(y.half()) ** 2))
     y_norm = Spectrogram(y.half().data / scale, y.config, y.num_samples)
     report, _ = rm_loss(
-        y_norm, istft(shat) / scale, params, scfg.loss_cfg,
+        Observation(y_norm), istft(shat) / scale, params, scfg.loss_cfg,
         seed=(*as_path(scfg.seed), STREAM_SOLVER_ITERS, trace.best_index))
     best = trace.totals[trace.best_index]
     assert abs(report.total - best) <= 1e-9 * best

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rir, solver, tfconv
+from . import loss, rir, solver, tfconv
 from .records import format_records, read_records, record_number
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, derive_rng
-from .signals import istft, row_weights, weighted_dot
+from .signals import istft, weighted_dot
 # not called here: perfbench/workloads.py draws its inputs as
 # rm.blind.speech_like_noise
 from .signals import speech_like_noise  # noqa: F401
@@ -88,7 +88,8 @@ class BlindEstimate:
 
 @dataclass(frozen=True)
 class BlindConfig:
-    """Knobs of the blind analyzer: the inner solve budget of the DRR search,
+    """Knobs of the blind analyzer, which :func:`analyze_blind` passes whole
+    to the DRR search :func:`blind_drr`: the search's inner solve budget,
     its seed and the noise model of its draws. The search's grid and draw
     count are the module constants ``DEFAULT_DRR_GRID`` and ``DRR_DRAWS``;
     the decay statistic's thresholds are ``MIN_RT60``, ``MIN_RUN`` and
@@ -215,19 +216,18 @@ def calibrate_rt60(pairs, sample_rate=16000):
     return fit_rt60_polynomial(raws, rt60s)
 
 
-def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
-              sample_rate=16000, noise_mode=BlindConfig.noise_mode):
+def blind_drr(spec, rt60, cfg, sample_rate=16000):
     """Pick a DRR from ``DEFAULT_DRR_GRID`` by energy matching at a fixed
-    RT60.
+    RT60, under the :class:`BlindConfig` ``cfg``.
 
-    One cheap training-less solve (budget ``k_inner``) at the grid's lowest
-    point produces a shared dry reference; each grid point is then scored by
-    how closely the expected energy of the re-reverberated reference, over
-    ``DRR_DRAWS`` Monte-Carlo draws, matches the observed energy. The draws
-    share one seed stream across points (common random numbers), so the
-    comparison is deterministic for a fixed seed; exact ties resolve to the
-    lowest dB. The one-sided grids are scored with the energies summed under
-    :func:`~revmatch.signals.row_weights`.
+    One cheap training-less solve (budget ``cfg.k_inner``) at the grid's
+    lowest point produces a shared dry reference; each grid point is then
+    scored by how closely the expected energy of the re-reverberated
+    reference, over ``DRR_DRAWS`` draws of ``cfg.noise_mode``, matches the
+    observed energy. The draws share one seed stream of ``cfg.seed`` across
+    points (common random numbers); exact ties resolve to the lowest dB. The
+    input is a :class:`~revmatch.loss.Observation`: the forwards run in its
+    scratch, and energies are summed under its row weights.
 
     Draw ``i`` at DRR ``d`` is the direct tap plus ``sigma(d) / sigma(d0)``
     times draw ``i``'s tail at the lowest point ``d0`` (the tail noise scales
@@ -253,25 +253,24 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
     float : the picked grid value (dB).
     """
     ref_params = AcousticParams(rt60=rt60, drr_db=DEFAULT_DRR_GRID[0],
-                                sample_rate=sample_rate, noise_mode=noise_mode)
-    ref_seed = int(derive_rng(seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
-    solver_cfg = solver.SolverConfig(max_iters=k_inner, seed=ref_seed)
+                                sample_rate=sample_rate,
+                                noise_mode=cfg.noise_mode)
+    ref_seed = int(derive_rng(cfg.seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
+    solver_cfg = solver.SolverConfig(max_iters=cfg.k_inner, seed=ref_seed)
     shat, _ = solver.trainingless_dereverb(spec, ref_params, solver_cfg)
     x = istft(shat)
 
-    weights = row_weights(spec.config)
-    y_half = np.ascontiguousarray(spec.half().data)
-    y_energy = weighted_dot(y_half, y_half, weights)
+    obs = loss.Observation(spec)
+    weights = obs.weights
     a = shat.data
     a_energy = weighted_dot(a, a, weights)
     # per draw: ||B||^2 and Re<A, B> under the row weights
     sums = np.empty((DRR_DRAWS, 2))
-    scratch = tfconv.Scratch(len(x), spec.config)
     for i in range(DRR_DRAWS):
         tail = rir.sample_rir(
-            ref_params, rng=derive_rng(seed, STREAM_DRR_GRID, 1, i)).taps
+            ref_params, rng=derive_rng(cfg.seed, STREAM_DRR_GRID, 1, i)).taps
         tail[0] = 0.0  # the draw without its direct tap
-        b = tfconv.forward(tail, x, scratch)
+        b = tfconv.forward(tail, x, obs.scratch)
         sums[i] = [weighted_dot(b, b, weights), weighted_dot(a, b, weights)]
     bb, ab = sums.mean(axis=0)
     tau = rir.tau_from_rt60(rt60, sample_rate)
@@ -279,7 +278,7 @@ def blind_drr(spec, rt60, k_inner=BlindConfig.k_inner, seed=0,
                        for db in DEFAULT_DRR_GRID])
     scale = sigmas / sigmas[0]
     energies = a_energy + 2.0 * scale * ab + scale ** 2 * bb
-    scores = np.abs(np.log(energies) - math.log(y_energy))
+    scores = np.abs(np.log(energies) - math.log(obs.energy))
     return DEFAULT_DRR_GRID[int(np.argmin(scores))]
 
 
@@ -297,6 +296,5 @@ def analyze_blind(spec, cal, cfg=None, sample_rate=16000):
     if rt60 < MIN_RT60:
         return BlindEstimate(rt60=rt60, drr_db=max(DEFAULT_DRR_GRID),
                              raw_median_decay=raw, anechoic=True)
-    drr_db = blind_drr(spec, rt60, k_inner=cfg.k_inner, seed=cfg.seed,
-                       sample_rate=sample_rate, noise_mode=cfg.noise_mode)
+    drr_db = blind_drr(spec, rt60, cfg, sample_rate=sample_rate)
     return BlindEstimate(rt60=rt60, drr_db=drr_db, raw_median_decay=raw)

@@ -8,9 +8,10 @@ bytes. Before any work, ``main`` checks every file a command reads and writes
 (``_check_files``), so no output names an input. Commands validate inputs
 before computing (before the first solve or fit, a batch dereverb reads all
 its inputs; analyze-blind, dereverb given a calibration, and calibrate check
-each input against the blind analyzer's minimum length by name; calibrate
-checks every manifest line) and write outputs through a temporary file plus
-atomic rename, so failed runs leave no partial files.
+each input against the blind analyzer's minimum length by name; dereverb
+given --rt60 refuses an all-zero input by name; calibrate checks every
+manifest line) and write outputs through a temporary file plus atomic rename,
+so failed runs leave no partial files.
 
 Config files, reports and calibration files are ``key=value`` records (see
 records). Argparse resolves every option: an explicit flag wins over a config
@@ -93,7 +94,11 @@ def cmd_sample_rir(args):
 
 
 def cmd_analyze_rir(args):
-    analysis = analyze_rir(read_rir(args.input), n_d=args.nd)
+    rir = read_rir(args.input)
+    try:
+        analysis = analyze_rir(rir, n_d=args.nd)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     keys = ("rt60_est", "sigma_est", "drr_est_db", "t5", "t25", "e_5_25")
     _write_text(args.output,
                 format_records((k, getattr(analysis, k)) for k in keys))
@@ -104,7 +109,8 @@ def cmd_reverberate(args):
     dry = _read_input_wav(args.input)
     rir = read_rir(args.rir)
     if rir.sample_rate != dry.sample_rate:
-        raise ValueError("unsupported sample rate: RIR rate differs from input")
+        raise ValueError(f"{args.rir}: unsupported sample rate: RIR at "
+                         f"{rir.sample_rate} Hz, input at {dry.sample_rate} Hz")
     # argparse checks choices on flags only, not on config values
     if args.domain not in DOMAINS:
         raise ValueError(f"domain must be one of {DOMAINS}")
@@ -277,9 +283,14 @@ def cmd_dereverb(args):
         raise ValueError("dereverb requires --calibration or --rt60/--drr")
     # every input is read and checked before the first solve
     signals = [_read_input_wav(path) for path in args.inputs]
-    if isinstance(acoustics, Rt60Calibration):
-        for path, sig in zip(args.inputs, signals):
+    for path, sig in zip(args.inputs, signals):
+        if isinstance(acoustics, Rt60Calibration):
             _check_blind_length(path, len(sig))
+        elif not np.any(sig.samples):
+            # the blind analyzer passes a silent input through; a solve
+            # cannot scale it
+            raise ValueError(f"{path}: input is identically zero, nothing "
+                             "to dereverberate")
     # a batch has no trace: _check_files refuses it
     tasks = [(sig, out_path, args.trace, acoustics, args,
               (args.seed, STREAM_CLI_TASKS, i))

@@ -248,8 +248,8 @@ def test_calibrate_rt60_reads_a_generator_in_one_pass(cfg):
 
 def test_blind_drr_deterministic(cfg):
     spec = make_reverberant(0.3, 0.0, 11, 12, duration=0.75, cfg=cfg)
-    a = blind_drr(spec, 0.3, k_inner=6, seed=4, sample_rate=FS)
-    b = blind_drr(spec, 0.3, k_inner=6, seed=4, sample_rate=FS)
+    a = blind_drr(spec, 0.3, BlindConfig(k_inner=6, seed=4), sample_rate=FS)
+    b = blind_drr(spec, 0.3, BlindConfig(k_inner=6, seed=4), sample_rate=FS)
     assert a == b
     assert a in DEFAULT_DRR_GRID
 
@@ -258,9 +258,10 @@ def test_blind_drr_selection_invariant_to_input_scaling(cfg):
     # rescaling the observation rescales every loss by the same positive
     # factor, which must not move the selected grid point
     spec = make_reverberant(0.3, 0.0, 15, 16, duration=0.75, cfg=cfg)
-    db = blind_drr(spec, 0.3, k_inner=6, seed=8, sample_rate=FS)
+    bcfg = BlindConfig(k_inner=6, seed=8)
+    db = blind_drr(spec, 0.3, bcfg, sample_rate=FS)
     scaled = Spectrogram(4.2 * spec.data, cfg, spec.num_samples)
-    db_scaled = blind_drr(scaled, 0.3, k_inner=6, seed=8, sample_rate=FS)
+    db_scaled = blind_drr(scaled, 0.3, bcfg, sample_rate=FS)
     assert db_scaled == db
 
 
@@ -271,7 +272,8 @@ def test_blind_drr_selection_experiment(cfg):
     for trial in range(12):
         spec = make_reverberant(0.3, 0.0, 8000 + trial, 7000 + trial,
                                 duration=0.75, cfg=cfg)
-        db = blind_drr(spec, 0.3, k_inner=18, seed=trial, sample_rate=FS)
+        db = blind_drr(spec, 0.3, BlindConfig(k_inner=18, seed=trial),
+                       sample_rate=FS)
         selected.append(db)
     assert abs(np.median(selected)) <= 3.0
 
@@ -284,8 +286,7 @@ def test_analyze_blind_composition(cfg):
     raw = raw_decay_estimate(spec, FS)
     assert est.raw_median_decay == pytest.approx(raw, rel=1e-12)
     assert est.rt60 == pytest.approx(cal.map(raw), rel=1e-12)
-    assert est.drr_db == blind_drr(spec, est.rt60, k_inner=6, seed=5,
-                                   sample_rate=FS)
+    assert est.drr_db == blind_drr(spec, est.rt60, bcfg, sample_rate=FS)
     assert not est.anechoic
 
 
@@ -346,7 +347,7 @@ def test_blind_drr_closed_form_matches_per_draw_forwards(cfg, monkeypatch,
     monkeypatch.setattr(blind, "DRR_DRAWS", draws)
     spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
     args = dict(k_inner=6, seed=9, noise_mode=noise_mode)
-    assert (blind_drr(spec, 0.6, sample_rate=FS, **args)
+    assert (blind_drr(spec, 0.6, BlindConfig(**args), sample_rate=FS)
             == _per_draw_blind_drr(spec, 0.6, grid=grid, draws=draws, **args))
 
 
@@ -357,7 +358,7 @@ def test_blind_drr_closed_form_matches_per_draw_forwards_across_seeds(
     # at seeds 9 and 11 the centered-gaussian pick lies inside the grid
     spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
     args = dict(k_inner=6, seed=seed, noise_mode=noise_mode)
-    assert (blind_drr(spec, 0.6, sample_rate=FS, **args)
+    assert (blind_drr(spec, 0.6, BlindConfig(**args), sample_rate=FS)
             == _per_draw_blind_drr(spec, 0.6, **args))
 
 
@@ -372,6 +373,6 @@ def test_blind_drr_draws_one_tail_per_draw(cfg, monkeypatch):
         return _real(*args, **kwargs)
 
     monkeypatch.setattr(rir, "sample_rir", counting)
-    blind_drr(spec, 0.3, k_inner=4, seed=2, sample_rate=FS)
+    blind_drr(spec, 0.3, BlindConfig(k_inner=4, seed=2), sample_rate=FS)
     assert len(DEFAULT_DRR_GRID) > 1
     assert len(calls) == 4 + DRR_DRAWS

@@ -13,6 +13,7 @@ from scipy.signal import fftconvolve
 import revmatch.blind as blind
 import revmatch.cli as cli
 import revmatch.solver as solver
+import revmatch.tfconv as tfconv
 from revmatch.cli import main
 from revmatch.loss import Observation
 from revmatch.blind import BlindConfig, BlindEstimate, Rt60Calibration
@@ -118,6 +119,28 @@ def test_reverberate_rejects_wrong_rate(tmp_path):
     assert run("reverberate", "--in", bad, "--rir", rir_path,
                "-o", out) == 2
     assert not out.exists()
+
+
+def test_reverberate_names_the_rir_and_both_rates_of_a_rate_mismatch(
+        tmp_path, capsys):
+    (dry,) = _noise_wavs(tmp_path, "dry.wav")
+    rir_path = tmp_path / "h.txt"
+    rir_path.write_text("# sample_rate=22050\n1\n0.5\n")
+    out = tmp_path / "wet.wav"
+    assert run("reverberate", "--in", dry, "--rir", rir_path, "-o", out) == 2
+    assert (f"{rir_path}: unsupported sample rate: RIR at 22050 Hz, input "
+            "at 16000 Hz") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_rir_names_the_file_of_a_tail_less_rir(tmp_path, capsys):
+    rir_path = tmp_path / "one.wav"
+    write_wav(rir_path, Signal(np.ones(1), FS))
+    report = tmp_path / "report.txt"
+    assert run("analyze-rir", "--in", rir_path, "-o", report) == 2
+    assert (f"{rir_path}: insufficient dynamic range: no tail after n_d"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 BAD_TEXT_RIRS = pytest.mark.parametrize("text, where, message", [
@@ -746,7 +769,8 @@ def test_dereverb_blind_reaches_the_names_perfbench_wraps(tmp_path,
 def test_dereverb_builds_one_observation_per_solve(tmp_path, monkeypatch,
                                                    source):
     # the loss's arrays are made once per solve, not per loss call: a blind
-    # file has two solves, the DRR grid's reference solve and the main one
+    # file has three observations, the DRR grid's reference solve, the DRR
+    # grid's own scoring of the input and the main solve
     built = []
     init = Observation.__init__
 
@@ -761,7 +785,30 @@ def test_dereverb_builds_one_observation_per_solve(tmp_path, monkeypatch,
     assert run("dereverb", "--in", wet_path, *acoustics, "--max-iters", 5,
                "-o", tmp_path / "dry.wav") == 0
     n = len(read_wav(wet_path))
-    assert built == [n] * (1 if source == "params" else 2)
+    assert built == [n] * (1 if source == "params" else 3)
+
+
+def test_blind_dereverb_builds_a_scratch_only_in_an_observation(tmp_path,
+                                                                monkeypatch):
+    # the operator's work arrays of a solve or of the DRR grid come from the
+    # observation they score, never from a scratch built beside it
+    counts = {"observation": 0, "scratch": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def wrapped(self, *args):
+            counts[key] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    counting(Observation, "observation")
+    counting(tfconv.Scratch, "scratch")
+    wet_path, cal = _blind_inputs(tmp_path, "c0=0\nc1=1\nc2=0\n")
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "--k-inner", 3, "--max-iters", 5,
+               "-o", tmp_path / "dry.wav") == 0
+    assert counts == {"observation": 3, "scratch": 3}
 
 
 @pytest.mark.parametrize("source", ["flags", "config"])
@@ -1049,6 +1096,25 @@ def _noise_wavs(tmp_path, *names):
         write_wav(path, Signal(speech_like_noise(FS // 2, FS, rng=40 + i), FS))
         paths.append(path)
     return paths
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_dereverb_with_rt60_names_a_silent_input_before_any_solve(
+        tmp_path, capsys, batch):
+    # the blind analyzer passes a silent input through; a known-parameter
+    # solve has nothing to scale, so the input is refused with the others
+    inputs = _noise_wavs(tmp_path, "a.wav") if batch else []
+    zeros = tmp_path / "zeros.wav"
+    write_wav(zeros, Signal(np.zeros(FS // 2), FS))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir if batch else out_dir / "dry.wav"
+    args = [a for path in [*inputs, zeros] for a in ("--in", path)]
+    assert run("dereverb", *args, "--rt60", 0.3, "--max-iters", 3,
+               "-o", out) == 2
+    assert (f"{zeros}: input is identically zero"
+            in capsys.readouterr().err)
+    assert os.listdir(out_dir) == []
 
 
 def _recording_reads(monkeypatch):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loss, rir, solver, tfconv
-from .records import format_records, read_records, record_number
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, derive_rng
 from .signals import istft, weighted_dot
@@ -50,8 +49,8 @@ class Rt60Calibration:
     c0: float
     c1: float
     c2: float
-    n_pairs: int = 0
     residual: float = 0.0
+    n_pairs: int = 0
 
     def __post_init__(self):
         for name in ("c0", "c1", "c2"):
@@ -60,19 +59,6 @@ class Rt60Calibration:
 
     def map(self, raw):
         return self.c0 + self.c1 * raw + self.c2 * raw * raw
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(format_records([
-                ("c0", self.c0), ("c1", self.c1), ("c2", self.c2),
-                ("residual", self.residual), ("n_pairs", self.n_pairs)]))
-
-    @classmethod
-    def from_file(cls, path):
-        kv = read_records(path, required=("c0", "c1", "c2"))
-        return cls(*(record_number(kv, path, k) for k in ("c0", "c1", "c2")),
-                   residual=record_number(kv, path, "residual", 0.0),
-                   n_pairs=record_number(kv, path, "n_pairs", 0, int))
 
 
 @dataclass

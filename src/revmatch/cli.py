@@ -26,18 +26,17 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 
 import numpy as np
 
-from . import blind, tfconv
+from . import blind, records, tfconv
 from .blind import MIN_SECONDS, BlindConfig, Rt60Calibration, calibrate_rt60
 from .loss import VARIANTS, LossConfig, _align_frames
 from .metrics import evaluate
 from .records import format_records, read_records, record_number
 from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
-                  analyze_rir, params_from_file, read_rir, sample_rir,
-                  synthetic_pair, write_rir)
+                  analyze_rir, read_rir, sample_rir, synthetic_pair,
+                  write_rir)
 from .seeding import STREAM_CLI_TASKS, derive_rng
 from .signals import (Signal, default_stft_config, fft_convolve, istft,
                       read_wav, speech_like_noise, stft, write_wav)
@@ -99,9 +98,7 @@ def cmd_analyze_rir(args):
         analysis = analyze_rir(rir, n_d=args.nd)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from None
-    keys = ("rt60_est", "sigma_est", "drr_est_db", "t5", "t25", "e_5_25")
-    _write_text(args.output,
-                format_records((k, getattr(analysis, k)) for k in keys))
+    _write_text(args.output, records.dump(analysis))
     return 0
 
 
@@ -124,16 +121,18 @@ def cmd_reverberate(args):
     return 0
 
 
-def _synthetic_pair(seed, index, duration, cfg):
+def _synthetic_pair(seed, index, duration, cfg, read):
+    read.append(f"synthetic pair {index} (--duration {duration:g} s and its "
+                "RIR)")
     params, _, _, wet = synthetic_pair(seed, index, duration, CLI_SAMPLE_RATE)
-    _check_blind_length(f"synthetic pair {index} (--duration {duration:g} s "
-                        "and its RIR)", len(wet))
+    _check_blind_length(read[-1], len(wet))
     return stft(wet, cfg), params.rt60
 
 
-def _manifest_pair(manifest, path, rt60, cfg):
+def _manifest_pair(manifest, path, rt60, cfg, read):
+    read.append(f"{manifest}: {path}")
     sig = _read_input_wav(path)
-    _check_blind_length(f"{manifest}: {path}", len(sig))
+    _check_blind_length(read[-1], len(sig))
     return stft(sig, cfg), rt60
 
 
@@ -182,8 +181,9 @@ def cmd_calibrate(args):
     if args.manifest is not None and args.synthetic is not None:
         raise ValueError("calibrate takes one source: --manifest or "
                          "--synthetic N, not both")
+    read = []  # each pair's name as it is read: a refusal names the last
     if args.manifest is not None:
-        pairs = (_manifest_pair(args.manifest, path, rt60, cfg)
+        pairs = (_manifest_pair(args.manifest, path, rt60, cfg, read)
                  for path, rt60 in _manifest_labels(args.manifest))
     elif args.synthetic is not None:
         if args.synthetic < 3:
@@ -192,12 +192,15 @@ def cmd_calibrate(args):
             raise ValueError(f"--duration {args.duration:g} s: a synthetic "
                              "pair's dry signal needs at least 2 samples at "
                              f"{CLI_SAMPLE_RATE} Hz")
-        pairs = (_synthetic_pair(args.seed, i, args.duration, cfg)
+        pairs = (_synthetic_pair(args.seed, i, args.duration, cfg, read)
                  for i in range(args.synthetic))
     else:
         raise ValueError("calibrate requires --manifest or --synthetic N")
-    cal = calibrate_rt60(pairs, CLI_SAMPLE_RATE)
-    _atomic_write(args.output, cal.to_file)
+    try:
+        cal = calibrate_rt60(pairs, CLI_SAMPLE_RATE)
+    except blind.InsufficientDecay as exc:
+        raise ValueError(f"{read[-1]}: {exc}") from None
+    _write_text(args.output, records.dump(cal))
     return 0
 
 
@@ -209,11 +212,14 @@ def _blind_config(args):
 def cmd_analyze_blind(args):
     sig = _read_input_wav(args.input)
     _check_blind_length(args.input, len(sig))
-    cal = Rt60Calibration.from_file(args.calibration)
+    cal = records.load(Rt60Calibration, args.calibration)
     spec = stft(sig, default_stft_config())
-    est = blind.analyze_blind(spec, cal, _blind_config(args),
-                              sample_rate=sig.sample_rate)
-    _write_text(args.output, format_records(asdict(est).items()))
+    try:
+        est = blind.analyze_blind(spec, cal, _blind_config(args),
+                                  sample_rate=sig.sample_rate)
+    except blind.InsufficientDecay as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
+    _write_text(args.output, records.dump(est))
     return 0
 
 
@@ -278,7 +284,7 @@ def cmd_dereverb(args):
         if args.drr is not None or args.nd is not None:
             raise ValueError("dereverb takes --drr and --nd with --rt60 "
                              "only, not with --calibration")
-        acoustics = Rt60Calibration.from_file(args.calibration)
+        acoustics = records.load(Rt60Calibration, args.calibration)
     else:
         raise ValueError("dereverb requires --calibration or --rt60/--drr")
     # every input is read and checked before the first solve
@@ -322,15 +328,24 @@ def _report_value(kv, path, *keys):
 def cmd_eval(args):
     if bool(args.true_params) != bool(args.est_report):
         raise ValueError("eval takes --true-params and --est-report together")
-    report = evaluate(_read_input_wav(args.est), _read_input_wav(args.ref))
+    est, ref = _read_input_wav(args.est), _read_input_wav(args.ref)
+    if len(est) != len(ref):
+        raise ValueError(f"signals must have equal lengths: --est {args.est} "
+                         f"has {len(est)} samples, --ref {args.ref} "
+                         f"{len(ref)}")
+    for path, sig, what in ((args.ref, ref, "reference"),
+                            (args.est, est, "estimate")):
+        if not np.any(sig.samples):
+            raise ValueError(f"{path}: zero {what}")
+    report = evaluate(est, ref)
     if args.true_params:
-        truth = params_from_file(args.true_params)
+        truth = records.load(AcousticParams, args.true_params)
         kv = read_records(args.est_report)
         rt60_est = _report_value(kv, args.est_report, "rt60", "rt60_est")
         drr_est = _report_value(kv, args.est_report, "drr_db", "drr_est_db")
         report.rt60_abs_err_s = abs(rt60_est - truth.rt60)
         report.drr_abs_err_db = abs(drr_est - truth.drr_db)
-    _write_text(args.output, report.to_lines())
+    _write_text(args.output, records.dump(report))
     return 0
 
 
@@ -338,6 +353,10 @@ def cmd_bench(args):
     radii = [r.strip() for r in args.band_radii.split(",") if r.strip()]
     if not radii:
         raise ValueError("bench requires at least one band radius")
+    for radius in radii:
+        if radius != "full" and not radius.lstrip("+").isdecimal():
+            raise ValueError(f"--band-radii: {radius!r} is neither a "
+                             "non-negative integer nor 'full'")
     cfg = default_stft_config()
     rng = derive_rng(args.seed, STREAM_CLI_TASKS, 0)
     # 1500-tap decaying RIR keeps the full-band reference cheap
@@ -372,42 +391,47 @@ def build_parser(config=None):
         description="Model-based dereverberation via reverberation matching.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
+    def command(name, help, handler):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None)
         p.add_argument("-o", "--output", required=True)
         return p
 
-    p = command("sample-rir", "draw an RIR from acoustic parameters")
+    p = command("sample-rir", "draw an RIR from acoustic parameters",
+                cmd_sample_rir)
     p.add_argument("--rt60", type=float, default=None)
     p.add_argument("--drr", type=float, default=None)
     p.add_argument("--nd", type=int, default=DEFAULT_DIRECT_DELAY)
     p.add_argument("--noise-mode", choices=NOISE_MODES,
                    default=AcousticParams.noise_mode)
 
-    p = command("analyze-rir", "non-blind analysis of an RIR file")
+    p = command("analyze-rir", "non-blind analysis of an RIR file",
+                cmd_analyze_rir)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--nd", type=int, default=DEFAULT_DIRECT_DELAY)
 
-    p = command("reverberate", "convolve a dry signal with an RIR")
+    p = command("reverberate", "convolve a dry signal with an RIR",
+                cmd_reverberate)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--rir", required=True)
     p.add_argument("--domain", choices=DOMAINS, default="time")
 
-    p = command("calibrate", "fit the blind RT60 calibration")
+    p = command("calibrate", "fit the blind RT60 calibration", cmd_calibrate)
     p.add_argument("--manifest", default=None)
     p.add_argument("--synthetic", type=int, default=None)
     p.add_argument("--duration", type=float, default=4.0)
 
-    p = command("analyze-blind", "blind acoustic analysis of a wav")
+    p = command("analyze-blind", "blind acoustic analysis of a wav",
+                cmd_analyze_blind)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--k-inner", type=int, default=BlindConfig.k_inner)
     p.add_argument("--noise-mode", choices=NOISE_MODES,
                    default=BlindConfig.noise_mode)
 
-    p = command("dereverb", "training-less dereverberation")
+    p = command("dereverb", "training-less dereverberation", cmd_dereverb)
     p.add_argument("--in", dest="inputs", action="append", required=True)
     p.add_argument("--calibration", default=None)
     p.add_argument("--rt60", type=float, default=None)
@@ -426,13 +450,13 @@ def build_parser(config=None):
     p.add_argument("--trace", default=None)
     p.add_argument("--workers", type=int, default=1)
 
-    p = command("eval", "evaluate an estimate against a reference")
+    p = command("eval", "evaluate an estimate against a reference", cmd_eval)
     p.add_argument("--est", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--true-params", default=None)
     p.add_argument("--est-report", default=None)
 
-    p = command("bench", "kernel accuracy vs band radius")
+    p = command("bench", "kernel accuracy vs band radius", cmd_bench)
     p.add_argument("--band-radii", default="1,2,4,8,16,full")
 
     if config:
@@ -505,18 +529,6 @@ def _check_files(args):
                 raise ValueError(f"output {path} would overwrite input {src}")
 
 
-_HANDLERS = {
-    "sample-rir": cmd_sample_rir,
-    "analyze-rir": cmd_analyze_rir,
-    "reverberate": cmd_reverberate,
-    "calibrate": cmd_calibrate,
-    "analyze-blind": cmd_analyze_blind,
-    "dereverb": cmd_dereverb,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -524,7 +536,7 @@ def main(argv=None):
             # parse again with the file's records as the defaults
             args = build_parser(read_records(args.config)).parse_args(argv)
         _check_files(args)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,9 @@
 """Evaluation metrics: scale-invariant SDR for signals, in a report that also
 carries the analyzers' absolute parameter errors."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
-
-from .records import format_records
 
 SISDR_CAP_DB = 100.0
 
@@ -13,17 +11,9 @@ SISDR_CAP_DB = 100.0
 @dataclass
 class MetricReport:
     sisdr_db: float | None = None
-    sisdr_perfect: bool = False
+    sisdr_perfect: bool | None = None
     rt60_abs_err_s: float | None = None
     drr_abs_err_db: float | None = None
-
-    def to_lines(self):
-        """``key=value`` records of the fields that are set."""
-        fields = asdict(self)
-        if self.sisdr_db is None:
-            del fields["sisdr_perfect"]
-        return format_records((k, v) for k, v in fields.items()
-                              if v is not None)
 
 
 def sisdr(est, ref):

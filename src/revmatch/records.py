@@ -4,7 +4,11 @@ report, parameter file and calibration file.
 Blank lines, ``#`` comments and lines without ``=`` are skipped; a line splits
 at its first ``=`` and both sides are stripped. Floats are written with 17
 significant digits, so they read back exactly, and bools as ``0``/``1``.
+Dataclass files (calibrations, parameter files, reports) hold their fields in
+field order, ``None`` ones left out: :func:`dump` writes, :func:`load` reads.
 """
+
+from dataclasses import MISSING, fields
 
 
 def read_records(path, required=()):
@@ -25,11 +29,11 @@ def read_records(path, required=()):
     return records
 
 
-def record_number(records, path, key, default=None, kind=float):
-    """``kind`` of the ``key`` record, or ``default`` without one; a value
-    ``kind`` cannot convert is a ``ValueError`` naming the file and key."""
+def record_number(records, path, key, kind=float):
+    """``kind`` of the ``key`` record; a value ``kind`` cannot convert is a
+    ``ValueError`` naming the file and key."""
     try:
-        return kind(records[key]) if key in records else default
+        return kind(records[key])
     except ValueError:
         raise ValueError(f"{path}: {key} record {records[key]!r} is not a "
                          f"valid {kind.__name__}") from None
@@ -38,6 +42,25 @@ def record_number(records, path, key, default=None, kind=float):
 def format_records(pairs):
     """Newline-terminated record lines for ``(key, value)`` pairs."""
     return "".join(f"{key}={_format(val)}\n" for key, val in pairs)
+
+
+def dump(obj):
+    """Record lines of a dataclass's fields but the ``None`` ones."""
+    pairs = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return format_records((k, v) for k, v in pairs if v is not None)
+
+
+def load(cls, path):
+    """``cls`` read from a record file: a field without a default is required,
+    each is converted by :func:`record_number` with its type (``float``,
+    ``int`` or ``str``; any other is a ``TypeError``), other keys ignored."""
+    for f in fields(cls):
+        if f.type not in (float, int, str):
+            raise TypeError(f"{cls.__name__}.{f.name}: not float, int or str")
+    kv = read_records(path, [f.name for f in fields(cls)
+                             if f.default is MISSING])
+    return cls(**{f.name: record_number(kv, path, f.name, kind=f.type)
+                  for f in fields(cls) if f.name in kv})
 
 
 def _format(val):

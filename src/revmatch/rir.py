@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import read_records, record_number
 from .seeding import STREAM_SYNTH, derive_rng
 from .signals import (Signal, fft_convolve, read_wav, speech_like_noise,
                       write_wav)
@@ -80,15 +79,14 @@ class Rir:
 
 @dataclass
 class EdcAnalysis:
-    """Energy-decay-curve analysis of an RIR tail."""
+    """Energy-decay-curve analysis of an RIR tail, in report order."""
 
-    edc: np.ndarray
-    t5: int
-    t25: int
-    e_5_25: float
     rt60_est: float
     sigma_est: float
     drr_est_db: float
+    t5: int
+    t25: int
+    e_5_25: float
 
 
 def tau_from_rt60(rt60, fs):
@@ -238,9 +236,8 @@ def analyze_rir(rir, n_d=DEFAULT_DIRECT_DELAY):
     direct = float(np.sum(rir.taps[:n_d + 1] ** 2))
     e_r = reverberant_energy(sigma_est, tau_est, n_d)
     drr_est_db = 10.0 * math.log10(direct / e_r)
-    return EdcAnalysis(edc=curve, t5=t5, t25=t25, e_5_25=e_5_25,
-                       rt60_est=rt60_est, sigma_est=sigma_est,
-                       drr_est_db=drr_est_db)
+    return EdcAnalysis(rt60_est=rt60_est, sigma_est=sigma_est,
+                       drr_est_db=drr_est_db, t5=t5, t25=t25, e_5_25=e_5_25)
 
 
 def write_rir(path, rir):
@@ -288,13 +285,3 @@ def read_rir(path):
         raise ValueError(f"{path}: text RIR has no taps")
     return Rir(np.array(taps), rate)
 
-
-def params_from_file(path):
-    kv = read_records(path, required=("rt60", "drr_db"))
-    return AcousticParams(
-        rt60=record_number(kv, path, "rt60"),
-        drr_db=record_number(kv, path, "drr_db"),
-        n_d=record_number(kv, path, "n_d", DEFAULT_DIRECT_DELAY, int),
-        sample_rate=record_number(kv, path, "sample_rate", 16000, int),
-        noise_mode=kv.get("noise_mode", "centered-gaussian"),
-    )

@@ -12,6 +12,7 @@ from revmatch.blind import (DEFAULT_DRR_GRID, DRR_DRAWS, MIN_RUN,
                             calibrate_rt60, fit_rt60_polynomial,
                             raw_decay_estimate)
 from revmatch.loss import LossConfig
+from revmatch.records import dump, load
 from revmatch.rir import NOISE_MODES, AcousticParams, sample_rir, tau_from_rt60
 from revmatch.seeding import STREAM_DRR_GRID, derive_rng
 from revmatch.signals import (Spectrogram, istft, row_weights,
@@ -229,8 +230,8 @@ def test_calibration_file_roundtrip(tmp_path):
     cal = Rt60Calibration(c0=0.1, c1=-2.5, c2=14.0, n_pairs=100,
                           residual=0.12)
     path = tmp_path / "cal.txt"
-    cal.to_file(path)
-    assert Rt60Calibration.from_file(path) == cal
+    path.write_text(dump(cal))
+    assert load(Rt60Calibration, path) == cal
 
 
 def test_calibrate_rt60_reads_a_generator_in_one_pass(cfg):

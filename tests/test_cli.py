@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +11,13 @@ from scipy.signal import fftconvolve
 
 import revmatch.blind as blind
 import revmatch.cli as cli
+import revmatch.records as records
 import revmatch.solver as solver
 import revmatch.tfconv as tfconv
 from revmatch.cli import main
 from revmatch.loss import Observation
 from revmatch.blind import BlindConfig, BlindEstimate, Rt60Calibration
-from revmatch.records import format_records, read_records
+from revmatch.records import read_records
 from revmatch.rir import AcousticParams, read_rir, sample_rir, synthetic_pair
 from revmatch.seeding import STREAM_CLI_TASKS
 from revmatch.signals import (Signal, default_stft_config, istft, read_wav,
@@ -197,12 +197,33 @@ def test_eval_zero_estimate_is_validation_error(tmp_path, capsys):
     write_wav(est, Signal(np.zeros(FS // 4), FS))
     out = tmp_path / "eval.txt"
     assert run("eval", "--est", est, "--ref", ref, "-o", out) == 2
-    assert "zero estimate" in capsys.readouterr().err
+    assert f"{est}: zero estimate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_zero_reference_names_its_file(tmp_path, capsys):
+    ref, est = tmp_path / "ref.wav", tmp_path / "est.wav"
+    write_wav(ref, Signal(np.zeros(FS // 4), FS))
+    write_wav(est, Signal(speech_like_noise(FS // 4, FS, rng=2), FS))
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", est, "--ref", ref, "-o", out) == 2
+    assert f"{ref}: zero reference" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_names_both_inputs_of_unequal_lengths(tmp_path, capsys):
+    est, ref = tmp_path / "est.wav", tmp_path / "ref.wav"
+    write_wav(est, Signal(speech_like_noise(FS // 4, FS, rng=2), FS))
+    write_wav(ref, Signal(speech_like_noise(FS // 2, FS, rng=3), FS))
+    out = tmp_path / "eval.txt"
+    assert run("eval", "--est", est, "--ref", ref, "-o", out) == 2
+    assert (f"--est {est} has {FS // 4} samples, --ref {ref} {FS // 2}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
 def _write_params(path, params):
-    path.write_text(format_records(asdict(params).items()))
+    path.write_text(records.dump(params))
 
 
 def test_eval_param_errors(tmp_path):
@@ -349,6 +370,18 @@ def test_analyze_blind_names_an_input_below_the_blind_minimum(tmp_path,
     assert not report.exists()
 
 
+def test_analyze_blind_names_an_input_without_decay(tmp_path, capsys):
+    silent = tmp_path / "silent.wav"
+    write_wav(silent, Signal(np.zeros(2 * FS), FS))
+    _, cal_path = _blind_inputs(tmp_path, "c0=0\nc1=1\nc2=0\n")
+    report = tmp_path / "blind.txt"
+    assert run("analyze-blind", "--in", silent, "--calibration", cal_path,
+               "-o", report) == 2
+    assert (f"{silent}: insufficient decay evidence"
+            in capsys.readouterr().err)
+    assert not report.exists()
+
+
 def test_analyze_blind_rejects_a_config_noise_mode(tmp_path, capsys):
     # an all-zero calibration maps to an anechoic estimate, which builds no
     # AcousticParams to check the noise mode
@@ -429,8 +462,8 @@ def test_calibrate_synthetic_matches_the_library_fit(tmp_path):
     cfg = default_stft_config()
     pairs = (synthetic_pair(3, i, 4.0, FS) for i in range(5))
     want = tmp_path / "want.txt"
-    blind.calibrate_rt60(((stft(wet, cfg), params.rt60)
-                          for params, _, _, wet in pairs), FS).to_file(want)
+    want.write_text(records.dump(blind.calibrate_rt60(
+        ((stft(wet, cfg), params.rt60) for params, _, _, wet in pairs), FS)))
     assert file_bytes(out) == file_bytes(want)
 
 
@@ -443,8 +476,8 @@ def test_calibrate_manifest_matches_the_library_fit(tmp_path):
     assert run("calibrate", "--manifest", manifest, "-o", out) == 0
     cfg = default_stft_config()
     want = tmp_path / "want.txt"
-    blind.calibrate_rt60([(stft(read_wav(path), cfg), rt60)
-                          for path, rt60 in labels], FS).to_file(want)
+    want.write_text(records.dump(blind.calibrate_rt60(
+        [(stft(read_wav(path), cfg), rt60) for path, rt60 in labels], FS)))
     assert file_bytes(out) == file_bytes(want)
 
 
@@ -531,6 +564,32 @@ def test_calibrate_names_a_manifest_file_below_the_blind_minimum(tmp_path,
     assert not out.exists()
 
 
+def test_calibrate_names_a_manifest_file_without_decay(tmp_path, capsys):
+    labels = _manifest_wavs(tmp_path)
+    silent = tmp_path / "silent.wav"
+    write_wav(silent, Signal(np.zeros(2 * FS), FS))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{path} {rt60}\n" for path, rt60 in labels)
+                        + f"{silent} 0.5\n")
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--manifest", manifest, "-o", out) == 2
+    assert (f"{manifest}: {silent}: insufficient decay evidence"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["x", "-1"])
+def test_bench_names_a_bad_band_radius_before_any_kernel(tmp_path, capsys,
+                                                         monkeypatch, bad):
+    calls = _counting(monkeypatch, [(tfconv, "build_kernel")])
+    out = tmp_path / "bench.txt"
+    assert run("bench", "--band-radii", f"1,{bad}", "-o", out) == 2
+    assert (f"--band-radii: {bad!r} is neither a non-negative integer nor "
+            "'full'" in capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radii", [",", ""])
 def test_bench_rejects_an_empty_radius_list(tmp_path, capsys, radii):
     out = tmp_path / "bench.txt"
@@ -565,7 +624,7 @@ def test_dereverb_blind_writes_trace(tmp_path):
     s = speech_like_noise(2 * FS, FS, rng=13)
     write_wav(wet_path, Signal(fftconvolve(s, h.taps)[:2 * FS], FS))
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     trace = tmp_path / "t.txt"
     assert run("dereverb", "--in", wet_path, "--calibration", cal,
                "--max-iters", 4, "--k-inner", 2, "--trace", trace,
@@ -598,7 +657,7 @@ def test_dereverb_draws_set_only_the_loss_draws(tmp_path, monkeypatch):
     wet_path = tmp_path / "wet.wav"
     write_wav(wet_path, Signal(speech_like_noise(FS, FS, rng=1), FS))
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     received = []
 
     def recording_analyzer(spec, calibration, cfg, sample_rate):
@@ -641,7 +700,7 @@ def test_dereverb_blind_matches_manual_composition(tmp_path):
     write_wav(wet_path, Signal(wet, FS))
     cal = Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)  # identity map on raw
     cal_path = tmp_path / "cal.txt"
-    cal.to_file(cal_path)
+    cal_path.write_text(records.dump(cal))
     out, trace = tmp_path / "dry.wav", tmp_path / "t.txt"
     assert run("dereverb", "--in", wet_path, "--calibration", cal_path,
                "--max-iters", 8, "--k-inner", 4, "--seed", 3,
@@ -709,8 +768,8 @@ def test_dereverb_passthrough_writes_the_input_without_a_solve(
                if cause == "anechoic" else np.zeros(FS))
     write_wav(wet_path, Signal(samples, FS))
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=float(cause != "anechoic"),
-                    c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(
+        c0=0.0, c1=float(cause != "anechoic"), c2=0.0)))
     calls = _counting(monkeypatch, [(cli, "trainingless_dereverb"),
                                     (solver, "trainingless_dereverb")])
     out, trace = tmp_path / "dry.wav", tmp_path / "t.txt"
@@ -736,7 +795,7 @@ def test_dereverb_blind_solves_with_the_blind_noise_mode(tmp_path,
     wet_path = tmp_path / "wet.wav"
     write_wav(wet_path, Signal(speech_like_noise(FS, FS, rng=17), FS))
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     assert run("dereverb", "--in", wet_path, "--calibration", cal,
                "--max-iters", 2, "--noise-mode", "half-normal",
                "-o", tmp_path / "dry.wav") == 0
@@ -820,7 +879,7 @@ def test_dereverb_refuses_drr_or_nd_with_a_calibration(tmp_path, monkeypatch,
     # without a word
     (x0,) = _noise_wavs(tmp_path, "x0.wav")
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     name, value = option
     config = tmp_path / "run.cfg"
     config.write_text(f"{name}={value}\n")
@@ -1069,7 +1128,8 @@ def test_config_keys_naming_command_line_files_are_ignored(tmp_path):
     assert not (tmp_path / "other.wav").exists()
 
 
-@pytest.mark.parametrize("record", ["max_iter=2", "step_rule=fixed"])
+@pytest.mark.parametrize("record", ["max_iter=2", "step_rule=fixed",
+                                    "handler=cmd_eval"])
 def test_config_key_naming_no_option_is_a_usage_error(tmp_path, capsys,
                                                       record):
     wet_path = _short_wet(tmp_path)
@@ -1245,7 +1305,7 @@ def test_dereverb_batch_checks_the_blind_minimum_before_the_first_solve(
     a, b = _noise_wavs(tmp_path, "a.wav", "b.wav")
     write_wav(a, Signal(speech_like_noise(FS * 3 // 2, FS, rng=3), FS))
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     out = tmp_path / "out"
     out.mkdir()
     assert run("dereverb", "--in", a, "--in", b, "--calibration", cal,
@@ -1307,7 +1367,7 @@ def test_dereverb_refuses_rt60_and_a_calibration_together(tmp_path,
     # a calibration next to --rt60 used to be ignored without a word
     (x0,) = _noise_wavs(tmp_path, "x0.wav")
     cal = tmp_path / "cal.txt"
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(cal)
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     config = tmp_path / "run.cfg"
     config.write_text(f"calibration={cal}\n")
     extra = (["--calibration", cal] if source == "flags"
@@ -1378,7 +1438,8 @@ def test_missing_output_directory_is_found_before_the_work(
              "cal": tmp_path / "cal.txt"}
     assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
                "-o", files["rir"]) == 0
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(files["cal"])
+    files["cal"].write_text(
+        records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     fits = []
     monkeypatch.setattr(cli, "calibrate_rt60",
                         lambda *a, **k: fits.append(a))
@@ -1401,7 +1462,8 @@ def test_output_naming_a_directory_is_refused_before_the_work(
              "cal": tmp_path / "cal.txt"}
     assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
                "-o", files["rir"]) == 0
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(files["cal"])
+    files["cal"].write_text(
+        records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     fits = []
     monkeypatch.setattr(cli, "calibrate_rt60",
                         lambda *a, **k: fits.append(a))
@@ -1498,7 +1560,8 @@ def test_output_naming_an_input_is_refused_before_the_work(
              "report": tmp_path / "report.txt"}
     assert run("sample-rir", "--rt60", 0.3, "--drr", 0,
                "-o", files["rir"]) == 0
-    Rt60Calibration(c0=0.0, c1=1.0, c2=0.0).to_file(files["cal"])
+    files["cal"].write_text(
+        records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     files["config"].write_text("rt60=0.3\ndrr=0\nmax_iters=2\n"
                                "band_radii=1\n")
     files["manifest"].write_text("".join(f"{path} {rt60}\n"

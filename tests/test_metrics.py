@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from revmatch.metrics import SISDR_CAP_DB, MetricReport, evaluate, sisdr
+from revmatch.records import dump
 
 
 def test_sisdr_perfect_and_cap():
@@ -56,8 +57,8 @@ def test_evaluate_report_lines():
     rng = np.random.default_rng(2)
     ref = rng.standard_normal(100)
     report = evaluate(ref, ref)
-    text = report.to_lines()
+    text = dump(report)
     assert "sisdr_db=100" in text
     assert "sisdr_perfect=1" in text
     partial = MetricReport(rt60_abs_err_s=0.25)
-    assert partial.to_lines() == "rt60_abs_err_s=0.25\n"
+    assert dump(partial) == "rt60_abs_err_s=0.25\n"

@@ -1,13 +1,12 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from revmatch.records import format_records
+from revmatch.records import dump, load
 from revmatch.rir import (DEFAULT_DIRECT_DELAY, SYNTH_DRR_RANGE,
                           SYNTH_RT60_RANGE, AcousticParams, Rir, analyze_rir,
-                          edc, min_rir_length, params_from_file, read_rir,
+                          edc, min_rir_length, read_rir,
                           reverberant_energy, sample_rir, sigma_from_drr,
                           synthetic_pair, tau_from_rt60, write_rir)
 from revmatch.signals import fft_convolve
@@ -164,8 +163,8 @@ def test_params_file_roundtrip(tmp_path):
     params = AcousticParams(rt60=0.37, drr_db=-2.5, n_d=40, sample_rate=FS,
                             noise_mode="half-normal")
     path = tmp_path / "params.txt"
-    path.write_text(format_records(dataclasses.asdict(params).items()))
-    back = params_from_file(path)
+    path.write_text(dump(params))
+    back = load(AcousticParams, path)
     assert back == params
 
 

@@ -33,7 +33,7 @@ from . import blind, records, tfconv
 from .blind import MIN_SECONDS, BlindConfig, Rt60Calibration, calibrate_rt60
 from .loss import VARIANTS, LossConfig, _align_frames
 from .metrics import evaluate
-from .records import format_records, read_records, record_number
+from .records import format_records, read_lines, read_records, record_number
 from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
                   analyze_rir, read_rir, sample_rir, synthetic_pair,
                   write_rir)
@@ -148,28 +148,24 @@ def _manifest_labels(manifest):
     before any WAV is read; blank lines and ``#`` comments are skipped, and
     a bad label or a path that is not a file names its line."""
     labels = []
-    with open(manifest, "r", encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{manifest}:{number}"
-            fields = line.rsplit(None, 1)
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{where}: expected 'PATH RT60', got {line!r}")
-            path, label = fields
-            try:
-                rt60 = float(label)
-            except ValueError:
-                raise ValueError(
-                    f"{where}: RT60 label {label!r} is not a number") from None
-            if not 0 < rt60 < math.inf:
-                raise ValueError(f"{where}: RT60 label {label!r} must be "
-                                 "positive and finite")
-            if not os.path.isfile(path):
-                raise ValueError(f"{where}: {path} is not a file")
-            labels.append((path, rt60))
+    for where, line in read_lines(manifest):
+        if line.startswith("#"):
+            continue
+        fields = line.rsplit(None, 1)
+        if len(fields) != 2:
+            raise ValueError(f"{where}: expected 'PATH RT60', got {line!r}")
+        path, label = fields
+        try:
+            rt60 = float(label)
+        except ValueError:
+            raise ValueError(
+                f"{where}: RT60 label {label!r} is not a number") from None
+        if not 0 < rt60 < math.inf:
+            raise ValueError(f"{where}: RT60 label {label!r} must be "
+                             "positive and finite")
+        if not os.path.isfile(path):
+            raise ValueError(f"{where}: {path} is not a file")
+        labels.append((path, rt60))
     return labels
 
 
@@ -301,14 +297,19 @@ def cmd_dereverb(args):
     tasks = [(sig, out_path, args.trace, acoustics, args,
               (args.seed, STREAM_CLI_TASKS, i))
              for i, (sig, out_path) in enumerate(zip(signals, _outputs(args)))]
+
+    def attempt(task):  # every file runs; the first failure re-raises below
+        try:
+            _dereverb_one(*task)
+        except Exception as exc:  # noqa: BLE001 - re-raised in input order
+            return exc
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_dereverb_one, *t) for t in tasks]
-            for fut in futures:
-                fut.result()
-    else:
-        for t in tasks:
-            _dereverb_one(*t)
+            failures = list(pool.map(attempt, tasks))
+    else:  # inline: a pool of one raises peak memory
+        failures = [attempt(t) for t in tasks]
+    for exc in filter(None, failures):
+        raise exc
     return 0
 
 

@@ -1,5 +1,6 @@
 """Flat ``key=value`` records: the one text format of every config file,
-report, parameter file and calibration file.
+report, parameter file and calibration file; and :func:`read_lines`, the one
+reader of every text input (records, manifests, text RIRs).
 
 Blank lines, ``#`` comments and lines without ``=`` are skipped; a line splits
 at its first ``=`` and both sides are stripped. Floats are written with 17
@@ -11,18 +12,28 @@ field order, ``None`` ones left out: :func:`dump` writes, :func:`load` reads.
 from dataclasses import MISSING, fields
 
 
+def read_lines(path):
+    """``(FILE:LINE, line)`` of each non-blank line of a UTF-8 text file,
+    stripped; a file that is not UTF-8 is a ``ValueError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [line.strip() for line in f]
+    except UnicodeDecodeError as exc:
+        # no byte offset: the decoder counts it from its chunk, not the file
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return [(f"{path}:{n}", line) for n, line in enumerate(lines, 1) if line]
+
+
 def read_records(path, required=()):
     """``{key: value string}`` of a record file; a repeated key, or a missing
     ``required`` one, is a ``ValueError`` naming the file and the key."""
     records = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#") and "=" in line:
-                key, val = (side.strip() for side in line.split("=", 1))
-                if key in records:
-                    raise ValueError(f"{path}: repeated {key} record")
-                records[key] = val
+    for _, line in read_lines(path):
+        if not line.startswith("#") and "=" in line:
+            key, val = (side.strip() for side in line.split("=", 1))
+            if key in records:
+                raise ValueError(f"{path}: repeated {key} record")
+            records[key] = val
     for key in required:
         if key not in records:
             raise ValueError(f"{path}: no {key} record")

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import read_lines
 from .seeding import STREAM_SYNTH, derive_rng
 from .signals import (Signal, fft_convolve, read_wav, speech_like_noise,
                       write_wav)
@@ -264,21 +265,19 @@ def read_rir(path):
         return Rir(sig.samples, sig.sample_rate)
     rate = None
     taps = []
-    with open(path, "r", encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            line = line.strip()
-            try:
-                if line.startswith("#"):
-                    if "sample_rate=" in line:
-                        rate = int(line.split("sample_rate=")[1])
-                        if rate <= 0:
-                            raise ValueError("sample_rate must be positive")
-                elif line:
-                    taps.append(float(line))
-                    if not math.isfinite(taps[-1]):
-                        raise ValueError("RIR contains non-finite taps")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from None
+    for where, line in read_lines(path):
+        try:
+            if line.startswith("#"):
+                if "sample_rate=" in line:
+                    rate = int(line.split("sample_rate=")[1])
+                    if rate <= 0:
+                        raise ValueError("sample_rate must be positive")
+            else:
+                taps.append(float(line))
+                if not math.isfinite(taps[-1]):
+                    raise ValueError("RIR contains non-finite taps")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if rate is None:
         raise ValueError(f"{path}: text RIR lacks a sample_rate header")
     if not taps:

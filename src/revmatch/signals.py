@@ -346,7 +346,7 @@ def speech_like_noise(num_samples, sample_rate=16000, rng=None):
         if b1 - b0 > 2 * ramp:
             env[b0:b0 + ramp] = level * edge
             env[b1 - ramp:b1] = level * edge[::-1]
-        pos = b1 + pause
+        pos = max(b1 + pause, pos + 1)  # both round to 0 at low rates
     out = carrier * env
     rms = np.sqrt(np.mean(out ** 2))
     if rms == 0:

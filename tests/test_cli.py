@@ -932,6 +932,34 @@ def _dereverb_serial_and_parallel(tmp_path, *extra):
     return outputs
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dereverb_batch_writes_every_other_file_and_raises_the_first_failure(
+        tmp_path, monkeypatch, capsys, workers):
+    # files 0 and 2 fail: every --workers writes file 1 alone and exits with
+    # file 0's failure, the first in input order
+    (a,) = _noise_wavs(tmp_path, "a.wav")
+    b, c = tmp_path / "b.wav", tmp_path / "c.wav"
+    b.write_bytes(a.read_bytes())
+    c.write_bytes(a.read_bytes())
+    solve = cli.trainingless_dereverb
+
+    def failing(spec, params, cfg):
+        index = cfg.seed[-1]
+        if index == 0:
+            raise RuntimeError("file 0 failed")
+        if index == 2:
+            raise ValueError("file 2 failed")
+        return solve(spec, params, cfg)
+
+    monkeypatch.setattr(cli, "trainingless_dereverb", failing)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("dereverb", "--in", a, "--in", b, "--in", c, "--rt60", 0.3,
+               "--max-iters", 2, "--workers", workers, "-o", out) == 1
+    assert capsys.readouterr().err == "runtime error: file 0 failed\n"
+    assert os.listdir(out) == ["b.wav"]
+
+
 def test_dereverb_workers_reproducible(tmp_path):
     # two inputs, serial vs two workers: byte-identical outputs
     outputs = _dereverb_serial_and_parallel(tmp_path)
@@ -1141,6 +1169,32 @@ def test_config_key_naming_no_option_is_a_usage_error(tmp_path, capsys,
     key = record.split("=")[0]
     assert f"unknown config key: {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "sample-rir --rt60 0.3 --drr 0 --config BAD",
+    "analyze-blind --in WAV --calibration BAD",
+    "dereverb --in WAV --max-iters 2 --calibration BAD",
+    "eval --est WAV --ref WAV --true-params BAD --est-report PARAMS",
+    "eval --est WAV --ref WAV --true-params PARAMS --est-report BAD",
+    "reverberate --in WAV --rir BAD",
+    "analyze-rir --in BAD",
+    "calibrate --manifest BAD"])
+def test_a_text_input_that_is_not_utf8_is_refused_by_name(tmp_path, capsys,
+                                                          argv):
+    files = {"BAD": tmp_path / "bad.txt", "WAV": tmp_path / "x.wav",
+             "PARAMS": tmp_path / "params.txt"}
+    files["BAD"].write_bytes(b"# text\n\xd6\n")
+    write_wav(files["WAV"],
+              Signal(speech_like_noise(FS * 5 // 4, FS, rng=4), FS))
+    _write_params(files["PARAMS"], AcousticParams(rt60=0.5, drr_db=0.0))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(*[files.get(a, a) for a in argv.split()],
+               "-o", out / "result") == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {files['BAD']}: not UTF-8 text")
+    assert os.listdir(out) == []
 
 
 def test_missing_input_file_is_validation_error(tmp_path):

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +334,21 @@ def test_speech_like_noise_properties():
     # bursts and pauses: a noticeable fraction of near-silent samples
     frac_quiet = np.mean(np.abs(x) < 0.05)
     assert 0.1 < frac_quiet < 0.9
+
+
+@pytest.mark.parametrize("call", [
+    "signals.speech_like_noise(10, sample_rate=2, rng=0)",
+    "rir.synthetic_pair(0, 0, 5.0, sample_rate=2)"])
+def test_speech_like_noise_returns_at_a_rate_whose_bursts_round_to_zero(
+        call):
+    # at 2 Hz a burst and a pause both round to 0 samples, and the loop must
+    # still advance; a subprocess, so a hang fails instead of stalling
+    code = f"from revmatch import rir, signals; {call}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(blind.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
 
 
 def test_blind_binds_the_benchmark_generator_from_signals():

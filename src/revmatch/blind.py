@@ -1,6 +1,7 @@
 """Blind acoustic analysis from a reverberant spectrogram: subband decay-run
 regression with polynomial calibration for RT60, and a reverberation-matching
-grid search for DRR.
+grid search for DRR. The analyzer works at ``signals.SAMPLE_RATE``, the rate
+a calibration is fitted at.
 
 The raw decay statistic finds every maximal strictly-decreasing run of
 log-energy in every band in one array pass over the ``(bands, frames)``
@@ -19,7 +20,7 @@ import numpy as np
 from . import loss, rir, solver, tfconv
 from .rir import NOISE_MODES, AcousticParams
 from .seeding import STREAM_DRR_GRID, derive_rng
-from .signals import istft, weighted_dot
+from .signals import SAMPLE_RATE, istft, weighted_dot
 # not called here: perfbench/workloads.py draws its inputs as
 # rm.blind.speech_like_noise
 from .signals import speech_like_noise  # noqa: F401
@@ -120,7 +121,7 @@ def _run_slopes(log_e, min_run):
     return np.concatenate(slopes) if slopes else np.empty(0)
 
 
-def raw_decay_estimate(spec, sample_rate=16000):
+def raw_decay_estimate(spec):
     """Median per-run decay time (seconds) over all bands of a spectrogram.
 
     The log-energies of the bands whose mean energy is within
@@ -128,13 +129,12 @@ def raw_decay_estimate(spec, sample_rate=16000):
     matrix; one array pass finds the maximal strictly-decreasing runs of at
     least ``MIN_RUN`` frames in every band and fits each with a least-squares
     line (see ``_run_slopes``). Each negative slope ``s`` (dB per frame)
-    gives the decay time ``-60 * hop / (rate * s)``.
+    gives the decay time ``-60 * hop / (SAMPLE_RATE * s)``.
 
     Parameters
     ----------
     spec : Spectrogram
         Must span at least ``MIN_SECONDS`` of audio.
-    sample_rate : int
 
     Raises
     ------
@@ -144,7 +144,7 @@ def raw_decay_estimate(spec, sample_rate=16000):
     InsufficientDecay
         If no band contains a qualifying decreasing run.
     """
-    if spec.num_samples < MIN_SECONDS * sample_rate:
+    if spec.num_samples < MIN_SECONDS * SAMPLE_RATE:
         raise ValueError(f"input shorter than {MIN_SECONDS} s")
     grid = spec.half().data
     if not np.all(np.isfinite(grid)):
@@ -160,7 +160,7 @@ def raw_decay_estimate(spec, sample_rate=16000):
     slopes = slopes[slopes < 0]
     if not slopes.size:
         raise InsufficientDecay("insufficient decay evidence")
-    frame_dt = spec.config.hop / float(sample_rate)
+    frame_dt = spec.config.hop / float(SAMPLE_RATE)
     return float(np.median(-60.0 * frame_dt / slopes))
 
 
@@ -189,7 +189,7 @@ def fit_rt60_polynomial(raw_values, rt60_values):
                            residual=resid)
 
 
-def calibrate_rt60(pairs, sample_rate=16000):
+def calibrate_rt60(pairs):
     """Fit the calibration polynomial on (Spectrogram, rt60 seconds) pairs.
 
     ``pairs`` is read in one pass and may be any iterable: a generator holds
@@ -197,12 +197,12 @@ def calibrate_rt60(pairs, sample_rate=16000):
     """
     raws, rt60s = [], []
     for spec, rt60 in pairs:
-        raws.append(raw_decay_estimate(spec, sample_rate))
+        raws.append(raw_decay_estimate(spec))
         rt60s.append(rt60)
     return fit_rt60_polynomial(raws, rt60s)
 
 
-def blind_drr(spec, rt60, cfg, sample_rate=16000):
+def blind_drr(spec, rt60, cfg):
     """Pick a DRR from ``DEFAULT_DRR_GRID`` by energy matching at a fixed
     RT60, under the :class:`BlindConfig` ``cfg``.
 
@@ -239,7 +239,6 @@ def blind_drr(spec, rt60, cfg, sample_rate=16000):
     float : the picked grid value (dB).
     """
     ref_params = AcousticParams(rt60=rt60, drr_db=DEFAULT_DRR_GRID[0],
-                                sample_rate=sample_rate,
                                 noise_mode=cfg.noise_mode)
     ref_seed = int(derive_rng(cfg.seed, STREAM_DRR_GRID).integers(0, 2 ** 62))
     solver_cfg = solver.SolverConfig(max_iters=cfg.k_inner, seed=ref_seed)
@@ -259,8 +258,7 @@ def blind_drr(spec, rt60, cfg, sample_rate=16000):
         b = tfconv.forward(tail, x, obs.scratch)
         sums[i] = [weighted_dot(b, b, weights), weighted_dot(a, b, weights)]
     bb, ab = sums.mean(axis=0)
-    tau = rir.tau_from_rt60(rt60, sample_rate)
-    sigmas = np.array([rir.sigma_from_drr(db, tau, ref_params.n_d)
+    sigmas = np.array([rir.sigma_from_drr(db, ref_params.tau, ref_params.n_d)
                        for db in DEFAULT_DRR_GRID])
     scale = sigmas / sigmas[0]
     energies = a_energy + 2.0 * scale * ab + scale ** 2 * bb
@@ -268,7 +266,7 @@ def blind_drr(spec, rt60, cfg, sample_rate=16000):
     return DEFAULT_DRR_GRID[int(np.argmin(scores))]
 
 
-def analyze_blind(spec, cal, cfg=None, sample_rate=16000):
+def analyze_blind(spec, cal, cfg=None):
     """Blind estimate of (RT60, DRR) from a reverberant spectrogram.
 
     Composes the raw decay statistic, the calibration polynomial, and the DRR
@@ -277,10 +275,10 @@ def analyze_blind(spec, cal, cfg=None, sample_rate=16000):
     """
     if cfg is None:
         cfg = BlindConfig()
-    raw = raw_decay_estimate(spec, sample_rate)
+    raw = raw_decay_estimate(spec)
     rt60 = float(cal.map(raw))
     if rt60 < MIN_RT60:
         return BlindEstimate(rt60=rt60, drr_db=max(DEFAULT_DRR_GRID),
                              raw_median_decay=raw, anechoic=True)
-    drr_db = blind_drr(spec, rt60, cfg, sample_rate=sample_rate)
+    drr_db = blind_drr(spec, rt60, cfg)
     return BlindEstimate(rt60=rt60, drr_db=drr_db, raw_median_decay=raw)

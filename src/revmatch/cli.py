@@ -36,13 +36,12 @@ from .metrics import evaluate
 from .records import format_records, read_lines, read_records, record_number
 from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
                   analyze_rir, read_rir, sample_rir, synthetic_pair,
-                  write_rir)
+                  tau_from_rt60, write_rir)
 from .seeding import STREAM_CLI_TASKS, derive_rng
-from .signals import (Signal, default_stft_config, fft_convolve, istft,
-                      read_wav, speech_like_noise, stft, write_wav)
+from .signals import (SAMPLE_RATE, Signal, default_stft_config, fft_convolve,
+                      istft, read_wav, speech_like_noise, stft, write_wav)
 from .solver import SolverConfig, trainingless_dereverb
 
-CLI_SAMPLE_RATE = 16000
 DOMAINS = ("time", "stft")
 
 # config keys that stay ignored: the files named on the command line, by
@@ -69,7 +68,7 @@ def _atomic_write(path, writer):
 
 
 def _read_input_wav(path):
-    return read_wav(path, expect_rate=CLI_SAMPLE_RATE)
+    return read_wav(path, expect_rate=SAMPLE_RATE)
 
 
 def _write_text(path, text):
@@ -85,7 +84,6 @@ def cmd_sample_rir(args):
         if getattr(args, name) is None:
             raise ValueError(f"sample-rir requires --{name}")
     params = AcousticParams(rt60=args.rt60, drr_db=args.drr, n_d=args.nd,
-                            sample_rate=CLI_SAMPLE_RATE,
                             noise_mode=args.noise_mode)
     rir = sample_rir(params, derive_rng(args.seed, STREAM_CLI_TASKS, 0))
     _atomic_write(args.output, lambda tmp: write_rir(tmp, rir))
@@ -124,7 +122,7 @@ def cmd_reverberate(args):
 def _synthetic_pair(seed, index, duration, cfg, read):
     read.append(f"synthetic pair {index} (--duration {duration:g} s and its "
                 "RIR)")
-    params, _, _, wet = synthetic_pair(seed, index, duration, CLI_SAMPLE_RATE)
+    params, _, _, wet = synthetic_pair(seed, index, duration)
     _check_blind_length(read[-1], len(wet))
     return stft(wet, cfg), params.rt60
 
@@ -138,7 +136,7 @@ def _manifest_pair(manifest, path, rt60, cfg, read):
 
 def _check_blind_length(name, num_samples):
     """Refuse, by name, an input shorter than the blind analyzer reads."""
-    if num_samples < MIN_SECONDS * CLI_SAMPLE_RATE:
+    if num_samples < MIN_SECONDS * SAMPLE_RATE:
         raise ValueError(f"{name}: input shorter than {MIN_SECONDS} s, the "
                          "blind analyzer's minimum")
 
@@ -172,28 +170,33 @@ def _manifest_labels(manifest):
 def cmd_calibrate(args):
     # pairs are generated one at a time: calibrate_rt60 keeps one number each
     cfg = default_stft_config()
-    if not 0 < args.duration < math.inf:
-        raise ValueError("duration must be positive and finite")
     if args.manifest is not None and args.synthetic is not None:
         raise ValueError("calibrate takes one source: --manifest or "
                          "--synthetic N, not both")
     read = []  # each pair's name as it is read: a refusal names the last
     if args.manifest is not None:
+        # flags and config records alike: a duration would be ignored
+        if args.duration is not None:
+            raise ValueError("calibrate takes --duration with --synthetic "
+                             "only, not with --manifest")
         pairs = (_manifest_pair(args.manifest, path, rt60, cfg, read)
                  for path, rt60 in _manifest_labels(args.manifest))
     elif args.synthetic is not None:
+        duration = 4.0 if args.duration is None else args.duration
+        if not 0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if args.synthetic < 3:
             raise ValueError("insufficient calibration data: need >= 3 pairs")
-        if int(args.duration * CLI_SAMPLE_RATE) < 2:
-            raise ValueError(f"--duration {args.duration:g} s: a synthetic "
+        if int(duration * SAMPLE_RATE) < 2:
+            raise ValueError(f"--duration {duration:g} s: a synthetic "
                              "pair's dry signal needs at least 2 samples at "
-                             f"{CLI_SAMPLE_RATE} Hz")
-        pairs = (_synthetic_pair(args.seed, i, args.duration, cfg, read)
+                             f"{SAMPLE_RATE} Hz")
+        pairs = (_synthetic_pair(args.seed, i, duration, cfg, read)
                  for i in range(args.synthetic))
     else:
         raise ValueError("calibrate requires --manifest or --synthetic N")
     try:
-        cal = calibrate_rt60(pairs, CLI_SAMPLE_RATE)
+        cal = calibrate_rt60(pairs)
     except blind.InsufficientDecay as exc:
         raise ValueError(f"{read[-1]}: {exc}") from None
     _write_text(args.output, records.dump(cal))
@@ -201,7 +204,8 @@ def cmd_calibrate(args):
 
 
 def _blind_config(args):
-    return BlindConfig(k_inner=args.k_inner, seed=args.seed,
+    k_inner = BlindConfig.k_inner if args.k_inner is None else args.k_inner
+    return BlindConfig(k_inner=k_inner, seed=args.seed,
                        noise_mode=args.noise_mode)
 
 
@@ -211,8 +215,7 @@ def cmd_analyze_blind(args):
     cal = records.load(Rt60Calibration, args.calibration)
     spec = stft(sig, default_stft_config())
     try:
-        est = blind.analyze_blind(spec, cal, _blind_config(args),
-                                  sample_rate=sig.sample_rate)
+        est = blind.analyze_blind(spec, cal, _blind_config(args))
     except blind.InsufficientDecay as exc:
         raise ValueError(f"{args.input}: {exc}") from None
     _write_text(args.output, records.dump(est))
@@ -241,14 +244,12 @@ def _dereverb_one(sig, out_path, trace_path, acoustics, args, task_seed):
     if isinstance(acoustics, Rt60Calibration):
         blind_cfg = _blind_config(args)
         try:
-            est = blind.analyze_blind(spec, acoustics, blind_cfg,
-                                      sample_rate=sig.sample_rate)
+            est = blind.analyze_blind(spec, acoustics, blind_cfg)
             cause = "anechoic" if est.anechoic else None
         except blind.InsufficientDecay:
             cause = "insufficient-decay"
         if cause is None:
             params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
-                                    sample_rate=sig.sample_rate,
                                     noise_mode=blind_cfg.noise_mode)
     if cause is None:
         shat, solve_trace = trainingless_dereverb(
@@ -265,15 +266,19 @@ def _dereverb_one(sig, out_path, trace_path, acoustics, args, task_seed):
 def cmd_dereverb(args):
     if args.workers < 1:
         raise ValueError("--workers must be >= 1")
-    # flags and config records alike; inputs are read at CLI_SAMPLE_RATE
+    # flags and config records alike; inputs are read at SAMPLE_RATE
     if args.rt60 is not None and args.calibration:
         raise ValueError("dereverb takes one source: --calibration or "
                          "--rt60/--drr, not both")
     if args.rt60 is not None:
+        # the DRR search's inner budget would be ignored
+        if args.k_inner is not None:
+            raise ValueError("dereverb takes --k-inner with --calibration "
+                             "only, not with --rt60")
         acoustics = AcousticParams(
             rt60=args.rt60, drr_db=0.0 if args.drr is None else args.drr,
             n_d=DEFAULT_DIRECT_DELAY if args.nd is None else args.nd,
-            sample_rate=CLI_SAMPLE_RATE, noise_mode=args.noise_mode)
+            noise_mode=args.noise_mode)
     elif args.calibration:
         # the blind analyzer supplies the acoustics; a DRR or direct delay
         # given with it would be ignored
@@ -362,10 +367,10 @@ def cmd_bench(args):
     rng = derive_rng(args.seed, STREAM_CLI_TASKS, 0)
     # 1500-tap decaying RIR keeps the full-band reference cheap
     taps = rng.standard_normal(1500) * np.exp(
-        -np.arange(1500) / (0.35 * CLI_SAMPLE_RATE / (3 * math.log(10.0))))
+        -np.arange(1500) / tau_from_rt60(0.35, SAMPLE_RATE))
     taps[0] = 1.0
-    rir = Rir(taps, CLI_SAMPLE_RATE)
-    dry = speech_like_noise(CLI_SAMPLE_RATE, CLI_SAMPLE_RATE, rng=rng)
+    rir = Rir(taps, SAMPLE_RATE)
+    dry = speech_like_noise(SAMPLE_RATE, rng=rng)
     y_ref = stft(fft_convolve(dry, rir.taps), cfg)
     spec = stft(dry, cfg)
     lines = ["band_radius\trel_error"]
@@ -422,7 +427,8 @@ def build_parser(config=None):
     p = command("calibrate", "fit the blind RT60 calibration", cmd_calibrate)
     p.add_argument("--manifest", default=None)
     p.add_argument("--synthetic", type=int, default=None)
-    p.add_argument("--duration", type=float, default=4.0)
+    # unset, it is 4 s (see cmd_calibrate)
+    p.add_argument("--duration", type=float, default=None)
 
     p = command("analyze-blind", "blind acoustic analysis of a wav",
                 cmd_analyze_blind)
@@ -447,7 +453,8 @@ def build_parser(config=None):
     p.add_argument("--draws", type=int, default=LossConfig.num_draws)
     p.add_argument("--noise-mode", choices=NOISE_MODES,
                    default=AcousticParams.noise_mode)
-    p.add_argument("--k-inner", type=int, default=BlindConfig.k_inner)
+    # unset, it is BlindConfig.k_inner (see _blind_config)
+    p.add_argument("--k-inner", type=int, default=None)
     p.add_argument("--trace", default=None)
     p.add_argument("--workers", type=int, default=1)
 

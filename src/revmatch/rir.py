@@ -9,8 +9,8 @@ import numpy as np
 
 from .records import read_lines
 from .seeding import STREAM_SYNTH, derive_rng
-from .signals import (Signal, fft_convolve, read_wav, speech_like_noise,
-                      write_wav)
+from .signals import (SAMPLE_RATE, Signal, fft_convolve, read_wav,
+                      speech_like_noise, write_wav)
 
 LN10 = math.log(10.0)
 
@@ -23,15 +23,25 @@ DEFAULT_DIRECT_DELAY = 40
 SYNTH_RT60_RANGE = (0.2, 1.0)
 SYNTH_DRR_RANGE = (-6.0, 10.0)
 
+# the longest RIR (seconds) AcousticParams admits: an RIR lasts about its
+# RT60, so this takes every real room and every SYNTH_RT60_RANGE draw, and
+# refuses an RT60 typed in milliseconds (5000 for 5 s: 0.6 GiB of taps)
+# before its taps are allocated
+MAX_RIR_SECONDS = 30
+
 
 @dataclass(frozen=True)
 class AcousticParams:
-    """Scalar reverberation descriptors (RT60, DRR, direct-path delay)."""
+    """Scalar reverberation descriptors (RT60, DRR, direct-path delay) and,
+    derived once as attributes that are not fields, their tail model: ``tau``
+    (:func:`tau_from_rt60`), ``sigma`` (:func:`sigma_from_drr`) and
+    ``rir_length``, the direct path and ``tau * ln 1000`` taps of tail, at
+    most ``MAX_RIR_SECONDS`` of audio."""
 
     rt60: float
     drr_db: float
     n_d: int = DEFAULT_DIRECT_DELAY
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
     noise_mode: str = "centered-gaussian"
 
     def __post_init__(self):
@@ -55,6 +65,15 @@ class AcousticParams:
             raise ValueError(
                 f"rt60={self.rt60:g} s, n_d={self.n_d} and drr_db="
                 f"{self.drr_db:g} give no finite tail scale")
+        length = int(math.ceil(tau * math.log(1000.0))) + self.n_d + 1
+        if length > MAX_RIR_SECONDS * self.sample_rate:
+            raise ValueError(
+                f"rt60={self.rt60:g} s and n_d={self.n_d} give an RIR of "
+                f"{length} taps, longer than {MAX_RIR_SECONDS} s at "
+                f"{self.sample_rate} Hz")
+        for name, value in (("tau", tau), ("sigma", sigma),
+                            ("rir_length", length)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -122,15 +141,8 @@ def reverberant_energy(sigma, tau, n_d):
     return sigma ** 2 * (tau / 2.0) * math.exp(-2.0 * n_d / tau)
 
 
-def min_rir_length(params):
-    """Shortest admissible RIR length for the given parameters
-    (tail truncation rule: N_h >= tau * ln 1000)."""
-    tau = tau_from_rt60(params.rt60, params.sample_rate)
-    return int(math.ceil(tau * math.log(1000.0))) + params.n_d + 1
-
-
 def sample_rir(params, rng):
-    """Draw one RIR of :func:`min_rir_length` taps: unit peak at n = 0,
+    """Draw one RIR of ``params.rir_length`` taps: unit peak at n = 0,
     silence up to the direct-path delay, then an exponentially decaying
     noise tail.
 
@@ -145,23 +157,20 @@ def sample_rir(params, rng):
     -------
     Rir
     """
-    tau = tau_from_rt60(params.rt60, params.sample_rate)
-    length = min_rir_length(params)
+    length = params.rir_length
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    sigma = sigma_from_drr(params.drr_db, tau, params.n_d)
-    n_tail = length - params.n_d - 1
-    b = rng.normal(0.0, sigma, size=n_tail)
+    b = rng.normal(0.0, params.sigma, size=length - params.n_d - 1)
     if params.noise_mode == "half-normal":
         b = np.abs(b)
     taps = np.zeros(length)
     taps[0] = 1.0
     n = np.arange(params.n_d + 1, length)
-    taps[params.n_d + 1:] = b * np.exp(-n / tau)
+    taps[params.n_d + 1:] = b * np.exp(-n / params.tau)
     return Rir(taps, params.sample_rate)
 
 
-def synthetic_pair(seed, index, duration, sample_rate=16000):
+def synthetic_pair(seed, index, duration, sample_rate=SAMPLE_RATE):
     """The seeded, parameter-labelled (dry, RIR, wet) pair number ``index``.
 
     One generator, ``derive_rng(seed, STREAM_SYNTH, index)``, draws in
@@ -243,9 +252,9 @@ def analyze_rir(rir, n_d=DEFAULT_DIRECT_DELAY):
 
 def write_rir(path, rir):
     """Store an RIR as float32 WAV or columnar text (one tap per line),
-    chosen by file extension."""
+    chosen by file extension: ``.wav`` in any case is a WAV."""
     path = str(path)
-    if path.endswith(".wav"):
+    if path.lower().endswith(".wav"):
         write_wav(path, Signal(rir.taps, rir.sample_rate))
     else:
         with open(path, "w", encoding="utf-8") as f:
@@ -260,7 +269,7 @@ def read_rir(path):
     is a ``ValueError`` naming ``FILE:LINE``, and a missing header or no
     taps at all one naming ``FILE``."""
     path = str(path)
-    if path.endswith(".wav"):
+    if path.lower().endswith(".wav"):
         sig = read_wav(path)
         return Rir(sig.samples, sig.sample_rate)
     rate = None

@@ -19,6 +19,9 @@ import numpy as np
 
 from .seeding import STREAM_SYNTH, derive_rng
 
+# the rate (Hz) the CLI reads and writes, and a blind calibration is fitted at
+SAMPLE_RATE = 16000
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -304,7 +307,7 @@ def fft_convolve(a, b):
     return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:n_out]
 
 
-def speech_shaped_noise(num_samples, sample_rate=16000, rng=None):
+def speech_shaped_noise(num_samples, sample_rate=SAMPLE_RATE, rng=None):
     """Stationary noise with a speech-like long-term spectral envelope:
     band-passed around the low hundreds of Hz with a gentle high-frequency
     roll-off. Unit RMS."""
@@ -322,7 +325,7 @@ def speech_shaped_noise(num_samples, sample_rate=16000, rng=None):
     return shaped / rms
 
 
-def speech_like_noise(num_samples, sample_rate=16000, rng=None):
+def speech_like_noise(num_samples, sample_rate=SAMPLE_RATE, rng=None):
     """Speech-shaped noise with a syllabic temporal envelope.
 
     Alternates voiced bursts and pauses (with raised-cosine edges and

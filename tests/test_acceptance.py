@@ -226,8 +226,8 @@ def test_criterion_8_blind_rt60_calibration(cfg):
 
     train = [make_pair(i, 1) for i in range(100)]
     held_out = [make_pair(i, 2) for i in range(50)]
-    cal = calibrate_rt60(train, FS)
-    errs = [abs(cal.map(raw_decay_estimate(spec, FS)) - rt60)
+    cal = calibrate_rt60(train)
+    errs = [abs(cal.map(raw_decay_estimate(spec)) - rt60)
             for spec, rt60 in held_out]
     median = float(np.median(errs))
     # 0.15 s is the contract bound; 0.10 s re-pins the build-time run (0.062)

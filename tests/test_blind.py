@@ -43,7 +43,7 @@ def test_raw_decay_on_pure_decays_matches_pinned_oracle(cfg, rt60):
         rng = np.random.default_rng(1000 + trial)
         n = 4 * FS
         x = rng.standard_normal(n) * np.exp(-np.arange(n) / tau0)
-        raws.append(raw_decay_estimate(stft(x, cfg), FS))
+        raws.append(raw_decay_estimate(stft(x, cfg)))
     assert np.median(raws) == pytest.approx(PURE_DECAY_PINNED[rt60], abs=0.02)
 
 
@@ -51,7 +51,7 @@ def test_raw_decay_increases_with_rt60(cfg):
     medians = []
     for rt60 in [0.2, 0.5, 1.0]:
         raws = [raw_decay_estimate(
-            make_reverberant(rt60, 0.0, 6000 + t, 5000 + t, cfg=cfg), FS)
+            make_reverberant(rt60, 0.0, 6000 + t, 5000 + t, cfg=cfg))
             for t in range(5)]
         medians.append(np.median(raws))
     assert medians[0] < medians[1] < medians[2]
@@ -59,20 +59,20 @@ def test_raw_decay_increases_with_rt60(cfg):
 
 def test_raw_decay_scale_invariant(cfg):
     spec = make_reverberant(0.4, 0.0, 1, 2, duration=2.0, cfg=cfg)
-    raw = raw_decay_estimate(spec, FS)
+    raw = raw_decay_estimate(spec)
     scaled = Spectrogram(spec.data * 37.5, cfg, spec.num_samples)
-    assert raw_decay_estimate(scaled, FS) == pytest.approx(raw, rel=1e-12)
+    assert raw_decay_estimate(scaled) == pytest.approx(raw, rel=1e-12)
 
 
 def test_raw_decay_errors(cfg):
     zero = Spectrogram(np.zeros((512, 80), dtype=complex), cfg,
                        num_samples=80 * 256)
     with pytest.raises(InsufficientDecay):
-        raw_decay_estimate(zero, FS)
+        raw_decay_estimate(zero)
     spec = make_reverberant(0.4, 0.0, 3, 4, duration=2.0, cfg=cfg)
     short = Spectrogram(spec.data[:, :10], cfg, num_samples=100)
     with pytest.raises(ValueError, match="shorter than 1 s"):
-        raw_decay_estimate(short, FS)
+        raw_decay_estimate(short)
     # growing or flat energy leaves no strictly-decreasing runs
     growing = Spectrogram(
         np.exp(np.linspace(0, 8, 512 * 80)).reshape(512, 80) + 0j, cfg,
@@ -81,7 +81,7 @@ def test_raw_decay_errors(cfg):
                        num_samples=80 * 256)
     for spec in (growing, flat):
         with pytest.raises(InsufficientDecay):
-            raw_decay_estimate(spec, FS)
+            raw_decay_estimate(spec)
 
 
 def test_non_finite_grid_is_not_insufficient_decay(cfg):
@@ -93,8 +93,8 @@ def test_non_finite_grid_is_not_insufficient_decay(cfg):
         data = spec.data.copy()
         data[40, 30] = bad
         grid = Spectrogram(data, cfg, spec.num_samples)
-        for call in (lambda: raw_decay_estimate(grid, FS),
-                     lambda: analyze_blind(grid, cal, sample_rate=FS)):
+        for call in (lambda: raw_decay_estimate(grid),
+                     lambda: analyze_blind(grid, cal)):
             with pytest.raises(ValueError, match="non-finite") as err:
                 call()
             assert not isinstance(err.value, InsufficientDecay)
@@ -182,7 +182,7 @@ def test_raw_decay_bit_equal_to_per_band_scan(cfg):
                        for f in np.nonzero(keep)[0]
                        for slope in _run_slopes_per_band(log_e[f], 3)
                        if slope < 0]
-        assert raw_decay_estimate(spec, FS) == float(np.median(decay_times))
+        assert raw_decay_estimate(spec) == float(np.median(decay_times))
 
 
 def test_raw_decay_floor_cut_band_holding_the_only_runs(cfg):
@@ -192,7 +192,7 @@ def test_raw_decay_floor_cut_band_holding_the_only_runs(cfg):
     data[5] = 1e-6 * np.exp(-np.linspace(0.0, 4.0, frames))
     spec = Spectrogram(data + 0j, cfg, num_samples=frames * cfg.hop)
     with pytest.raises(InsufficientDecay):
-        raw_decay_estimate(spec, FS)
+        raw_decay_estimate(spec)
     # the runs are there: the cut band's log-energy is one decaying run
     slopes = _run_slopes(10.0 * np.log10(np.abs(data[5:6]) ** 2), MIN_RUN)
     assert len(slopes) == 1 and slopes[0] < 0
@@ -242,15 +242,15 @@ def test_calibrate_rt60_reads_a_generator_in_one_pass(cfg):
             yield make_reverberant(rt60, drr, 50 + i, 60 + i, duration=1.5,
                                    cfg=cfg), rt60
 
-    from_list = calibrate_rt60(list(pairs()), FS)
-    assert calibrate_rt60(pairs(), FS) == from_list
+    from_list = calibrate_rt60(list(pairs()))
+    assert calibrate_rt60(pairs()) == from_list
     assert from_list.n_pairs == len(cases)
 
 
 def test_blind_drr_deterministic(cfg):
     spec = make_reverberant(0.3, 0.0, 11, 12, duration=0.75, cfg=cfg)
-    a = blind_drr(spec, 0.3, BlindConfig(k_inner=6, seed=4), sample_rate=FS)
-    b = blind_drr(spec, 0.3, BlindConfig(k_inner=6, seed=4), sample_rate=FS)
+    a = blind_drr(spec, 0.3, BlindConfig(k_inner=6, seed=4))
+    b = blind_drr(spec, 0.3, BlindConfig(k_inner=6, seed=4))
     assert a == b
     assert a in DEFAULT_DRR_GRID
 
@@ -260,9 +260,9 @@ def test_blind_drr_selection_invariant_to_input_scaling(cfg):
     # factor, which must not move the selected grid point
     spec = make_reverberant(0.3, 0.0, 15, 16, duration=0.75, cfg=cfg)
     bcfg = BlindConfig(k_inner=6, seed=8)
-    db = blind_drr(spec, 0.3, bcfg, sample_rate=FS)
+    db = blind_drr(spec, 0.3, bcfg)
     scaled = Spectrogram(4.2 * spec.data, cfg, spec.num_samples)
-    db_scaled = blind_drr(scaled, 0.3, bcfg, sample_rate=FS)
+    db_scaled = blind_drr(scaled, 0.3, bcfg)
     assert db_scaled == db
 
 
@@ -273,8 +273,7 @@ def test_blind_drr_selection_experiment(cfg):
     for trial in range(12):
         spec = make_reverberant(0.3, 0.0, 8000 + trial, 7000 + trial,
                                 duration=0.75, cfg=cfg)
-        db = blind_drr(spec, 0.3, BlindConfig(k_inner=18, seed=trial),
-                       sample_rate=FS)
+        db = blind_drr(spec, 0.3, BlindConfig(k_inner=18, seed=trial))
         selected.append(db)
     assert abs(np.median(selected)) <= 3.0
 
@@ -283,11 +282,11 @@ def test_analyze_blind_composition(cfg):
     spec = make_reverberant(0.35, 0.0, 21, 22, duration=2.0, cfg=cfg)
     cal = Rt60Calibration(c0=0.05, c1=1.5, c2=0.0)
     bcfg = BlindConfig(k_inner=6, seed=5)
-    est = analyze_blind(spec, cal, bcfg, sample_rate=FS)
-    raw = raw_decay_estimate(spec, FS)
+    est = analyze_blind(spec, cal, bcfg)
+    raw = raw_decay_estimate(spec)
     assert est.raw_median_decay == pytest.approx(raw, rel=1e-12)
     assert est.rt60 == pytest.approx(cal.map(raw), rel=1e-12)
-    assert est.drr_db == blind_drr(spec, est.rt60, bcfg, sample_rate=FS)
+    assert est.drr_db == blind_drr(spec, est.rt60, bcfg)
     assert not est.anechoic
 
 
@@ -296,7 +295,7 @@ def test_analyze_blind_anechoic_flag(cfg):
     rng = np.random.default_rng(23)
     spec = stft(speech_shaped_noise(2 * FS, FS, rng=rng), cfg)
     cal = Rt60Calibration(c0=0.0, c1=0.0, c2=0.0)
-    est = analyze_blind(spec, cal, BlindConfig(), sample_rate=FS)
+    est = analyze_blind(spec, cal, BlindConfig())
     assert est.anechoic
     assert est.rt60 < 0.05
     assert est.drr_db == max(DEFAULT_DRR_GRID)
@@ -348,7 +347,7 @@ def test_blind_drr_closed_form_matches_per_draw_forwards(cfg, monkeypatch,
     monkeypatch.setattr(blind, "DRR_DRAWS", draws)
     spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
     args = dict(k_inner=6, seed=9, noise_mode=noise_mode)
-    assert (blind_drr(spec, 0.6, BlindConfig(**args), sample_rate=FS)
+    assert (blind_drr(spec, 0.6, BlindConfig(**args))
             == _per_draw_blind_drr(spec, 0.6, grid=grid, draws=draws, **args))
 
 
@@ -359,7 +358,7 @@ def test_blind_drr_closed_form_matches_per_draw_forwards_across_seeds(
     # at seeds 9 and 11 the centered-gaussian pick lies inside the grid
     spec = make_reverberant(0.6, -3.0, 35, 36, duration=0.75, cfg=cfg)
     args = dict(k_inner=6, seed=seed, noise_mode=noise_mode)
-    assert (blind_drr(spec, 0.6, BlindConfig(**args), sample_rate=FS)
+    assert (blind_drr(spec, 0.6, BlindConfig(**args))
             == _per_draw_blind_drr(spec, 0.6, **args))
 
 
@@ -374,6 +373,6 @@ def test_blind_drr_draws_one_tail_per_draw(cfg, monkeypatch):
         return _real(*args, **kwargs)
 
     monkeypatch.setattr(rir, "sample_rir", counting)
-    blind_drr(spec, 0.3, BlindConfig(k_inner=4, seed=2), sample_rate=FS)
+    blind_drr(spec, 0.3, BlindConfig(k_inner=4, seed=2))
     assert len(DEFAULT_DRR_GRID) > 1
     assert len(calls) == 4 + DRR_DRAWS

@@ -12,6 +12,7 @@ from scipy.signal import fftconvolve
 import revmatch.blind as blind
 import revmatch.cli as cli
 import revmatch.records as records
+import revmatch.rir as rir
 import revmatch.solver as solver
 import revmatch.tfconv as tfconv
 from revmatch.cli import main
@@ -68,6 +69,19 @@ def test_sample_rir_text_matches_wav(tmp_path):
                                   from_wav.taps.astype(np.float32))
     assert txt_path.read_text().splitlines()[0] == "# sample_rate=16000"
     assert sorted(os.listdir(tmp_path)) == ["h.txt", "h.wav"]
+
+
+def test_an_upper_case_wav_suffix_writes_and_reads_a_wav(tmp_path):
+    upper, lower = tmp_path / "H.WAV", tmp_path / "h.wav"
+    for out in (upper, lower):
+        assert run("sample-rir", "--rt60", 0.3, "--drr", 0, "--seed", 5,
+                   "-o", out) == 0
+    assert file_bytes(upper)[:4] == b"RIFF"
+    assert file_bytes(upper) == file_bytes(lower)
+    reports = [tmp_path / "upper.txt", tmp_path / "lower.txt"]
+    for rir_path, report in zip((upper, lower), reports):
+        assert run("analyze-rir", "--in", rir_path, "-o", report) == 0
+    assert file_bytes(reports[0]) == file_bytes(reports[1])
 
 
 def test_sample_rir_analyze_roundtrip(tmp_path):
@@ -463,7 +477,7 @@ def test_calibrate_synthetic_matches_the_library_fit(tmp_path):
     pairs = (synthetic_pair(3, i, 4.0, FS) for i in range(5))
     want = tmp_path / "want.txt"
     want.write_text(records.dump(blind.calibrate_rt60(
-        ((stft(wet, cfg), params.rt60) for params, _, _, wet in pairs), FS)))
+        ((stft(wet, cfg), params.rt60) for params, _, _, wet in pairs))))
     assert file_bytes(out) == file_bytes(want)
 
 
@@ -477,7 +491,7 @@ def test_calibrate_manifest_matches_the_library_fit(tmp_path):
     cfg = default_stft_config()
     want = tmp_path / "want.txt"
     want.write_text(records.dump(blind.calibrate_rt60(
-        [(stft(read_wav(path), cfg), rt60) for path, rt60 in labels], FS)))
+        [(stft(read_wav(path), cfg), rt60) for path, rt60 in labels])))
     assert file_bytes(out) == file_bytes(want)
 
 
@@ -523,6 +537,28 @@ def test_calibrate_rejects_a_bad_duration(tmp_path, capsys, duration,
     assert run("calibrate", "--synthetic", 3, "--duration", duration,
                "-o", out) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("duration", ["2", "0.0001"])
+def test_calibrate_refuses_duration_with_a_manifest(tmp_path, monkeypatch,
+                                                    capsys, source, duration):
+    # a manifest's WAVs set their own length: a duration used to be checked
+    # and then ignored
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{path} {rt60}\n"
+                                for path, rt60 in _manifest_wavs(tmp_path)))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"duration={duration}\n")
+    extra = (["--duration", duration] if source == "flags"
+             else ["--config", config])
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "cal.txt"
+    assert run("calibrate", "--manifest", manifest, *extra, "-o", out) == 2
+    assert ("calibrate takes --duration with --synthetic only, not with "
+            "--manifest") in capsys.readouterr().err
+    assert reads == []
     assert not out.exists()
 
 
@@ -660,7 +696,7 @@ def test_dereverb_draws_set_only_the_loss_draws(tmp_path, monkeypatch):
     cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
     received = []
 
-    def recording_analyzer(spec, calibration, cfg, sample_rate):
+    def recording_analyzer(spec, calibration, cfg):
         received.append(cfg)
         raise blind.InsufficientDecay("recorded")
 
@@ -708,8 +744,7 @@ def test_dereverb_blind_matches_manual_composition(tmp_path):
 
     sig = read_wav(wet_path)
     spec = stft(sig, default_stft_config())
-    est = blind.analyze_blind(spec, cal, BlindConfig(k_inner=4, seed=3),
-                              sample_rate=FS)
+    est = blind.analyze_blind(spec, cal, BlindConfig(k_inner=4, seed=3))
     assert not est.anechoic
     shat, manual_trace = trainingless_dereverb(
         spec, AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
@@ -892,6 +927,49 @@ def test_dereverb_refuses_drr_or_nd_with_a_calibration(tmp_path, monkeypatch,
     assert ("dereverb takes --drr and --nd with --rt60 only, not with "
             "--calibration") in capsys.readouterr().err
     assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_dereverb_refuses_k_inner_with_rt60(tmp_path, monkeypatch, capsys,
+                                            source):
+    # --rt60 runs no DRR search: its inner budget used to be ignored without
+    # a word
+    (x0,) = _noise_wavs(tmp_path, "x0.wav")
+    config = tmp_path / "run.cfg"
+    config.write_text("k_inner=2\n")
+    extra = ["--k-inner", 2] if source == "flags" else ["--config", config]
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "o.wav"
+    assert run("dereverb", "--in", x0, "--rt60", 0.4, "--max-iters", 2,
+               *extra, "-o", out) == 2
+    assert ("dereverb takes --k-inner with --calibration only, not with "
+            "--rt60") in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample-rir", "dereverb",
+                                     "blind-dereverb", "analyze-blind"])
+def test_an_rir_longer_than_max_rir_seconds_is_refused_before_a_draw(
+        tmp_path, monkeypatch, capsys, command):
+    # RT60 1e6 s would be an RIR of 16e9 taps (119 GiB): no draw may start
+    wet_path, cal = _blind_inputs(tmp_path, "c0=1e6\nc1=0\nc2=0\n")
+
+    def refuse(*args, **kwargs):
+        pytest.fail("an RIR was drawn")
+
+    monkeypatch.setattr(cli, "sample_rir", refuse)
+    monkeypatch.setattr(rir, "sample_rir", refuse)
+    args = {"sample-rir": ["--rt60", "1e6", "--drr", 0],
+            "dereverb": ["--in", wet_path, "--rt60", "1e6"],
+            "blind-dereverb": ["--in", wet_path, "--calibration", cal],
+            "analyze-blind": ["--in", wet_path, "--calibration", cal]}
+    out = tmp_path / "out"
+    assert run(command.replace("blind-dereverb", "dereverb"), *args[command],
+               "-o", out) == 2
+    assert ("rt60=1e+06 s and n_d=40 give an RIR of 16000000041 taps, "
+            "longer than 30 s at 16000 Hz") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,14 +1,16 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from revmatch.records import dump, load
-from revmatch.rir import (DEFAULT_DIRECT_DELAY, SYNTH_DRR_RANGE,
-                          SYNTH_RT60_RANGE, AcousticParams, Rir, analyze_rir,
-                          edc, min_rir_length, read_rir,
-                          reverberant_energy, sample_rir, sigma_from_drr,
-                          synthetic_pair, tau_from_rt60, write_rir)
+from revmatch.rir import (DEFAULT_DIRECT_DELAY, MAX_RIR_SECONDS,
+                          SYNTH_DRR_RANGE, SYNTH_RT60_RANGE, AcousticParams,
+                          Rir, analyze_rir, edc, read_rir, reverberant_energy,
+                          sample_rir, sigma_from_drr, synthetic_pair,
+                          tau_from_rt60, write_rir)
 from revmatch.signals import fft_convolve
 
 FS = 16000
@@ -61,7 +63,7 @@ def test_sigma_monte_carlo_tail_energy():
 def test_sample_rir_head_structure():
     params = AcousticParams(rt60=0.3, drr_db=0.0, sample_rate=FS)
     rir = sample_rir(params, rng=0)
-    assert len(rir) == min_rir_length(params)
+    assert len(rir) == params.rir_length
     assert rir.taps[0] == 1.0
     assert np.all(rir.taps[1:params.n_d + 1] == 0.0)
     assert np.any(rir.taps[params.n_d + 1:] != 0.0)
@@ -192,6 +194,42 @@ def test_params_refuse_acoustics_that_overflow_the_tail_model(rt60, drr_db,
         AcousticParams(rt60=rt60, drr_db=drr_db, n_d=n_d)
 
 
+@pytest.mark.parametrize("rt60, n_d, sample_rate", [
+    (1e6, 40, FS), (5000.0, 40, FS), (30.0, 40, FS), (29.9, 20_000, FS),
+    (31.0, 40, 8000)])
+def test_params_refuse_an_rir_longer_than_max_rir_seconds(rt60, n_d,
+                                                          sample_rate):
+    # 1e6 s would be 16e9 taps (119 GiB); only the params are built here
+    message = (re.escape(f"rt60={rt60:g} s and n_d={n_d} give an RIR of ")
+               + rf"\d+ taps, longer than {MAX_RIR_SECONDS} s at "
+               f"{sample_rate} Hz")
+    with pytest.raises(ValueError, match=message):
+        AcousticParams(rt60=rt60, drr_db=0.0, n_d=n_d,
+                       sample_rate=sample_rate)
+
+
+def test_params_admit_every_synthetic_rt60_and_a_long_real_room():
+    for rt60 in (*SYNTH_RT60_RANGE, 12.0, 29.9):
+        params = AcousticParams(rt60=rt60, drr_db=0.0)
+        assert params.rir_length <= MAX_RIR_SECONDS * params.sample_rate
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rt60=0.3, drr_db=0.0), dict(rt60=0.9, drr_db=-6.0, n_d=7),
+    dict(rt60=0.5, drr_db=3.0, sample_rate=8000, noise_mode="half-normal")])
+def test_params_derive_the_tail_model_once_outside_their_fields(kwargs):
+    params = AcousticParams(**kwargs)
+    tau = tau_from_rt60(params.rt60, params.sample_rate)
+    assert params.tau == tau
+    assert params.sigma == sigma_from_drr(params.drr_db, tau, params.n_d)
+    assert params.rir_length == (int(math.ceil(tau * math.log(1000.0)))
+                                 + params.n_d + 1)
+    assert [f.name for f in fields(params)] == [
+        "rt60", "drr_db", "n_d", "sample_rate", "noise_mode"]
+    assert [line.split("=")[0] for line in dump(params).splitlines()] == [
+        "rt60", "drr_db", "n_d", "sample_rate", "noise_mode"]
+
+
 @pytest.mark.parametrize("seed, index", [(0, 0), (0, 7), (2, 3)])
 def test_synthetic_pair_is_seeded_labelled_and_convolved(seed, index):
     params, rir, dry, wet = synthetic_pair(seed, index, 0.5)
@@ -205,7 +243,7 @@ def test_synthetic_pair_is_seeded_labelled_and_convolved(seed, index):
     assert SYNTH_DRR_RANGE[0] <= params.drr_db < SYNTH_DRR_RANGE[1]
     assert (params.n_d, params.sample_rate) == (DEFAULT_DIRECT_DELAY, FS)
     assert params.noise_mode == "centered-gaussian"
-    assert len(rir) == min_rir_length(params)
+    assert len(rir) == params.rir_length
     assert len(dry) == FS // 2
     # another pair index is another draw
     assert synthetic_pair(seed, index + 1, 0.5)[0] != params

@@ -266,15 +266,14 @@ def blind_drr(spec, rt60, cfg):
     return DEFAULT_DRR_GRID[int(np.argmin(scores))]
 
 
-def analyze_blind(spec, cal, cfg=None):
-    """Blind estimate of (RT60, DRR) from a reverberant spectrogram.
+def analyze_blind(spec, cal, cfg):
+    """Blind estimate of (RT60, DRR) from a reverberant spectrogram, under
+    the :class:`BlindConfig` ``cfg``.
 
     Composes the raw decay statistic, the calibration polynomial, and the DRR
     search. A mapped RT60 below the anechoic floor short-circuits the search
     and flags the estimate, with the grid's maximum as its DRR.
     """
-    if cfg is None:
-        cfg = BlindConfig()
     raw = raw_decay_estimate(spec)
     rt60 = float(cal.map(raw))
     if rt60 < MIN_RT60:

@@ -6,12 +6,13 @@ inputs): all randomness derives from the global seed through fixed stream ids
 and counters (see seeding), so parallel and serial runs produce identical
 bytes. Before any work, ``main`` checks every file a command reads and writes
 (``_check_files``), so no output names an input. Commands validate inputs
-before computing (before the first solve or fit, a batch dereverb reads all
-its inputs; analyze-blind, dereverb given a calibration, and calibrate check
-each input against the blind analyzer's minimum length by name; dereverb
-given --rt60 refuses an all-zero input by name; calibrate checks every
-manifest line) and write outputs through a temporary file plus atomic rename,
-so failed runs leave no partial files.
+before computing (dereverb checks its solver and blind settings before it
+reads an input, and reads all its inputs before the first solve;
+analyze-blind, dereverb given a calibration, and calibrate check each input
+against the blind analyzer's minimum length by name; dereverb given --rt60
+refuses an all-zero input by name; calibrate checks every manifest line) and
+write outputs through a temporary file plus atomic rename, so failed runs
+leave no partial files.
 
 Config files, reports and calibration files are ``key=value`` records (see
 records). Argparse resolves every option: an explicit flag wins over a config
@@ -21,6 +22,7 @@ that owns it. Config keys match the long option names with ``-`` replaced by
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -31,10 +33,10 @@ import numpy as np
 
 from . import blind, records, tfconv
 from .blind import MIN_SECONDS, BlindConfig, Rt60Calibration, calibrate_rt60
-from .loss import VARIANTS, LossConfig, _align_frames
-from .metrics import evaluate
+from .loss import VARIANTS, LossConfig
+from .metrics import MetricReport, sisdr
 from .records import format_records, read_lines, read_records, record_number
-from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams, Rir,
+from .rir import (DEFAULT_DIRECT_DELAY, NOISE_MODES, AcousticParams,
                   analyze_rir, read_rir, sample_rir, synthetic_pair,
                   tau_from_rt60, write_rir)
 from .seeding import STREAM_CLI_TASKS, derive_rng
@@ -222,27 +224,21 @@ def cmd_analyze_blind(args):
     return 0
 
 
-def _solver_config(args, seed):
-    return SolverConfig(
-        max_iters=args.max_iters, step_size=args.step_size,
-        stop_rel_tol=args.stop_rel_tol,
-        loss_cfg=LossConfig(variant=args.variant, num_draws=args.draws),
-        seed=seed)
+def _dereverb_one(sig, out_path, trace_path, acoustics, blind_cfg,
+                  solver_cfg):
+    """Dereverberate one input: STFT, solve under ``solver_cfg``, iSTFT at
+    the input's length; write the output and, given ``trace_path``, the
+    solve's trace.
 
-
-def _dereverb_one(sig, out_path, trace_path, acoustics, args, task_seed):
-    """Dereverberate one input: STFT, solve, iSTFT at the input's length;
-    write the output and, given ``trace_path``, the solve's trace.
-
-    Given an ``Rt60Calibration``, the blind analyzer supplies the acoustics.
-    When it finds no usable decay or maps to a near-anechoic RT60, the input
-    is written unchanged and the trace is one ``passthrough`` record naming
-    the cause, ``insufficient-decay`` or ``anechoic``.
+    Given an ``Rt60Calibration``, the blind analyzer supplies the acoustics
+    under ``blind_cfg``. When it finds no usable decay or maps to a
+    near-anechoic RT60, the input is written unchanged and the trace is one
+    ``passthrough`` record naming the cause, ``insufficient-decay`` or
+    ``anechoic``.
     """
     spec = stft(sig, default_stft_config())
     params, cause = acoustics, None
     if isinstance(acoustics, Rt60Calibration):
-        blind_cfg = _blind_config(args)
         try:
             est = blind.analyze_blind(spec, acoustics, blind_cfg)
             cause = "anechoic" if est.anechoic else None
@@ -252,8 +248,7 @@ def _dereverb_one(sig, out_path, trace_path, acoustics, args, task_seed):
             params = AcousticParams(rt60=est.rt60, drr_db=est.drr_db,
                                     noise_mode=blind_cfg.noise_mode)
     if cause is None:
-        shat, solve_trace = trainingless_dereverb(
-            spec, params, _solver_config(args, task_seed))
+        shat, solve_trace = trainingless_dereverb(spec, params, solver_cfg)
         out = Signal(istft(shat, length=len(sig)), sig.sample_rate)
         trace = solve_trace.to_lines()
     else:
@@ -270,6 +265,14 @@ def cmd_dereverb(args):
     if args.rt60 is not None and args.calibration:
         raise ValueError("dereverb takes one source: --calibration or "
                          "--rt60/--drr, not both")
+    if args.rt60 is None and not args.calibration:
+        raise ValueError("dereverb requires --calibration or --rt60/--drr")
+    # the settings are checked before any input is read
+    solver_cfg = SolverConfig(
+        max_iters=args.max_iters, step_size=args.step_size,
+        stop_rel_tol=args.stop_rel_tol,
+        loss_cfg=LossConfig(variant=args.variant, num_draws=args.draws))
+    blind_cfg = None
     if args.rt60 is not None:
         # the DRR search's inner budget would be ignored
         if args.k_inner is not None:
@@ -279,15 +282,14 @@ def cmd_dereverb(args):
             rt60=args.rt60, drr_db=0.0 if args.drr is None else args.drr,
             n_d=DEFAULT_DIRECT_DELAY if args.nd is None else args.nd,
             noise_mode=args.noise_mode)
-    elif args.calibration:
+    else:
         # the blind analyzer supplies the acoustics; a DRR or direct delay
         # given with it would be ignored
         if args.drr is not None or args.nd is not None:
             raise ValueError("dereverb takes --drr and --nd with --rt60 "
                              "only, not with --calibration")
+        blind_cfg = _blind_config(args)
         acoustics = records.load(Rt60Calibration, args.calibration)
-    else:
-        raise ValueError("dereverb requires --calibration or --rt60/--drr")
     # every input is read and checked before the first solve
     signals = [_read_input_wav(path) for path in args.inputs]
     for path, sig in zip(args.inputs, signals):
@@ -299,8 +301,9 @@ def cmd_dereverb(args):
             raise ValueError(f"{path}: input is identically zero, nothing "
                              "to dereverberate")
     # a batch has no trace: _check_files refuses it
-    tasks = [(sig, out_path, args.trace, acoustics, args,
-              (args.seed, STREAM_CLI_TASKS, i))
+    tasks = [(sig, out_path, args.trace, acoustics, blind_cfg,
+              dataclasses.replace(solver_cfg,
+                                  seed=(args.seed, STREAM_CLI_TASKS, i)))
              for i, (sig, out_path) in enumerate(zip(signals, _outputs(args)))]
 
     def attempt(task):  # every file runs; the first failure re-raises below
@@ -343,7 +346,8 @@ def cmd_eval(args):
                             (args.est, est, "estimate")):
         if not np.any(sig.samples):
             raise ValueError(f"{path}: zero {what}")
-    report = evaluate(est, ref)
+    value, perfect = sisdr(est.samples, ref.samples)
+    report = MetricReport(sisdr_db=value, sisdr_perfect=perfect)
     if args.true_params:
         truth = records.load(AcousticParams, args.true_params)
         kv = read_records(args.est_report)
@@ -369,17 +373,16 @@ def cmd_bench(args):
     taps = rng.standard_normal(1500) * np.exp(
         -np.arange(1500) / tau_from_rt60(0.35, SAMPLE_RATE))
     taps[0] = 1.0
-    rir = Rir(taps, SAMPLE_RATE)
     dry = speech_like_noise(SAMPLE_RATE, rng=rng)
-    y_ref = stft(fft_convolve(dry, rir.taps), cfg)
+    y_ref = stft(fft_convolve(dry, taps), cfg)
     spec = stft(dry, cfg)
     lines = ["band_radius\trel_error"]
     for radius in radii:
         band = "full" if radius == "full" else int(radius)
-        yhat = tfconv.apply(tfconv.build_kernel(rir, cfg, band), spec)
+        yhat = tfconv.apply(tfconv.build_kernel(taps, cfg, band), spec)
         t_max = max(y_ref.num_frames, yhat.num_frames)
-        ref = _align_frames(y_ref.data, t_max)
-        rel = (np.linalg.norm(_align_frames(yhat.data, t_max) - ref)
+        ref = tfconv.align_frames(y_ref.data, t_max)
+        rel = (np.linalg.norm(tfconv.align_frames(yhat.data, t_max) - ref)
                / np.linalg.norm(ref))
         lines.append(f"{radius}\t{rel:.17g}")
     _write_text(args.output, "\n".join(lines) + "\n")

@@ -134,17 +134,6 @@ def gradnorm_alpha(y, yhat):
     return float(norm_c / norm_m)
 
 
-def _align_frames(arr, num_frames):
-    """Crop or zero-pad the frame axis to num_frames: aligns the cross-band
-    kernel's output with an observation's frames."""
-    f_bins, t = arr.shape
-    if t == num_frames:
-        return arr
-    out = np.zeros((f_bins, num_frames), dtype=arr.dtype)
-    out[:, :min(t, num_frames)] = arr[:, :min(t, num_frames)]
-    return out
-
-
 class Observation:
     """One solve's observed grid ``y`` (full or one-sided), as :func:`rm_loss`
     scores it: its one-sided rows ``data`` and their ``log_mag``, log(1 +

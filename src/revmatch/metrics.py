@@ -1,5 +1,5 @@
-"""Evaluation metrics: scale-invariant SDR for signals, in a report that also
-carries the analyzers' absolute parameter errors."""
+"""Evaluation metrics: scale-invariant SDR of sample arrays, in a report that
+also carries the analyzers' absolute parameter errors."""
 
 from dataclasses import dataclass
 
@@ -17,7 +17,8 @@ class MetricReport:
 
 
 def sisdr(est, ref):
-    """Scale-invariant signal-to-distortion ratio in dB.
+    """Scale-invariant signal-to-distortion ratio in dB of two 1-D sample
+    arrays.
 
     Projects the estimate onto the reference and returns the energy ratio of
     the projection to the residual. Invariant to positive scaling of the
@@ -33,8 +34,8 @@ def sisdr(est, ref):
         If the lengths differ, either signal holds a non-finite value, the
         reference is zero or the estimate is zero.
     """
-    est = est.samples if hasattr(est, "samples") else np.asarray(est, dtype=np.float64)
-    ref = ref.samples if hasattr(ref, "samples") else np.asarray(ref, dtype=np.float64)
+    est = np.asarray(est, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
     if est.shape != ref.shape:
         raise ValueError("signals must have equal lengths")
     if not (np.all(np.isfinite(est)) and np.all(np.isfinite(ref))):
@@ -53,8 +54,3 @@ def sisdr(est, ref):
         return SISDR_CAP_DB, True
     value = 10.0 * np.log10(tgt_energy / res_energy)
     return float(min(value, SISDR_CAP_DB)), False
-
-
-def evaluate(est_sig, ref_sig):
-    value, perfect = sisdr(est_sig, ref_sig)
-    return MetricReport(sisdr_db=value, sisdr_perfect=perfect)

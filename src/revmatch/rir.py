@@ -93,9 +93,6 @@ class Rir:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
-    def __len__(self):
-        return len(self.taps)
-
 
 @dataclass
 class EdcAnalysis:
@@ -193,10 +190,9 @@ def synthetic_pair(seed, index, duration, sample_rate=SAMPLE_RATE):
     return params, rir, dry, fft_convolve(dry, rir.taps)
 
 
-def edc(rir):
-    """Energy decay curve: edc[t] = sum_{u >= t} h(u)^2 (Schroeder integral
-    of the squared impulse response)."""
-    taps = rir.taps if isinstance(rir, Rir) else np.asarray(rir, dtype=np.float64)
+def edc(taps):
+    """Energy decay curve of an RIR's taps array: edc[t] = sum_{u >= t}
+    h(u)^2 (Schroeder integral of the squared impulse response)."""
     if len(taps) == 0:
         raise ValueError("empty RIR")
     return np.cumsum((taps ** 2)[::-1])[::-1]
@@ -220,7 +216,7 @@ def analyze_rir(rir, n_d=DEFAULT_DIRECT_DELAY):
     if n_d < 0:
         raise ValueError("n_d must be nonnegative")
     fs = rir.sample_rate
-    curve = edc(rir)
+    curve = edc(rir.taps)
     ref_idx = n_d + 1
     if ref_idx >= len(curve) or curve[ref_idx] <= 0:
         raise ValueError("insufficient dynamic range: no tail after n_d")

@@ -85,7 +85,7 @@ def _adam_step(x, grad, t, step_size, m, v, step, denom):
     x -= step
 
 
-def trainingless_dereverb(y, params, cfg=None):
+def trainingless_dereverb(y, params, cfg):
     """Minimize the reverberation-matching objective over the real dry signal.
 
     The iterate ``x`` has the observation's ``n = y.num_samples`` samples and
@@ -104,7 +104,7 @@ def trainingless_dereverb(y, params, cfg=None):
     params : AcousticParams or Rir
         Acoustic parameters to draw RIRs from, or the known RIR; any other
         type raises TypeError (from :func:`~revmatch.loss.rm_loss`).
-    cfg : SolverConfig, optional
+    cfg : SolverConfig
 
     Returns
     -------
@@ -117,8 +117,6 @@ def trainingless_dereverb(y, params, cfg=None):
     DivergenceError
         If the loss turns non-finite or exceeds 10x its initial value.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if not np.all(np.isfinite(y.data)):
         raise ValueError("observation contains non-finite values")
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rir import Rir
 from .signals import Spectrogram, next_fast_len, num_frames_for, overlap_add
 
 
@@ -92,19 +91,13 @@ def kernel_frames(rir_length, cfg):
     return -(-(rir_length + cfg.win_len - 1) // cfg.hop)
 
 
-def _rir_taps(h):
-    taps = h.taps if isinstance(h, Rir) else np.asarray(h, dtype=np.float64)
-    if taps.ndim != 1 or len(taps) == 0:
-        raise ValueError("RIR must be a non-empty 1-D array")
-    return taps
-
-
-def build_kernel(h, cfg, band_radius="full"):
+def build_kernel(taps, cfg, band_radius):
     """Build the convolution kernel for an RIR under a given STFT config.
 
     Parameters
     ----------
-    h : Rir or 1-D ndarray
+    taps : 1-D ndarray
+        The RIR's taps, at least one.
     cfg : StftConfig
     band_radius : int or "full"
         Offsets |f - f'| <= band_radius (circular) are kept; the rest are zero.
@@ -113,7 +106,9 @@ def build_kernel(h, cfg, band_radius="full"):
     -------
     ConvKernel
     """
-    taps = _rir_taps(h)
+    taps = np.asarray(taps, dtype=np.float64)
+    if taps.ndim != 1 or len(taps) == 0:
+        raise ValueError("RIR must be a non-empty 1-D array")
     n, hop, f_bins = cfg.win_len, cfg.hop, cfg.num_bins
     n_h = len(taps)
     t_h = kernel_frames(n_h, cfg)
@@ -139,6 +134,17 @@ def build_kernel(h, cfg, band_radius="full"):
         data[j, rows, cols] = np.fft.fft(z, axis=0) / f_bins
     return ConvKernel(data=data, cfg=cfg, t_h=t_h, acausal=acausal,
                       rir_length=n_h)
+
+
+def align_frames(arr, num_frames):
+    """Crop or zero-pad the frame axis to num_frames: aligns the cross-band
+    kernel's output with an observation's frames."""
+    f_bins, t = arr.shape
+    if t == num_frames:
+        return arr
+    out = np.zeros((f_bins, num_frames), dtype=arr.dtype)
+    out[:, :min(t, num_frames)] = arr[:, :min(t, num_frames)]
+    return out
 
 
 def _check_grid(kernel, spec):

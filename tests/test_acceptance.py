@@ -10,9 +10,8 @@ import revmatch.tfconv as tfconv
 from conftest import rel_frame_error
 from revmatch.blind import calibrate_rt60, raw_decay_estimate
 from revmatch.cli import main as cli_main
-from revmatch.loss import (LossConfig, Observation, _align_frames,
-                           grad_complex, grad_mag, gradnorm_alpha,
-                           loss_complex, loss_mag, rm_loss)
+from revmatch.loss import (LossConfig, Observation, grad_complex, grad_mag,
+                           gradnorm_alpha, loss_complex, loss_mag, rm_loss)
 from revmatch.metrics import sisdr
 from revmatch.rir import (AcousticParams, analyze_rir, reverberant_energy,
                           sample_rir, sigma_from_drr, tau_from_rt60)
@@ -119,7 +118,7 @@ def test_criterion_4_gradient_checks():
         s0 = rng.standard_normal((6, t_s)) + 1j * rng.standard_normal((6, t_s))
 
         def apply_aligned(grid):
-            return _align_frames(
+            return tfconv.align_frames(
                 tfconv.apply(kernel, Spectrogram(grid, cfg6)).data, t_y)
 
         yhat0 = apply_aligned(s0)
@@ -130,7 +129,7 @@ def test_criterion_4_gradient_checks():
             return loss_complex(y, yhat) + alpha * loss_mag(y, yhat)
 
         g_y = grad_complex(y, yhat0) + alpha * grad_mag(y, yhat0)
-        g_op = _align_frames(g_y, kernel.t_h + t_s - 1)
+        g_op = tfconv.align_frames(g_y, kernel.t_h + t_s - 1)
         grad = tfconv.apply_adjoint(kernel, Spectrogram(g_op, cfg6)).data
 
         eps = 1e-4
@@ -196,7 +195,7 @@ def test_criterion_7_half_normal_energy_equivalence():
     for mode in ("centered-gaussian", "half-normal"):
         params = AcousticParams(rt60=rt60, drr_db=drr, sample_rate=FS,
                                 noise_mode=mode)
-        n_min = len(sample_rir(params, rng=0))
+        n_min = len(sample_rir(params, rng=0).taps)
         rng = np.random.default_rng(107)
         n = np.arange(n_d + 1, n_min)
         env = np.exp(-n / tau)

@@ -94,7 +94,7 @@ def test_non_finite_grid_is_not_insufficient_decay(cfg):
         data[40, 30] = bad
         grid = Spectrogram(data, cfg, spec.num_samples)
         for call in (lambda: raw_decay_estimate(grid),
-                     lambda: analyze_blind(grid, cal)):
+                     lambda: analyze_blind(grid, cal, BlindConfig())):
             with pytest.raises(ValueError, match="non-finite") as err:
                 call()
             assert not isinstance(err.value, InsufficientDecay)

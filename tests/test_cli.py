@@ -707,12 +707,23 @@ def test_dereverb_draws_set_only_the_loss_draws(tmp_path, monkeypatch):
     assert received == [BlindConfig()]
 
 
-def test_dereverb_defaults_are_the_config_defaults():
+def test_dereverb_defaults_are_the_config_defaults(tmp_path, monkeypatch):
     # with no flag and no config file, the CLI builds the library's defaults
-    args = cli.build_parser().parse_args(
-        ["dereverb", "--in", "wet.wav", "-o", "dry.wav"])
-    assert cli._solver_config(args, (7, 1)) == SolverConfig(seed=(7, 1))
-    assert cli._blind_config(args) == BlindConfig()
+    received = []
+
+    def recording(*args):
+        received.append(args[-1])  # the config, then stop the run
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(cli, "trainingless_dereverb", recording)
+    monkeypatch.setattr(blind, "analyze_blind", recording)
+    wet_path, cal = _blind_inputs(tmp_path, "c0=0\nc1=1\nc2=0\n")
+    assert run("dereverb", "--in", wet_path, "--rt60", 0.4,
+               "-o", tmp_path / "a.wav") == 1
+    assert run("dereverb", "--in", wet_path, "--calibration", cal,
+               "-o", tmp_path / "b.wav") == 1
+    assert received == [SolverConfig(seed=(0, STREAM_CLI_TASKS, 0)),
+                        BlindConfig()]
 
 
 def test_dereverb_requires_params_or_calibration(tmp_path):
@@ -822,7 +833,7 @@ def test_dereverb_blind_solves_with_the_blind_noise_mode(tmp_path,
     monkeypatch.setattr(blind, "analyze_blind", lambda *a, **k: est)
     received = []
 
-    def recording_solve(y, params, cfg=None):
+    def recording_solve(y, params, cfg):
         received.append(params)
         return trainingless_dereverb(y, params, cfg)
 
@@ -945,6 +956,26 @@ def test_dereverb_refuses_k_inner_with_rt60(tmp_path, monkeypatch, capsys,
                *extra, "-o", out) == 2
     assert ("dereverb takes --k-inner with --calibration only, not with "
             "--rt60") in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["step_size", "k_inner"])
+def test_dereverb_names_a_bad_setting_before_reading_an_input(
+        tmp_path, monkeypatch, capsys, setting):
+    # the solver's and the blind analyzer's settings are checked before any
+    # input is read, so the refusal names the setting, not the input
+    bad = tmp_path / "not-a-wav.txt"
+    bad.write_text("not audio\n")
+    cal = tmp_path / "cal.txt"
+    cal.write_text(records.dump(Rt60Calibration(c0=0.0, c1=1.0, c2=0.0)))
+    argv = (["--rt60", 0.4, "--step-size", 0] if setting == "step_size"
+            else ["--calibration", cal, "--k-inner", 0])
+    reads = _recording_reads(monkeypatch)
+    out = tmp_path / "o.wav"
+    assert run("dereverb", "--in", bad, *argv, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert setting in err and "not-a-wav" not in err
     assert reads == []
     assert not out.exists()
 

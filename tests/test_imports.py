@@ -77,3 +77,57 @@ def test_package_import_graph_is_acyclic():
     assert graph["blind"] >= {"solver"}
     cycle = _find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_names(tree, modules):
+    """The ``_``-prefixed names (dunders aside) a module's source takes from
+    the package's modules: imported by ``from``, or read as an attribute of
+    a package module it imported."""
+    found, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 1:
+                name = f"revmatch.{name}" if name else "revmatch"
+            if name.split(".")[0] != "revmatch":
+                continue
+            for alias in node.names:
+                if alias.name in modules and name == "revmatch":
+                    bound[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    found.append(f"{name}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "revmatch" and len(parts) == 2 and alias.asname:
+                    bound[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            found.append(f"revmatch.{bound[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_private_names_are_found_by_import_and_by_attribute():
+    tree = ast.parse("from . import a\nfrom .b import _x, y\n"
+                     "import revmatch.c as c\n\ndef f():\n"
+                     "    return a._g(), c._h, a.__doc__, z._k\n")
+    assert sorted(_private_names(tree, {"a", "b", "c"})) == [
+        "revmatch.a._g", "revmatch.b._x", "revmatch.c._h"]
+
+
+def test_no_module_takes_a_private_name_of_another():
+    paths = {path.stem: path for path in PACKAGE.glob("*.py")}
+    taken = {name: _private_names(ast.parse(path.read_text()), set(paths))
+             for name, path in paths.items()}
+    assert {name: found for name, found in taken.items() if found} == {}
+
+
+def test_tfconv_imports_signals_alone():
+    # the operator and its kernel reference are functions of a taps array
+    assert import_graph()["tfconv"] <= {"signals"}

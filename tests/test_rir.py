@@ -63,7 +63,7 @@ def test_sigma_monte_carlo_tail_energy():
 def test_sample_rir_head_structure():
     params = AcousticParams(rt60=0.3, drr_db=0.0, sample_rate=FS)
     rir = sample_rir(params, rng=0)
-    assert len(rir) == params.rir_length
+    assert len(rir.taps) == params.rir_length
     assert rir.taps[0] == 1.0
     assert np.all(rir.taps[1:params.n_d + 1] == 0.0)
     assert np.any(rir.taps[params.n_d + 1:] != 0.0)
@@ -113,7 +113,7 @@ def test_edc_basic_cases():
 def test_edc_nonincreasing_for_sampled_rirs():
     params = AcousticParams(rt60=0.3, drr_db=-3.0, sample_rate=FS)
     for seed in range(5):
-        curve = edc(sample_rir(params, rng=seed))
+        curve = edc(sample_rir(params, rng=seed).taps)
         assert np.all(np.diff(curve) <= 1e-18)
 
 
@@ -243,7 +243,7 @@ def test_synthetic_pair_is_seeded_labelled_and_convolved(seed, index):
     assert SYNTH_DRR_RANGE[0] <= params.drr_db < SYNTH_DRR_RANGE[1]
     assert (params.n_d, params.sample_rate) == (DEFAULT_DIRECT_DELAY, FS)
     assert params.noise_mode == "centered-gaussian"
-    assert len(rir) == params.rir_length
+    assert len(rir.taps) == params.rir_length
     assert len(dry) == FS // 2
     # another pair index is another draw
     assert synthetic_pair(seed, index + 1, 0.5)[0] != params

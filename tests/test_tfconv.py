@@ -5,8 +5,8 @@ from scipy.signal import fftconvolve
 from conftest import rel_frame_error
 from revmatch.rir import AcousticParams, sample_rir
 from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
-                              default_stft_config, hann_window, row_weights,
-                              stft)
+                              default_stft_config, fft_convolve, hann_window,
+                              istft, row_weights, speech_like_noise, stft)
 from revmatch.tfconv import (Scratch, adjoint, apply, apply_adjoint,
                              build_kernel, forward, forward_full,
                              kernel_frames)
@@ -207,6 +207,21 @@ def test_exact_operator_matches_full_band_kernel(cfg, num_taps):
     y = forward_full(h, s).data
     assert y.shape == ref.shape
     assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 1e-12
+
+
+@pytest.mark.parametrize("num_samples, rt60", [
+    (FS, 0.3), (FS, 0.9), (3 * FS + 77, 0.6), (300, 0.2)])
+def test_istft_of_forward_full_is_the_linear_convolution(cfg, num_samples,
+                                                         rt60):
+    # reverberate --domain stft's contract in float64: every sample of the
+    # full linear convolution, tail included, whatever grid carries it
+    rng = np.random.default_rng(23)
+    dry = speech_like_noise(num_samples, FS, rng=rng)
+    taps = sample_rir(AcousticParams(rt60=rt60, drr_db=0.0), rng=rng).taps
+    wet = istft(forward_full(taps, stft(dry, cfg)))
+    ref = fft_convolve(dry, taps)
+    assert len(wet) == len(dry) + len(taps) - 1
+    assert np.linalg.norm(wet - ref) / np.linalg.norm(ref) <= 1e-12
 
 
 @pytest.mark.parametrize("n, hop, num_taps", [

@@ -146,7 +146,7 @@ def raw_decay_estimate(spec):
     """
     if spec.num_samples < MIN_SECONDS * SAMPLE_RATE:
         raise ValueError(f"input shorter than {MIN_SECONDS} s")
-    grid = spec.half().data
+    grid = spec.data
     if not np.all(np.isfinite(grid)):
         raise ValueError("grid contains non-finite values")
     energy = np.abs(grid) ** 2

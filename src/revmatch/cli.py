@@ -115,7 +115,9 @@ def cmd_reverberate(args):
         wet = fft_convolve(dry.samples, rir.taps)
     else:
         cfg = default_stft_config()
-        wet = istft(tfconv.forward_full(rir.taps, stft(dry, cfg)))
+        grid = tfconv.forward_full(
+            rir.taps, tfconv.stft_full(dry.samples, cfg), cfg)
+        wet = tfconv.istft_full(grid, cfg, len(dry) + len(rir.taps) - 1)
     sig = Signal(wet, dry.sample_rate)
     _atomic_write(args.output, lambda tmp: write_wav(tmp, sig))
     return 0
@@ -374,15 +376,15 @@ def cmd_bench(args):
         -np.arange(1500) / tau_from_rt60(0.35, SAMPLE_RATE))
     taps[0] = 1.0
     dry = speech_like_noise(SAMPLE_RATE, rng=rng)
-    y_ref = stft(fft_convolve(dry, taps), cfg)
-    spec = stft(dry, cfg)
+    y_ref = tfconv.stft_full(fft_convolve(dry, taps), cfg)
+    spec = tfconv.stft_full(dry, cfg)
     lines = ["band_radius\trel_error"]
     for radius in radii:
         band = "full" if radius == "full" else int(radius)
         yhat = tfconv.apply(tfconv.build_kernel(taps, cfg, band), spec)
-        t_max = max(y_ref.num_frames, yhat.num_frames)
-        ref = tfconv.align_frames(y_ref.data, t_max)
-        rel = (np.linalg.norm(tfconv.align_frames(yhat.data, t_max) - ref)
+        t_max = max(y_ref.shape[1], yhat.shape[1])
+        ref = tfconv.align_frames(y_ref, t_max)
+        rel = (np.linalg.norm(tfconv.align_frames(yhat, t_max) - ref)
                / np.linalg.norm(ref))
         lines.append(f"{radius}\t{rel:.17g}")
     _write_text(args.output, "\n".join(lines) + "\n")

@@ -8,13 +8,14 @@ term measures the same distance between log(1 + |.|) magnitudes. The weight
 balancing the two equalizes the Frobenius norms of their gradients taken with
 respect to the re-reverberated grid, recomputed per draw.
 
-The grid helpers (:func:`loss_complex`, :func:`grad_mag`, ...) work on full
-grids, with gradients in the convention grad[f, t] = dL/dRe + i * dL/dIm.
-:func:`rm_loss` scores one-sided grids (F // 2 + 1 rows, see
-:class:`~revmatch.signals.Spectrogram`) against an :class:`Observation`,
-built once per solve: every sum over bins, in both terms
-and in the gradient norms behind the weight, weights its rows by
-:func:`~revmatch.signals.row_weights` (1 for DC and Nyquist, 2 for the
+The grid helpers (:func:`loss_complex`, :func:`grad_mag`, ...) take complex
+arrays and sum every entry, with gradients in the convention grad[f, t] =
+dL/dRe + i * dL/dIm: on the full grids of :func:`~revmatch.tfconv.stft_full`
+they are the references :func:`rm_loss` is tested against. :func:`rm_loss`
+scores one-sided grids (see :class:`~revmatch.signals.Spectrogram`)
+against an :class:`Observation`, built once per solve: every sum over bins,
+in both terms and in the gradient norms behind the weight, weights its rows
+by :func:`~revmatch.signals.row_weights` (1 for DC and Nyquist, 2 for the
 rest), so the values equal those of the Hermitian full grids to rounding.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import rir, tfconv
 from .seeding import STREAM_LOSS_DRAWS, derive_rng
-from .signals import Spectrogram, row_weights, weighted_dot
+from .signals import row_weights, weighted_dot
 
 VARIANTS = ("single", "average", "best")
 
@@ -71,18 +72,14 @@ class LossReport:
     per_draw: list = field(default_factory=list, repr=False)
 
 
-def _as_grid(y):
-    return y.data if isinstance(y, Spectrogram) else np.asarray(y)
-
-
 def _check_shapes(y, yhat):
     if y.shape != yhat.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {yhat.shape}")
 
 
 def loss_complex(y, yhat):
-    """Squared Frobenius distance over the full band."""
-    ya, yb = _as_grid(y), _as_grid(yhat)
+    """Squared Frobenius distance, summed over every entry."""
+    ya, yb = np.asarray(y), np.asarray(yhat)
     _check_shapes(ya, yb)
     diff = yb - ya
     return float(np.sum(diff.real ** 2 + diff.imag ** 2))
@@ -90,7 +87,7 @@ def loss_complex(y, yhat):
 
 def loss_mag(y, yhat):
     """Squared Frobenius distance between log(1 + |.|) magnitudes."""
-    ya, yb = _as_grid(y), _as_grid(yhat)
+    ya, yb = np.asarray(y), np.asarray(yhat)
     _check_shapes(ya, yb)
     err = np.log1p(np.abs(ya)) - np.log1p(np.abs(yb))
     return float(np.sum(err ** 2))
@@ -125,7 +122,7 @@ def _grad_mag(err, mag, yhat, denom, out):
 def gradnorm_alpha(y, yhat):
     """Weight equalizing the gradient norms of the two loss terms at yhat:
     alpha = ||d l_complex / d yhat|| / ||d l_mag / d yhat||."""
-    ya, yb = _as_grid(y), _as_grid(yhat)
+    ya, yb = np.asarray(y), np.asarray(yhat)
     _check_shapes(ya, yb)
     norm_c = np.linalg.norm(grad_complex(ya, yb))
     norm_m = np.linalg.norm(grad_mag(ya, yb))
@@ -135,10 +132,10 @@ def gradnorm_alpha(y, yhat):
 
 
 class Observation:
-    """One solve's observed grid ``y`` (full or one-sided), as :func:`rm_loss`
-    scores it: its one-sided rows ``data`` and their ``log_mag``, log(1 +
-    |data|); the :func:`~revmatch.signals.row_weights` ``weights`` and the
-    full grid's ``energy``; the loss's work arrays ``diff``, ``mag``,
+    """One solve's observed :class:`~revmatch.signals.Spectrogram` ``y``, as
+    :func:`rm_loss` scores it: its grid ``data`` and its ``log_mag``,
+    log(1 + |data|); the :func:`~revmatch.signals.row_weights` ``weights``
+    and the full grid's ``energy``; the loss's work arrays ``diff``, ``mag``,
     ``err``, ``denom``, ``g_m``, ``grad_sum`` (the ``average``'s) and
     ``g_best`` (the ``best``'s); and ``scratch``, the operator's
     :class:`~revmatch.tfconv.Scratch` for ``y.num_samples`` samples under
@@ -146,7 +143,7 @@ class Observation:
     until its next call. It is never shared between threads."""
 
     def __init__(self, y):
-        self.data = np.ascontiguousarray(y.half().data)
+        self.data = np.ascontiguousarray(y.data)
         self.log_mag = np.log1p(np.abs(self.data))
         self.weights = row_weights(y.config)
         self.energy = weighted_dot(self.data, self.data, self.weights)

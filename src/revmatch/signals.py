@@ -1,6 +1,11 @@
-"""Time-domain signals, FFT convolution, STFT/iSTFT with a
-perfect-reconstruction window pair, seeded speech-like test signals, and WAV
-file I/O, on numpy alone.
+"""Time-domain signals, FFT convolution, a one-sided STFT/iSTFT (real FFTs)
+with a perfect-reconstruction window pair, seeded speech-like test signals,
+and WAV file I/O, on numpy alone.
+
+Every analysis of a real signal is one-sided: a :class:`Spectrogram` holds
+the F // 2 + 1 non-negative bins. The complex full grid is the cross-band
+kernel reference's, in :mod:`revmatch.tfconv`, which frames and
+overlap-adds with :func:`analysis_frames` and :func:`synthesize`.
 
 Framing convention
 ------------------
@@ -13,7 +18,7 @@ pure lattice while making ``istft(stft(x)) == x`` hold to machine precision.
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +73,11 @@ def canonical_dual_window(analysis, hop):
 class StftConfig:
     """STFT analysis/synthesis parameters.
 
-    ``num_bins`` equals the window length: the operator math is defined on the
-    full band. ``half_bins`` (``N // 2 + 1``) is the row count of a one-sided
-    grid (see :class:`Spectrogram`); ``win_len`` must exceed 2 so the two row
-    counts differ. ``head_pad`` is the fixed leading zero-pad (``N - L``).
-    A window pair without perfect reconstruction (residual > 1e-10) is refused.
+    ``num_bins`` equals the window length, the bin count of a frame's DFT;
+    ``half_bins`` (``N // 2 + 1``) is the row count of a
+    :class:`Spectrogram`, its non-negative bins. ``head_pad`` is the fixed
+    leading zero-pad (``N - L``). A window pair without perfect
+    reconstruction (residual > 1e-10) is refused.
     """
 
     win_len: int
@@ -89,9 +94,6 @@ class StftConfig:
             np.asarray(self.synthesis_window, dtype=np.float64))
         if self.hop <= 0 or self.win_len <= 0:
             raise ValueError("win_len and hop must be positive")
-        if self.win_len <= 2:
-            raise ValueError("win_len must exceed 2: a one-sided grid would "
-                             "have as many rows as a full one")
         if self.hop > self.win_len:
             raise ValueError("hop must not exceed win_len")
         if self.win_len % self.hop != 0:
@@ -122,11 +124,6 @@ class StftConfig:
         for k in range(self.win_len // self.hop):
             cola += prod[k * self.hop:(k + 1) * self.hop]
         return float(np.abs(cola - 1.0).max())
-
-    def same_grid(self, other):
-        return (self.win_len == other.win_len and self.hop == other.hop
-                and np.array_equal(self.analysis_window, other.analysis_window)
-                and np.array_equal(self.synthesis_window, other.synthesis_window))
 
 
 def default_stft_config():
@@ -159,48 +156,28 @@ def weighted_dot(a, b, weights):
 
 @dataclass
 class Spectrogram:
-    """Complex STFT grid, shape (rows, T), in one of two layouts told apart
-    by the row count:
-
-    - full: ``num_bins`` (F) rows, any complex grid;
-    - one-sided: ``half_bins`` (F // 2 + 1) rows, the non-negative bins of a
-      real signal's STFT, standing for its Hermitian full grid. The imaginary
-      parts of the DC (and, for even F, Nyquist) rows are ignored, as a real
-      inverse FFT ignores them.
-
-    ``num_samples`` defaults to ``T * hop - head_pad``, the longest signal
-    whose analysis gives T frames. :func:`istft` inverts either layout with
-    :func:`overlap_add`, the package's one overlap-add.
-    """
+    """One-sided STFT of a real signal of ``num_samples`` samples: a complex
+    (``half_bins``, T) grid, the F // 2 + 1 non-negative bins of each frame,
+    standing for its Hermitian full grid. The imaginary parts of the DC
+    (and, for even F, Nyquist) rows are ignored, as a real inverse FFT
+    ignores them. :func:`istft` inverts it."""
 
     data: np.ndarray
     config: StftConfig
-    num_samples: int | None = field(default=None)
+    num_samples: int
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2:
             raise ValueError("spectrogram data must be 2-D (F x T)")
-        if self.data.shape[0] not in (self.config.num_bins,
-                                      self.config.half_bins):
-            raise ValueError("spectrogram row count must equal num_bins "
-                             "(full) or half_bins (one-sided)")
-        if self.num_samples is None:
-            cfg = self.config
-            self.num_samples = self.num_frames * cfg.hop - cfg.head_pad
+        if self.data.shape[0] != self.config.half_bins:
+            raise ValueError(f"spectrogram has {self.data.shape[0]} rows, "
+                             f"not the config's half_bins "
+                             f"({self.config.half_bins})")
 
     @property
     def num_frames(self):
         return self.data.shape[1]
-
-    @property
-    def one_sided(self):
-        return self.data.shape[0] != self.config.num_bins
-
-    def half(self):
-        """The one-sided grid: the first F // 2 + 1 rows."""
-        return Spectrogram(self.data[:self.config.half_bins], self.config,
-                           self.num_samples)
 
 
 def num_frames_for(num_samples, cfg):
@@ -208,24 +185,10 @@ def num_frames_for(num_samples, cfg):
     return -(-(num_samples + cfg.head_pad) // cfg.hop)
 
 
-def stft(x, cfg, one_sided=False):
-    """Short-time Fourier transform of a signal (or raw 1-D array).
-
-    Parameters
-    ----------
-    x : Signal or ndarray
-        Non-empty mono signal.
-    cfg : StftConfig
-    one_sided : bool
-        Return only the F // 2 + 1 non-negative bins, computed with a real
-        FFT; they equal the full grid's first rows to rounding.
-
-    Returns
-    -------
-    Spectrogram
-        Full-band complex grid (F = win_len rows), or its one-sided half.
-    """
-    samples = x.samples if isinstance(x, Signal) else np.asarray(x, dtype=np.float64)
+def analysis_frames(x, cfg):
+    """The (T, N) frames of a non-empty real 1-D array under the framing
+    policy, times the analysis window: what an STFT transforms."""
+    samples = np.asarray(x, dtype=np.float64)
     if samples.ndim != 1 or len(samples) == 0:
         raise ValueError("stft input must be a non-empty 1-D signal")
     n_samp = len(samples)
@@ -234,15 +197,33 @@ def stft(x, cfg, one_sided=False):
     buf = np.zeros((t_frames - 1) * hop + n)
     buf[cfg.head_pad:cfg.head_pad + n_samp] = samples
     frames = np.lib.stride_tricks.sliding_window_view(buf, n)[::hop]
-    fft = np.fft.rfft if one_sided else np.fft.fft
-    spec = fft(frames * cfg.analysis_window, axis=1).T
-    return Spectrogram(np.ascontiguousarray(spec), cfg, num_samples=n_samp)
+    return frames * cfg.analysis_window
+
+
+def stft(x, cfg):
+    """One-sided short-time Fourier transform of a signal (or raw 1-D
+    array), by a real FFT of every frame.
+
+    Parameters
+    ----------
+    x : Signal or ndarray
+        Non-empty mono signal.
+    cfg : StftConfig
+
+    Returns
+    -------
+    Spectrogram
+        The ``half_bins`` (F // 2 + 1) non-negative bins of each frame.
+    """
+    samples = x.samples if isinstance(x, Signal) else x
+    spec = np.fft.rfft(analysis_frames(samples, cfg), axis=1).T
+    return Spectrogram(np.ascontiguousarray(spec), cfg, len(samples))
 
 
 def overlap_add(frames, hop, out=None):
     """Sum (T, N) frames placed at multiples of ``hop`` into one buffer of
-    (T - 1) * hop + N samples, ``out`` when given: the overlap-add of istft
-    and of tfconv."""
+    (T - 1) * hop + N samples, ``out`` when given: the overlap-add of
+    :func:`synthesize` and of tfconv."""
     t_frames, n = frames.shape
     k = n // hop
     blocks = frames.reshape(t_frames, k, hop)
@@ -256,22 +237,25 @@ def overlap_add(frames, hop, out=None):
     return out
 
 
-def istft(spec, length=None):
-    """Inverse STFT by :func:`overlap_add` with the synthesis window, of a
-    full grid (real part of a complex inverse FFT) or a one-sided one
-    (``irfft``), at ``length`` samples (default ``spec.num_samples``)."""
-    cfg = spec.config
-    if length is None:
-        length = spec.num_samples
-    if spec.one_sided:
-        frames = np.fft.irfft(spec.data.T, n=cfg.win_len, axis=1)
-    else:
-        frames = np.real(np.fft.ifft(spec.data.T, axis=1))
+def synthesize(frames, cfg, length):
+    """The signal of ``length`` samples whose analysis gave the (T, N)
+    inverse-FFT ``frames``: their :func:`overlap_add` with the synthesis
+    window, read from past the head pad and zero-padded to ``length``."""
     buf = overlap_add(frames * cfg.synthesis_window, cfg.hop)
     out = np.zeros(length)
     avail = min(length, len(buf) - cfg.head_pad)
     out[:avail] = buf[cfg.head_pad:cfg.head_pad + avail]
     return out
+
+
+def istft(spec, length=None):
+    """Inverse STFT of a one-sided grid: ``irfft`` of every frame, then
+    :func:`synthesize`, at ``length`` samples (default
+    ``spec.num_samples``)."""
+    cfg = spec.config
+    frames = np.fft.irfft(spec.data.T, n=cfg.win_len, axis=1)
+    return synthesize(frames, cfg,
+                      spec.num_samples if length is None else length)
 
 
 @functools.cache

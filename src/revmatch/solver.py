@@ -90,17 +90,16 @@ def trainingless_dereverb(y, params, cfg):
 
     The iterate ``x`` has the observation's ``n = y.num_samples`` samples and
     starts from them; its model under an RIR ``h`` is the one-sided STFT of
-    ``(h * x)[:n]`` (see :func:`tfconv.forward`), scored against
-    ``y``'s first F // 2 + 1 rows. Iterates first-order updates, drawing
-    fresh RIRs from acoustic parameters on every iteration, and returns the
-    one-sided STFT of the best-loss iterate, which ``istft`` turns back into
-    that iterate.
+    ``(h * x)[:n]`` (see :func:`tfconv.forward`), scored against ``y``.
+    Iterates first-order updates, drawing fresh RIRs from acoustic
+    parameters on every iteration, and returns the one-sided STFT of the
+    best-loss iterate, which ``istft`` turns back into that iterate.
 
     Parameters
     ----------
     y : Spectrogram
         Observed reverberant STFT of a real signal of ``y.num_samples``
-        samples; only its first F // 2 + 1 rows are read.
+        samples.
     params : AcousticParams or Rir
         Acoustic parameters to draw RIRs from, or the known RIR; any other
         type raises TypeError (from :func:`~revmatch.loss.rm_loss`).
@@ -121,13 +120,12 @@ def trainingless_dereverb(y, params, cfg):
         raise ValueError("observation contains non-finite values")
 
     n = y.num_samples
-    y_half = y.half()
-    x = istft(y_half, length=n)
+    x = istft(y)
     scale = np.sqrt(np.mean(x ** 2))
     if scale == 0:
         raise ValueError("observation is identically zero")
     x /= scale
-    obs = Observation(Spectrogram(y_half.data / scale, y.config, n))
+    obs = Observation(Spectrogram(y.data / scale, y.config, n))
     floor = 1e-14 * obs.energy
 
     # the operator's and the loss's arrays live in the observation, Adam's
@@ -169,5 +167,5 @@ def trainingless_dereverb(y, params, cfg):
 
     trace = SolveTrace(reports=reports, best_index=best_index,
                        converged=converged)
-    return stft(best_x * scale, y.config, one_sided=True), trace
+    return stft(best_x * scale, y.config), trace
 

@@ -1,23 +1,27 @@
 """Exact STFT-domain convolution with a time-domain RIR, and its cross-band
 kernel reference.
 
-The exact operator of the solver, the loss, the blind analyzer and
-``reverberate --domain stft`` is three functions of an RIR's taps, applied
-matrix-free:
+The exact operator of the solver, the loss and the blind analyzer is two
+functions of an RIR's taps, applied matrix-free:
 
 - ``forward(taps, x, scratch)`` models a real dry signal ``x`` of ``n``
   samples: the one-sided STFT of ``(h * x)[:n]``, by a real FFT convolution
   and ``rfft`` analysis. It is the analysis that made an ``n``-sample
-  observation, so no frame count depends on the RIR. ``adjoint(taps, grid,
-  scratch)`` maps a one-sided grid back to ``n`` samples (analysis adjoint,
-  overlap-add, correlation with h, crop). Both work in a :class:`Scratch`,
-  the operator's work arrays and STFT config, which keys the RIR's
-  spectrum on the taps array.
-- ``forward_full(taps, s)`` reverberates a full complex grid: overlap-add
-  synthesis with g_s, complex FFT convolution, analysis of every frame the
-  convolution covers. Only ``reverberate --domain stft`` uses it.
+  observation, :func:`~revmatch.signals.stft`, so no frame count depends on
+  the RIR. ``adjoint(taps, grid, scratch)`` maps a one-sided grid back to
+  ``n`` samples (analysis adjoint, overlap-add, correlation with h, crop).
+  Both work in a :class:`Scratch`, the operator's work arrays and STFT
+  config, which keys the RIR's spectrum on the taps array.
 
-Both overlap-adds are :func:`~revmatch.signals.overlap_add`, as in ``istft``.
+The complex full grid, a ``(num_bins, T)`` array, is this module's own: the
+grid of the kernel reference below and of ``reverberate --domain stft``.
+:func:`stft_full` analyses a real signal into it with a complex FFT, and
+:func:`istft_full` synthesizes the real part back. ``forward_full(taps,
+grid, cfg)`` reverberates a full grid: overlap-add synthesis with g_s,
+complex FFT convolution, analysis of every frame the convolution covers.
+Only ``reverberate --domain stft`` uses it.
+
+Every overlap-add is :func:`~revmatch.signals.overlap_add`, as in ``istft``.
 
 The cross-band kernel (Avargel & Cohen, IEEE TASLP 2007) is the reference
 that ``bench`` and the band-truncation study use. Its entry for output bin f,
@@ -36,8 +40,9 @@ the equivalence with time-domain convolution at O(1) relative error.
 
 The kernel is one stack of dense (F, F) matrices, one per frame lag, with
 the out-of-band entries zero; :func:`build_kernel` fills each lag's in-band
-entries once. :func:`apply` and :func:`apply_adjoint` walk the same lags, one
-matmul each, at cost O(F^2 * T_tot * T_y) whatever the band radius.
+entries once. :func:`apply` and :func:`apply_adjoint` walk the same lags on
+full grids, one matmul each, at cost O(F^2 * T_tot * T_y) whatever the band
+radius.
 """
 
 from dataclasses import dataclass
@@ -45,7 +50,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .signals import Spectrogram, next_fast_len, num_frames_for, overlap_add
+from .signals import (analysis_frames, next_fast_len, num_frames_for,
+                      overlap_add, synthesize)
+
+
+def stft_full(x, cfg):
+    """The complex full STFT grid, ``(num_bins, T)``, of a non-empty real
+    1-D array: a complex FFT of every frame of
+    :func:`~revmatch.signals.analysis_frames`."""
+    return np.ascontiguousarray(np.fft.fft(analysis_frames(x, cfg), axis=1).T)
+
+
+def istft_full(grid, cfg, length):
+    """The real signal of ``length`` samples of a full grid: the real part of
+    a complex inverse FFT of every frame, then
+    :func:`~revmatch.signals.synthesize`."""
+    return synthesize(np.real(np.fft.ifft(grid.T, axis=1)), cfg, length)
 
 
 def _phi_table(cfg):
@@ -83,7 +103,6 @@ class ConvKernel:
     cfg: object
     t_h: int
     acausal: int
-    rir_length: int
 
 
 def kernel_frames(rir_length, cfg):
@@ -132,8 +151,7 @@ def build_kernel(taps, cfg, band_radius):
         z = c[n - 1:].copy()
         z[1:n] += c[:n - 1]
         data[j, rows, cols] = np.fft.fft(z, axis=0) / f_bins
-    return ConvKernel(data=data, cfg=cfg, t_h=t_h, acausal=acausal,
-                      rir_length=n_h)
+    return ConvKernel(data=data, cfg=cfg, t_h=t_h, acausal=acausal)
 
 
 def align_frames(arr, num_frames):
@@ -147,13 +165,11 @@ def align_frames(arr, num_frames):
     return out
 
 
-def _check_grid(kernel, spec):
-    if not kernel.cfg.same_grid(spec.config):
-        raise ValueError("spectrogram config does not match kernel config")
-    if spec.one_sided:
-        raise ValueError(f"the kernel needs a full grid of "
-                         f"{kernel.cfg.num_bins} rows, not a one-sided grid "
-                         f"of {spec.data.shape[0]}")
+def _check_grid(kernel, grid):
+    f_bins = kernel.cfg.num_bins
+    if np.ndim(grid) != 2 or np.shape(grid)[0] != f_bins:
+        raise ValueError(f"the kernel needs a full grid of {f_bins} rows, "
+                         f"not an array of shape {np.shape(grid)}")
 
 
 def _lags(kernel, t_s, t_y):
@@ -167,29 +183,26 @@ def _lags(kernel, t_s, t_y):
             yield mat, slice(t0, t1), slice(t0 - lag, t1 - lag)
 
 
-def apply(kernel, spec):
-    """Convolve a full spectrogram with the kernel.
+def apply(kernel, s):
+    """Convolve a full grid ``s`` with the kernel.
 
     Output has T_s + t_h - 1 frames; linear in the input.
     """
-    _check_grid(kernel, spec)
-    s = spec.data
+    _check_grid(kernel, s)
     t_s = s.shape[1]
     t_y = t_s + kernel.t_h - 1
     y = np.zeros((s.shape[0], t_y), dtype=np.complex128)
     for mat, out, inp in _lags(kernel, t_s, t_y):
         y[:, out] += mat @ s[:, inp]
-    return Spectrogram(y, spec.config,
-                       spec.num_samples + kernel.rir_length - 1)
+    return y
 
 
-def apply_adjoint(kernel, spec):
+def apply_adjoint(kernel, g):
     """Adjoint of :func:`apply` under the inner product <A, B> = sum A conj(B).
 
-    Maps a full grid with T_y frames back to T_y - t_h + 1 frames.
+    Maps a full grid ``g`` with T_y frames back to T_y - t_h + 1 frames.
     """
-    _check_grid(kernel, spec)
-    g = spec.data
+    _check_grid(kernel, g)
     t_y = g.shape[1]
     t_s = t_y - kernel.t_h + 1
     if t_s < 1:
@@ -197,7 +210,7 @@ def apply_adjoint(kernel, spec):
     x = np.zeros((g.shape[0], t_s), dtype=np.complex128)
     for mat, out, inp in _lags(kernel, t_s, t_y):
         x[:, inp] += mat.conj().T @ g[:, out]
-    return Spectrogram(x, spec.config)
+    return x
 
 
 def _frames(x, n, hop, num_frames):
@@ -265,7 +278,7 @@ def forward(taps, x, scratch):
     np.fft.rfft(x, n=n_fft, out=s.spec)
     s.spec *= s.h_f
     np.fft.irfft(s.spec, n=n_fft, out=s.time)
-    # signals.stft(one_sided=True) of time[:n], on the scratch's buffers
+    # signals.stft of time[:n], on the scratch's buffers
     s.pad[cfg.head_pad:cfg.head_pad + n] = s.time[:n]
     frames = sliding_window_view(s.pad, cfg.win_len)[::cfg.hop]
     np.multiply(frames, cfg.analysis_window, out=s.frames)
@@ -294,21 +307,19 @@ def adjoint(taps, grid, scratch):
     return np.fft.irfft(s.spec, n=n_fft, out=s.time)[:n]
 
 
-def forward_full(taps, dry):
-    """Reverberate a full complex grid with an RIR of ``taps``: complex
-    overlap-add synthesis (no real part taken, so an inconsistent grid maps
-    exactly), convolution, and analysis of all T_s + t_h - 1 frames the
-    convolution covers. Equals ``apply(build_kernel(taps, dry.config,
-    "full"), dry)`` to rounding."""
-    cfg = dry.config
-    frames = np.fft.ifft(dry.data.T, n=cfg.win_len, axis=1)
+def forward_full(taps, grid, cfg):
+    """Reverberate a full complex grid under ``cfg`` with an RIR of
+    ``taps``: complex overlap-add synthesis (no real part taken, so an
+    inconsistent grid maps exactly), convolution, and analysis of all
+    T_s + t_h - 1 frames the convolution covers. Equals
+    ``apply(build_kernel(taps, cfg, "full"), grid)`` to rounding."""
+    frames = np.fft.ifft(grid.T, n=cfg.win_len, axis=1)
     signal = overlap_add(frames * cfg.synthesis_window, cfg.hop)
     wet_len = len(signal) + len(taps) - 1
     n_fft = next_fast_len(wet_len, False)
     wet = np.fft.ifft(np.fft.fft(signal, n=n_fft)
                       * np.fft.fft(taps, n=n_fft), n=n_fft)[:wet_len]
     t_h = kernel_frames(len(taps), cfg)
-    frames = _frames(wet, cfg.win_len, cfg.hop, dry.num_frames + t_h - 1)
+    frames = _frames(wet, cfg.win_len, cfg.hop, grid.shape[1] + t_h - 1)
     y = np.fft.fft(frames * cfg.analysis_window, axis=1).T
-    return Spectrogram(np.ascontiguousarray(y), cfg,
-                       dry.num_samples + len(taps) - 1)
+    return np.ascontiguousarray(y)

@@ -65,7 +65,8 @@ def test_raw_decay_scale_invariant(cfg):
 
 
 def test_raw_decay_errors(cfg):
-    zero = Spectrogram(np.zeros((512, 80), dtype=complex), cfg,
+    rows = cfg.half_bins
+    zero = Spectrogram(np.zeros((rows, 80), dtype=complex), cfg,
                        num_samples=80 * 256)
     with pytest.raises(InsufficientDecay):
         raw_decay_estimate(zero)
@@ -75,9 +76,9 @@ def test_raw_decay_errors(cfg):
         raw_decay_estimate(short)
     # growing or flat energy leaves no strictly-decreasing runs
     growing = Spectrogram(
-        np.exp(np.linspace(0, 8, 512 * 80)).reshape(512, 80) + 0j, cfg,
+        np.exp(np.linspace(0, 8, rows * 80)).reshape(rows, 80) + 0j, cfg,
         num_samples=80 * 256)
-    flat = Spectrogram(np.ones((512, 80), dtype=complex), cfg,
+    flat = Spectrogram(np.ones((rows, 80), dtype=complex), cfg,
                        num_samples=80 * 256)
     for spec in (growing, flat):
         with pytest.raises(InsufficientDecay):
@@ -172,8 +173,7 @@ def test_raw_decay_bit_equal_to_per_band_scan(cfg):
     for seed in range(3):
         spec = make_reverberant(0.3 + 0.3 * seed, 3.0 * seed, 40 + seed,
                                 50 + seed, duration=2.0, cfg=cfg)
-        f_half = cfg.num_bins // 2 + 1
-        energy = np.abs(spec.data[:f_half]) ** 2
+        energy = np.abs(spec.data) ** 2
         band_mean = energy.mean(axis=1)
         keep = band_mean > band_mean.max() * 10.0 ** (-60.0 / 10.0)
         log_e = 10.0 * np.log10(energy + 1e-300)
@@ -188,7 +188,7 @@ def test_raw_decay_bit_equal_to_per_band_scan(cfg):
 def test_raw_decay_floor_cut_band_holding_the_only_runs(cfg):
     # every loud band grows; the one band that decays sits over 120 dB down
     frames = 80
-    data = np.tile(np.exp(np.linspace(0.0, 4.0, frames)), (cfg.num_bins, 1))
+    data = np.tile(np.exp(np.linspace(0.0, 4.0, frames)), (cfg.half_bins, 1))
     data[5] = 1e-6 * np.exp(-np.linspace(0.0, 4.0, frames))
     spec = Spectrogram(data + 0j, cfg, num_samples=frames * cfg.hop)
     with pytest.raises(InsufficientDecay):
@@ -319,7 +319,7 @@ def _per_draw_blind_drr(spec, rt60, k_inner, seed, noise_mode,
     x = istft(shat)
 
     weights = row_weights(spec.config)
-    y_energy = float(np.sum(weights * np.abs(spec.half().data) ** 2))
+    y_energy = float(np.sum(weights * np.abs(spec.data) ** 2))
     scratch = Scratch(len(x), spec.config)
     scores = []
     for db in grid:

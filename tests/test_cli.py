@@ -1069,6 +1069,30 @@ def test_dereverb_batch_writes_every_other_file_and_raises_the_first_failure(
     assert os.listdir(out) == ["b.wav"]
 
 
+def test_a_writer_that_fails_mid_write_leaves_no_file(tmp_path, monkeypatch,
+                                                      capsys):
+    # the writer has written part of its temp file when it raises: exit 1,
+    # and neither the output nor a .tmp-revmatch-* file is left
+    (wet,) = _noise_wavs(tmp_path, "wet.wav")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    written = []
+
+    def partial(path, sig):
+        with open(path, "wb") as f:
+            f.write(b"RIFF")
+        written.append(path)
+        raise RuntimeError("disk went away")
+
+    monkeypatch.setattr(cli, "write_wav", partial)
+    assert run("dereverb", "--in", wet, "--rt60", 0.3, "--max-iters", 2,
+               "-o", out_dir / "dry.wav") == 1
+    assert capsys.readouterr().err == "runtime error: disk went away\n"
+    assert len(written) == 1
+    assert os.path.basename(written[0]).startswith(".tmp-revmatch-")
+    assert os.listdir(out_dir) == []
+
+
 def test_dereverb_workers_reproducible(tmp_path):
     # two inputs, serial vs two workers: byte-identical outputs
     outputs = _dereverb_serial_and_parallel(tmp_path)

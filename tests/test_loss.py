@@ -5,11 +5,11 @@ import revmatch.rir as rir
 from revmatch.loss import (DegenerateGradNorm, LossConfig, Observation,
                            grad_complex, grad_mag, gradnorm_alpha,
                            loss_complex, loss_mag, rm_loss)
-from revmatch.rir import AcousticParams, sample_rir
+from revmatch.rir import AcousticParams, Rir, sample_rir
 from revmatch.seeding import STREAM_LOSS_DRAWS, derive_rng
-from revmatch.signals import (StftConfig, canonical_dual_window, hann_window,
-                              stft)
-from revmatch.tfconv import Scratch, adjoint, forward
+from revmatch.signals import (StftConfig, canonical_dual_window, fft_convolve,
+                              hann_window, speech_like_noise, stft)
+from revmatch.tfconv import Scratch, adjoint, forward, stft_full
 from scipy.signal import fftconvolve
 
 FS = 16000
@@ -108,6 +108,19 @@ def test_rm_loss_dirac_exact_match(cfg):
     assert report.l_complex <= 1e-12 * np.sum(np.abs(y.data) ** 2)
 
 
+def test_rm_loss_of_the_true_dry_signal_and_rir_is_zero(cfg):
+    # the observation is analysed with the model's own transform, so the
+    # true dry signal under the true RIR reproduces it to the bit
+    n = 3 * FS
+    dry = speech_like_noise(n, FS, rng=30)
+    h = sample_rir(AcousticParams(rt60=0.6, drr_db=0.0), rng=31).taps
+    wet = fft_convolve(dry, h)[:n]
+    report, _ = rm_loss(Observation(stft(wet, cfg)), dry, Rir(h, FS),
+                        LossConfig())
+    assert report.l_complex == 0.0
+    assert report.l_mag == 0.0
+
+
 def test_rm_loss_dirac_collapse_across_variants(cfg):
     h, s, wet = make_problem(seed=9)
     y = stft(wet, cfg)
@@ -161,11 +174,11 @@ def test_rm_loss_selected_draw_is_argmin_and_scale_invariant(cfg):
     assert cos == pytest.approx(1.0, rel=1e-12)
 
 
-def reference_loss(y, x, taps, alpha):
-    """l_complex + alpha * l_mag of one draw on the full grids: the STFT of
-    (h * x) cut to len(x), against y's full grid."""
-    yhat = stft(fftconvolve(x, taps)[:len(x)], y.config).data
-    return loss_complex(y.data, yhat) + alpha * loss_mag(y.data, yhat)
+def reference_loss(y_full, x, taps, alpha, cfg):
+    """l_complex + alpha * l_mag of one draw on the full grids: the full STFT
+    of (h * x) cut to len(x), against the observation's full grid."""
+    yhat = stft_full(fftconvolve(x, taps)[:len(x)], cfg)
+    return loss_complex(y_full, yhat) + alpha * loss_mag(y_full, yhat)
 
 
 def test_rm_loss_gradient_matches_finite_differences():
@@ -176,7 +189,8 @@ def test_rm_loss_gradient_matches_finite_differences():
     params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
     h = sample_rir(params, rng=rng)
     x0 = rng.standard_normal(20)
-    y = stft(rng.standard_normal(20), cfg)
+    wet = rng.standard_normal(20)
+    y, y_full = stft(wet, cfg), stft_full(wet, cfg)
     report, grad = rm_loss(Observation(y), x0, h, LossConfig(),
                            want_grad=True)
     assert grad.shape == x0.shape
@@ -185,8 +199,8 @@ def test_rm_loss_gradient_matches_finite_differences():
     for k in range(len(x0)):
         step = np.zeros_like(x0)
         step[k] = eps
-        plus = reference_loss(y, x0 + step, h.taps, report.alpha)
-        minus = reference_loss(y, x0 - step, h.taps, report.alpha)
+        plus = reference_loss(y_full, x0 + step, h.taps, report.alpha, cfg)
+        minus = reference_loss(y_full, x0 - step, h.taps, report.alpha, cfg)
         fd[k] = (plus - minus) / (2 * eps)
     assert np.linalg.norm(fd - grad) / np.linalg.norm(fd) <= 1e-5
 
@@ -195,7 +209,7 @@ def test_rm_loss_gradient_is_the_adjoint_of_the_reference_grid_gradient(cfg):
     # bit for bit: the gradient grid is assembled in place from the same
     # operations as 2 (yhat - y) + alpha grad_mag(y, yhat)
     h, s, wet = make_problem(seed=19)
-    y = stft(wet, cfg, one_sided=True)
+    y = stft(wet, cfg)
     x = padded(s, y) + 0.1 * np.random.default_rng(19).standard_normal(
         y.num_samples)
     report, grad = rm_loss(Observation(y), x, h, LossConfig(),
@@ -283,25 +297,11 @@ def test_rm_loss_refuses_a_scratch_of_another_length(cfg):
                 want_grad=True)
 
 
-def test_observation_of_a_full_grid_equals_that_of_its_half(cfg):
-    # an observation reads only the one-sided rows: built from a full grid
-    # or from its half, its arrays and its losses are bit-equal
-    y, x, params = scratch_problem(cfg)
-    full, half = Observation(y), Observation(y.half())
-    assert full.energy == half.energy
-    for name in ("data", "log_mag", "weights"):
-        assert np.array_equal(getattr(full, name), getattr(half, name))
-    loss_cfg = LossConfig(variant="average", num_draws=3)
-    a = rm_loss(full, x, params, loss_cfg, seed=6, want_grad=True)
-    b = rm_loss(half, x, params, loss_cfg, seed=6, want_grad=True)
-    assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1])
-
-
 def test_observation_energy_is_the_full_grid_energy(cfg):
-    y, _, _ = scratch_problem(cfg)
-    energy = np.sum(np.abs(y.data) ** 2)
-    assert Observation(y).energy == pytest.approx(energy, rel=1e-12)
+    _, _, wet = make_problem(seed=21)
+    energy = np.sum(np.abs(stft_full(wet, cfg)) ** 2)
+    assert Observation(stft(wet, cfg)).energy == pytest.approx(energy,
+                                                               rel=1e-12)
 
 
 def test_loss_config_validation():
@@ -324,6 +324,21 @@ def test_rm_loss_gradnorm_fallback_on_zero_estimate(cfg):
     assert rep.alpha == 2.5
     assert rep.l_mag > 0
     assert rep.total == pytest.approx(rep.l_complex + 2.5 * rep.l_mag)
+    assert np.all(np.isfinite(grad))
+
+
+def test_rm_loss_average_falls_back_when_every_magnitude_term_vanishes(cfg):
+    # a zero estimate of a zero observation: every draw's l_mag is 0 and
+    # takes the fallback weight, and so does the average
+    params = AcousticParams(rt60=0.15, drr_db=0.0, sample_rate=FS)
+    zero = np.zeros(4000)
+    rep, grad = rm_loss(Observation(stft(zero, cfg)), zero, params,
+                        LossConfig(variant="average", num_draws=3), seed=2,
+                        want_grad=True, alpha_fallback=2.5)
+    assert [d[1] for d in rep.per_draw] == [0.0, 0.0, 0.0]
+    assert rep.l_mag == 0.0
+    assert rep.alpha == 2.5
+    assert rep.total == rep.l_complex
     assert np.all(np.isfinite(grad))
 
 
@@ -351,8 +366,9 @@ def test_rm_loss_one_sided_equals_full_hermitian(n, hop, variant, draws):
     op_cfg = StftConfig(n, hop, g_a, canonical_dual_window(g_a, hop))
     params = AcousticParams(rt60=0.05, drr_db=0.0, sample_rate=FS, n_d=5)
     rng = np.random.default_rng(15)
-    y = stft(fftconvolve(rng.standard_normal(2000),
-                         sample_rir(params, rng=rng).taps), op_cfg)
+    wet = fftconvolve(rng.standard_normal(2000),
+                      sample_rir(params, rng=rng).taps)
+    y, y_full = stft(wet, op_cfg), stft_full(wet, op_cfg)
     x = rng.standard_normal(y.num_samples)
     cfg = LossConfig(variant=variant, num_draws=draws)
     rep, grad = rm_loss(Observation(y), x, params, cfg, seed=4,
@@ -360,10 +376,11 @@ def test_rm_loss_one_sided_equals_full_hermitian(n, hop, variant, draws):
     taps = [sample_rir(params, rng=derive_rng(4, STREAM_LOSS_DRAWS, i)).taps
             for i in range(draws)]
     for (l_c, l_m, alpha, total), h in zip(rep.per_draw, taps):
-        yhat = stft(fftconvolve(x, h)[:len(x)], op_cfg).data
-        assert l_c == pytest.approx(loss_complex(y, yhat), rel=1e-12)
-        assert l_m == pytest.approx(loss_mag(y, yhat), rel=1e-12)
-        assert alpha == pytest.approx(gradnorm_alpha(y, yhat), rel=1e-12)
+        yhat = stft_full(fftconvolve(x, h)[:len(x)], op_cfg)
+        assert l_c == pytest.approx(loss_complex(y_full, yhat), rel=1e-12)
+        assert l_m == pytest.approx(loss_mag(y_full, yhat), rel=1e-12)
+        assert alpha == pytest.approx(gradnorm_alpha(y_full, yhat),
+                                      rel=1e-12)
         assert total == pytest.approx(l_c + alpha * l_m, rel=1e-12)
     totals = [d[3] for d in rep.per_draw]
     used = range(draws) if variant == "average" else [int(np.argmin(totals))]
@@ -371,8 +388,9 @@ def test_rm_loss_one_sided_equals_full_hermitian(n, hop, variant, draws):
         assert rep.selected_draw == used[0]
 
     def loss_along(t, v):
-        return np.mean([reference_loss(y, x + t * v, taps[i],
-                                       rep.per_draw[i][2]) for i in used])
+        return np.mean([reference_loss(y_full, x + t * v, taps[i],
+                                       rep.per_draw[i][2], op_cfg)
+                        for i in used])
 
     eps = 1e-4
     for _ in range(3):

@@ -13,10 +13,10 @@ from scipy.signal import fftconvolve
 import revmatch.blind as blind
 from revmatch.signals import (Signal, Spectrogram, StftConfig,
                               canonical_dual_window, fft_convolve,
-                              hann_window, istft, next_fast_len,
-                              num_frames_for, overlap_add, read_wav,
-                              row_weights, speech_like_noise, stft,
+                              hann_window, istft, next_fast_len, overlap_add,
+                              read_wav, row_weights, speech_like_noise, stft,
                               weighted_dot, write_wav)
+from revmatch.tfconv import istft_full, stft_full
 
 FS = 16000
 
@@ -40,12 +40,12 @@ def test_delta_framing_convention(cfg):
     x[0] = 1.0
     spec = stft(x, cfg)
     pos = cfg.head_pad
-    f = np.arange(cfg.num_bins)
+    f = np.arange(cfg.half_bins)
     expected = cfg.analysis_window[pos] * np.exp(
         -2j * np.pi * f * pos / cfg.num_bins)
     np.testing.assert_allclose(spec.data[:, 0], expected, atol=1e-12)
     # frame 1 sees the impulse at position head_pad - hop = 0
-    expected1 = cfg.analysis_window[0] * np.ones(cfg.num_bins)
+    expected1 = cfg.analysis_window[0] * np.ones(cfg.half_bins)
     np.testing.assert_allclose(spec.data[:, 1], expected1, atol=1e-12)
 
 
@@ -61,19 +61,20 @@ def test_roundtrip_perfect_reconstruction(cfg, length):
 @pytest.mark.parametrize("n, hop", [(512, 256), (8, 4)])
 @pytest.mark.parametrize("length", [1000, 1001])
 def test_istft_inverts_a_one_sided_grid(n, hop, length):
+    # the real FFT's grid is the first half_bins rows of the complex full
+    # grid, and each inverts to the signal
     g_a = hann_window(n)
     cfg = StftConfig(n, hop, g_a, canonical_dual_window(g_a, hop))
     x = np.random.default_rng(length).standard_normal(length)
-    full = stft(x, cfg)
-    half = stft(x, cfg, one_sided=True)
-    assert half.one_sided
-    assert np.linalg.norm(half.data - full.half().data) <= (
-        1e-12 * np.linalg.norm(full.data))
-    ref = istft(full)
-    for grid in (full.half(), half):
-        back = istft(grid)
-        assert len(back) == length
-        assert np.linalg.norm(back - ref) <= 1e-12 * np.linalg.norm(ref)
+    full = stft_full(x, cfg)
+    half = stft(x, cfg)
+    assert half.data.shape == (cfg.half_bins, full.shape[1])
+    assert np.linalg.norm(half.data - full[:cfg.half_bins]) <= (
+        1e-12 * np.linalg.norm(full))
+    ref = istft_full(full, cfg, length)
+    back = istft(half)
+    assert len(back) == length
+    assert np.linalg.norm(back - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_stft_linearity(cfg):
@@ -87,7 +88,8 @@ def test_stft_linearity(cfg):
 
 
 def test_istft_zero_and_scaling(cfg):
-    zero = Spectrogram(np.zeros((512, 8), dtype=complex), cfg, num_samples=1500)
+    zero = Spectrogram(np.zeros((cfg.half_bins, 8), dtype=complex), cfg,
+                       num_samples=1500)
     assert np.all(istft(zero) == 0)
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4000)
@@ -104,17 +106,10 @@ def test_istft_rejects_non_reconstructing_config():
         StftConfig(512, 256, g_a, g_a)
 
 
-@pytest.mark.parametrize("frames", [2, 9, 40])
-def test_grid_without_a_sample_count_inverts_to_its_frames(cfg, frames):
-    # the longest signal whose analysis gives those frames
-    rng = np.random.default_rng(frames)
-    data = rng.standard_normal((cfg.num_bins, frames)) + 0j
-    spec = Spectrogram(data, cfg)
-    assert spec.num_samples == frames * cfg.hop - cfg.head_pad
-    back = istft(spec)
-    assert len(back) == spec.num_samples
-    assert num_frames_for(len(back), cfg) == frames
-    assert stft(back, cfg).num_frames == frames
+def test_spectrogram_refuses_a_full_grid(cfg):
+    # one layout: a grid of num_bins rows is refused, naming half_bins
+    with pytest.raises(ValueError, match="half_bins"):
+        Spectrogram(np.zeros((cfg.num_bins, 8), dtype=complex), cfg, 1500)
 
 
 @pytest.mark.parametrize("n, hop", [(512, 256), (8, 2)])
@@ -138,7 +133,7 @@ def test_parseval_energy_bounds(cfg):
     # so  F/2 <= ||X||^2 / ||x||^2 <= F;  average weight gives F*||g_a||^2/L
     rng = np.random.default_rng(7)
     x = rng.standard_normal(16000)
-    ratio = np.sum(np.abs(stft(x, cfg).data) ** 2) / np.sum(x ** 2)
+    ratio = np.sum(np.abs(stft_full(x, cfg)) ** 2) / np.sum(x ** 2)
     f_bins = cfg.num_bins
     assert f_bins / 2 * 0.999 <= ratio <= f_bins * 1.001
     nominal = f_bins * np.sum(cfg.analysis_window ** 2) / cfg.hop
@@ -147,7 +142,7 @@ def test_parseval_energy_bounds(cfg):
 
 def test_full_band_grid_conjugate_symmetric_for_real_input(cfg):
     rng = np.random.default_rng(77)
-    spec = stft(rng.standard_normal(4000), cfg).data
+    spec = stft_full(rng.standard_normal(4000), cfg)
     f_bins = cfg.num_bins
     flipped = np.conj(spec[(-np.arange(f_bins)) % f_bins, :])
     np.testing.assert_allclose(spec, flipped, atol=1e-12)
@@ -322,9 +317,9 @@ def test_weighted_dot_is_the_row_weighted_real_inner_product(cfg, dtype):
 
 def test_weighted_dot_of_a_one_sided_grid_is_its_full_grid_energy(cfg):
     x = speech_like_noise(3000, FS, rng=9)
-    full, half = stft(x, cfg), stft(x, cfg, one_sided=True)
+    full, half = stft_full(x, cfg), stft(x, cfg)
     energy = weighted_dot(half.data, half.data, row_weights(cfg))
-    assert energy == pytest.approx(np.sum(np.abs(full.data) ** 2), rel=1e-12)
+    assert energy == pytest.approx(np.sum(np.abs(full) ** 2), rel=1e-12)
 
 
 def test_speech_like_noise_properties():

@@ -4,12 +4,13 @@ from scipy.signal import fftconvolve
 
 from conftest import rel_frame_error
 from revmatch.rir import AcousticParams, sample_rir
-from revmatch.signals import (Spectrogram, StftConfig, canonical_dual_window,
+from revmatch.signals import (StftConfig, canonical_dual_window,
                               default_stft_config, fft_convolve, hann_window,
-                              istft, row_weights, speech_like_noise, stft)
+                              num_frames_for, row_weights, speech_like_noise,
+                              stft)
 from revmatch.tfconv import (Scratch, adjoint, apply, apply_adjoint,
-                             build_kernel, forward, forward_full,
-                             kernel_frames)
+                             build_kernel, forward, forward_full, istft_full,
+                             kernel_frames, stft_full)
 
 FS = 16000
 
@@ -22,10 +23,10 @@ def small_cfg(n=8, hop=4):
 def oracle_error(s, h, cfg, band_radius):
     """Relative error of the kernel path against time-domain convolution."""
     wet = fftconvolve(s, h)
-    y_ref = stft(wet, cfg)
+    y_ref = stft_full(wet, cfg)
     kernel = build_kernel(h, cfg, band_radius)
-    yhat = apply(kernel, stft(s, cfg))
-    return rel_frame_error(yhat.data, y_ref.data)
+    yhat = apply(kernel, stft_full(s, cfg))
+    return rel_frame_error(yhat, y_ref)
 
 
 def test_full_band_matches_time_domain_oracle(cfg):
@@ -47,11 +48,21 @@ def test_full_band_oracle_small_sizes():
 def test_delta_kernel_is_identity(cfg):
     rng = np.random.default_rng(12)
     s = rng.standard_normal(6000)
-    spec = stft(s, cfg)
+    spec = stft_full(s, cfg)
     kernel = build_kernel(np.array([1.0]), cfg, "full")
     out = apply(kernel, spec)
-    assert out.num_frames == spec.num_frames + kernel.t_h - 1
-    assert rel_frame_error(out.data, spec.data) <= 1e-10
+    assert out.shape[1] == spec.shape[1] + kernel.t_h - 1
+    assert rel_frame_error(out, spec) <= 1e-10
+
+
+@pytest.mark.parametrize("length", [16000, 700, 40])
+def test_full_grid_roundtrip_perfect_reconstruction(cfg, length):
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal(length)
+    grid = stft_full(x, cfg)
+    assert grid.shape == (cfg.num_bins, num_frames_for(length, cfg))
+    back = istft_full(grid, cfg, length)
+    assert np.linalg.norm(back - x) / np.linalg.norm(x) <= 1e-10
 
 
 def test_kernel_linear_in_rir(cfg):
@@ -66,29 +77,30 @@ def test_apply_zero_and_linearity():
     cfg = small_cfg()
     rng = np.random.default_rng(14)
     kernel = build_kernel(rng.standard_normal(10), cfg, "full")
-    zero = Spectrogram(np.zeros((8, 5), dtype=complex), cfg)
-    assert np.all(apply(kernel, zero).data == 0)
+    zero = np.zeros((8, 5), dtype=complex)
+    assert np.all(apply(kernel, zero) == 0)
     s1 = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
     s2 = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
     a, b = 1.5 - 0.5j, -2.0 + 1.0j
-    lhs = apply(kernel, Spectrogram(a * s1 + b * s2, cfg)).data
-    rhs = (a * apply(kernel, Spectrogram(s1, cfg)).data
-           + b * apply(kernel, Spectrogram(s2, cfg)).data)
+    lhs = apply(kernel, a * s1 + b * s2)
+    rhs = a * apply(kernel, s1) + b * apply(kernel, s2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_apply_rejects_config_mismatch(cfg):
+    # the full grid of another window length has another row count
     other = small_cfg()
     kernel = build_kernel(np.ones(5), cfg, 2)
-    spec = Spectrogram(np.zeros((8, 4), dtype=complex), other)
-    with pytest.raises(ValueError, match="config"):
+    spec = stft_full(np.ones(40), other)
+    with pytest.raises(ValueError, match="full grid of 512 rows"):
         apply(kernel, spec)
 
 
 def test_apply_and_adjoint_refuse_a_one_sided_grid(cfg):
+    # a grid whose row count is not num_bins, here half_bins, is refused
     rng = np.random.default_rng(17)
     kernel = build_kernel(rng.standard_normal(300), cfg, 2)
-    half = stft(rng.standard_normal(4000), cfg, one_sided=True)
+    half = stft(rng.standard_normal(4000), cfg).data
     for op in (apply, apply_adjoint):
         with pytest.raises(ValueError, match="the kernel needs a full grid"):
             op(kernel, half)
@@ -127,25 +139,21 @@ def test_adjoint_inner_product_identity(band_radius):
         h = rng.standard_normal(rng.integers(2, 20))
         kernel = build_kernel(h, cfg, band_radius)
         t_s = int(rng.integers(1, 7))
-        s = Spectrogram(
-            rng.standard_normal((8, t_s)) + 1j * rng.standard_normal((8, t_s)),
-            cfg)
+        s = random_grid(rng, (8, t_s))
         y = apply(kernel, s)
-        g = Spectrogram(
-            rng.standard_normal(y.data.shape)
-            + 1j * rng.standard_normal(y.data.shape), cfg)
+        g = random_grid(rng, y.shape)
         x = apply_adjoint(kernel, g)
-        assert x.data.shape == s.data.shape
-        lhs = np.sum(y.data * np.conj(g.data))
-        rhs = np.sum(s.data * np.conj(x.data))
+        assert x.shape == s.shape
+        lhs = np.sum(y * np.conj(g))
+        rhs = np.sum(s * np.conj(x))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_zero_kernel_adjoint_is_zero():
     cfg = small_cfg()
     kernel = build_kernel(np.zeros(6), cfg, "full")
-    g = Spectrogram(np.ones((8, 5), dtype=complex), cfg)
-    assert np.all(apply_adjoint(kernel, g).data == 0)
+    g = np.ones((8, 5), dtype=complex)
+    assert np.all(apply_adjoint(kernel, g) == 0)
 
 
 def test_delta_kernel_adjoint_truncates_frames(cfg):
@@ -154,12 +162,12 @@ def test_delta_kernel_adjoint_truncates_frames(cfg):
     rng = np.random.default_rng(19)
     s = rng.standard_normal(6000)
     kernel = build_kernel(np.array([1.0]), cfg, "full")
-    g = stft(s, cfg)
+    g = stft_full(s, cfg)
     x = apply_adjoint(kernel, g)
-    t_s = g.num_frames - kernel.t_h + 1
+    t_s = g.shape[1] - kernel.t_h + 1
     interior = slice(0, t_s - 1)
-    err = (np.linalg.norm(x.data[:, interior] - g.data[:, interior])
-           / np.linalg.norm(g.data[:, interior]))
+    err = (np.linalg.norm(x[:, interior] - g[:, interior])
+           / np.linalg.norm(g[:, interior]))
     assert err <= 1e-8
 
 
@@ -202,9 +210,9 @@ def test_exact_operator_matches_full_band_kernel(cfg, num_taps):
     # arbitrary complex (inconsistent) grid
     rng = np.random.default_rng(22)
     h = rng.standard_normal(num_taps) * np.exp(-np.arange(num_taps) / 300.0)
-    s = Spectrogram(random_grid(rng, (cfg.num_bins, 6)), cfg)
-    ref = apply(build_kernel(h, cfg, "full"), s).data
-    y = forward_full(h, s).data
+    s = random_grid(rng, (cfg.num_bins, 6))
+    ref = apply(build_kernel(h, cfg, "full"), s)
+    y = forward_full(h, s, cfg)
     assert y.shape == ref.shape
     assert np.linalg.norm(y - ref) / np.linalg.norm(ref) <= 1e-12
 
@@ -218,7 +226,8 @@ def test_istft_of_forward_full_is_the_linear_convolution(cfg, num_samples,
     rng = np.random.default_rng(23)
     dry = speech_like_noise(num_samples, FS, rng=rng)
     taps = sample_rir(AcousticParams(rt60=rt60, drr_db=0.0), rng=rng).taps
-    wet = istft(forward_full(taps, stft(dry, cfg)))
+    grid = forward_full(taps, stft_full(dry, cfg), cfg)
+    wet = istft_full(grid, cfg, len(dry) + len(taps) - 1)
     ref = fft_convolve(dry, taps)
     assert len(wet) == len(dry) + len(taps) - 1
     assert np.linalg.norm(wet - ref) / np.linalg.norm(ref) <= 1e-12
@@ -237,10 +246,11 @@ def test_one_sided_operator_equals_full_rows(n, hop, num_taps):
     for num_samples in (1, num_taps // 2 + 1, 12 * n + 5):
         x = rng.standard_normal(num_samples)
         y = forward(h, x, Scratch(num_samples, op_cfg))
-        ref = stft(fftconvolve(x, h)[:num_samples], op_cfg)
-        assert y.shape == (op_cfg.half_bins, ref.num_frames)
-        assert (np.linalg.norm(y - ref.data[:op_cfg.half_bins])
-                <= 1e-12 * np.linalg.norm(ref.data))
+        wet = fft_convolve(x, h)[:num_samples]
+        ref = stft_full(wet, op_cfg)
+        assert y.shape == (op_cfg.half_bins, ref.shape[1])
+        assert (np.linalg.norm(y - ref[:op_cfg.half_bins])
+                <= 1e-12 * np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("n, hop", [(8, 4), (6, 3)])
